@@ -2341,7 +2341,7 @@ int __pyx_module_is_main_hmskit___speedups = 0;
 /* Implementation of "hmskit._speedups" */
 /* #### Code section: global_var ### */
 /* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_rank_kernel_for_dense_m[] = "Compiled rank kernel for dense mid-size integer matrices.\n\nMirrors the contract of _speedups_py.int_rank.  Works on C long long with\nan overflow guard; anything too large or too big falls back to the pure\npython implementation, so results are always exact.\n";
+static const char __pyx_k_Compiled_rank_kernel_for_dense_m[] = "Compiled rank kernel for dense mid-size integer matrices.\n\nMirrors the contract of _speedups_py.int_rank.  Works on C long long with\nan overflow guard; anything too large falls back to the sparse pure python\nkernel (Markowitz-pivoted elimination), so results are always exact.\n";
 /* #### Code section: decls ### */
 static PyObject *__pyx_pf_6hmskit_9_speedups_int_rank(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_rows); /* proto */
 /* #### Code section: late_includes ### */

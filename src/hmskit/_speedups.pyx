@@ -2,8 +2,8 @@
 """Compiled rank kernel for dense mid-size integer matrices.
 
 Mirrors the contract of _speedups_py.int_rank.  Works on C long long with
-an overflow guard; anything too large or too big falls back to the pure
-python implementation, so results are always exact.
+an overflow guard; anything too large falls back to the sparse pure python
+kernel (Markowitz-pivoted elimination), so results are always exact.
 """
 
 from libc.stdlib cimport malloc, free

@@ -1,23 +1,24 @@
 """Pure python rank kernel over the integers.
 
 The matrices coming out of the graded hom computations are sparse with
-modest integer entries, so a fraction-free elimination on dict-of-column
-rows is both exact and fast enough.  The compiled backend in _speedups.pyx
-implements the same contract for the dense mid-size cases.
+modest integer entries (mostly +-1), so the rank comes from one sparse,
+fraction-free Gaussian elimination in the spirit of Markowitz pivoting and
+structured Gaussian elimination:
+
+- rows are {col: int} dicts, indexed by a col -> set(row ids) map, so a
+  pivot step touches only the rows that meet the pivot column;
+- the pivot row is the shortest live row, and within it the pivot is a
+  unit entry if there is one, then the entry whose column meets the fewest
+  live rows, which keeps fill-in low;
+- a +-1 pivot updates rows in place; any other pivot uses the gcd-reduced
+  multipliers and divides the updated row by its content.
+
+The compiled backend in _speedups.pyx implements the same contract and
+falls back to this kernel outside its range.
 """
 
+from heapq import heapify, heappop, heappush
 from math import gcd
-
-
-def _normalize_row(row):
-    g = 0
-    for v in row.values():
-        g = gcd(g, v if v >= 0 else -v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
 
 
 def int_rank(rows):
@@ -25,39 +26,69 @@ def int_rank(rows):
 
     Zero entries must be absent from the dicts.  The input is not mutated.
     """
-    work = [dict(r) for r in rows if r]
+    work = {}
+    cols = {}
+    for i, r in enumerate(rows):
+        if r:
+            work[i] = dict(r)
+            for c in r:
+                if c in cols:
+                    cols[c].add(i)
+                else:
+                    cols[c] = {i}
+    # lazy min-heap of (length, row id); an entry is stale once the row's
+    # length changed or the row is gone
+    heap = [(len(r), i) for i, r in work.items()]
+    heapify(heap)
     rank = 0
-    while work:
-        # pivot row: prefer a unit entry, else smallest magnitude
-        best_i = -1
-        best_c = -1
-        best_v = 0
-        for i, row in enumerate(work):
-            for c, v in row.items():
-                av = v if v >= 0 else -v
-                if best_i < 0 or av < best_v:
-                    best_i, best_c, best_v = i, c, av
-                    if av == 1:
-                        break
-            if best_v == 1:
-                break
-        prow = _normalize_row(work.pop(best_i))
-        pv = prow[best_c]
+    while heap:
+        n, pid = heappop(heap)
+        prow = work.get(pid)
+        if prow is None or len(prow) != n:
+            continue
+        del work[pid]
         rank += 1
-        nxt = []
-        for row in work:
-            a = row.get(best_c)
-            if a is None:
-                nxt.append(row)
-                continue
-            out = {}
-            for c in row.keys() | prow.keys():
-                if c == best_c:
-                    continue
-                w = pv * row.get(c, 0) - a * prow.get(c, 0)
+        pc = None
+        best = None
+        for c, v in prow.items():
+            rows_c = cols[c]
+            rows_c.discard(pid)
+            cost = (v != 1 and v != -1, len(rows_c))
+            if best is None or cost < best:
+                pc, best = c, cost
+        pv = prow.pop(pc)
+        unit = pv == 1 or pv == -1
+        for i in cols.pop(pc):
+            row = work[i]
+            a = row.pop(pc)
+            # row <- f*row - m*prow clears column pc
+            if unit:
+                f, m = 1, a * pv
+            else:
+                g = gcd(pv, a)
+                f, m = pv // g, a // g
+                for c in row:
+                    row[c] *= f
+            for c, v in prow.items():
+                w = row.get(c, 0) - m * v
                 if w:
-                    out[c] = w
-            if out:
-                nxt.append(_normalize_row(out))
-        work = nxt
+                    if c not in row:
+                        cols[c].add(i)
+                    row[c] = w
+                elif c in row:
+                    del row[c]
+                    cols[c].discard(i)
+            if not unit:
+                g = 0
+                for v in row.values():
+                    g = gcd(g, v)
+                    if g == 1:
+                        break
+                if g > 1:
+                    for c in row:
+                        row[c] //= g
+            if row:
+                heappush(heap, (len(row), i))
+            else:
+                del work[i]
     return rank

@@ -46,7 +46,8 @@ class TableCache:
                 return json.load(fh)
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
+            # ValueError covers both bad JSON and bytes that are not UTF-8
             return None
 
     def store(self, key, payload):

@@ -10,7 +10,7 @@ touches floating point or complex.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 Rat = Fraction
 
@@ -681,12 +681,3 @@ def parse_poly_string(text, nvars, names=None):
         key = tuple(exps)
         terms[key] = terms.get(key, Rat(0)) + coeff
     return Poly(nvars, terms)
-
-
-def vec_gcd(values):
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-        if g == 1:
-            return 1
-    return g

@@ -233,6 +233,40 @@ def _quotient_graded_collection(matrix, group_text):
     return col, desc, [dynkin_quiver(f"D{rank}")]
 
 
+def _table_payload_ok(payload, labels, window):
+    """Whether a cached payload has the shape of the table this request
+    computes: the same object labels and window, and sorted, distinct
+    entries (i, j, k, d) of ints with i, j indexing the objects, k inside
+    the window and d >= 1.  Anything else is treated as a miss."""
+    if not isinstance(payload, dict) or set(payload) != {"objects", "window", "entries"}:
+        return False
+    if payload["objects"] != labels or payload["window"] != list(window):
+        return False
+    entries = payload["entries"]
+    if not isinstance(entries, list):
+        return False
+    prev = None
+    for e in entries:
+        if not (
+            isinstance(e, list)
+            and len(e) == 4
+            and all(type(v) is int for v in e)
+        ):
+            return False
+        i, j, k, d = e
+        if not (
+            0 <= i < len(labels)
+            and 0 <= j < len(labels)
+            and window[0] <= k <= window[1]
+            and d >= 1
+        ):
+            return False
+        if prev is not None and e[:3] <= prev:
+            return False
+        prev = e[:3]
+    return True
+
+
 def cmd_verify(args):
     if (args.input is None) == (args.matrix is None):
         raise CLIError(EXIT_PARSE, "verify needs a model expression or --matrix, not both")
@@ -273,6 +307,11 @@ def cmd_verify(args):
     cache = TableCache(resolve_cache_dir(args.cache_dir))
     started = time.perf_counter()
     payload = cache.load(key)
+    if payload is not None and not _table_payload_ok(
+        payload, [label for label, _ in col], window
+    ):
+        _diag(args, f"ignoring malformed cache entry (key {key[:12]}), recomputing")
+        payload = None
     if payload is None:
         tab = ext_table(col, window, threads=threads)
         payload = ext_table_to_json(tab)

@@ -180,12 +180,6 @@ class MatrixFactorization:
         )
 
 
-def audit_mf(k):
-    """Re-run the construction invariants (factorization identity plus
-    the per-entry homogeneity audit)."""
-    return k.validate()
-
-
 # ------------------------------------------------------------ constructors
 
 

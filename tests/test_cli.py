@@ -282,6 +282,38 @@ def test_verify_cache_key_names_the_field(tmp_path, capsys):
     assert cache.load(request_key(fresh)) == r["bside"]
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        b'{"x":1}',
+        b'{"objects":[],"window":[-4,4],"entries":[[0,0,0,5]]}',
+        b"\xff\xfe not utf-8",
+    ],
+    ids=["missing-keys", "poisoned-entries", "not-utf8"],
+)
+def test_verify_replaces_malformed_cache_entry(tmp_path, capsys, entry):
+    cache_dir = tmp_path / "cache"
+    code, cold, _ = run_cli(capsys, "verify", "A2", "--cache-dir", str(cache_dir), "--quiet")
+    assert code == 0
+    (path,) = cache_dir.iterdir()
+    stored = path.read_bytes()
+    path.write_bytes(entry)
+
+    code, out, err = run_cli(capsys, "verify", "A2", "--cache-dir", str(cache_dir))
+    assert code == 0
+    assert out == cold
+    assert json.loads(out)["verdict"] == "match"
+    if entry.startswith(b"{"):
+        assert err.count("malformed cache entry") == 1
+    assert "Traceback" not in err
+    assert path.read_bytes() == stored  # the entry was overwritten
+
+    code, warm, err = run_cli(capsys, "verify", "A2", "--cache-dir", str(cache_dir))
+    assert code == 0
+    assert warm == cold
+    assert "from cache" in err and "malformed" not in err
+
+
 def test_verify_json_flag_writes_same_bytes(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

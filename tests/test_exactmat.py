@@ -1,6 +1,7 @@
 """Tests for the exact linear algebra and polynomial layer."""
 
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,68 @@ def test_int_rank_input_not_mutated():
     snapshot = [dict(r) for r in rows]
     _speedups_py.int_rank(rows)
     _backend.int_rank(rows)
+    assert rows == snapshot
+
+
+def sparse_mat_strategy(max_dim=25):
+    """Sparse matrices, wide, tall or with empty rows: mostly zeros, then
+    +-1, then small non-unit entries."""
+    entry = st.sampled_from([0] * 12 + [1, -1] * 3 + [2, -2, 3, -3, 4, 6, -6])
+    return st.integers(1, max_dim).flatmap(
+        lambda r: st.integers(1, max_dim).flatmap(
+            lambda c: st.lists(
+                st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r
+            )
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_mat_strategy())
+def test_int_rank_sparse_matches_rat_rank(a):
+    rows = _to_rows(a)
+    snapshot = [dict(r) for r in rows]
+    assert _speedups_py.int_rank(rows) == rat_rank(a)
+    assert rows == snapshot
+
+
+def test_int_rank_pivot_paths_agree():
+    # transposing and permuting rows changes which rows are shortest and
+    # which columns are densest, so the elimination takes other pivots
+    rng = random.Random(20100401)
+    a = [[0] * 140 for _ in range(120)]
+    for i in range(120):
+        for j in rng.sample(range(140), rng.randint(0, 6)):
+            a[i][j] = rng.choice((1, -1))
+    # dependent rows: sums and differences of earlier ones
+    for i in range(100, 120):
+        p, q = rng.sample(range(100), 2)
+        a[i] = [x + rng.choice((1, -1)) * y for x, y in zip(a[p], a[q])]
+    rank = _speedups_py.int_rank(_to_rows(a))
+    assert rank == rat_rank(a)
+    assert rank <= 100
+    at = [list(col) for col in zip(*a)]
+    assert _speedups_py.int_rank(_to_rows(at)) == rank
+    perm = list(range(120))
+    rng.shuffle(perm)
+    assert _speedups_py.int_rank(_to_rows([a[i] for i in perm])) == rank
+
+
+def test_int_rank_non_unit_entries():
+    # no unit entry anywhere, so every pivot takes the gcd-reduced update
+    a = [
+        [2, 3, 6, 0, 0],
+        [6, 0, 2, 3, 0],
+        [0, 6, 3, 0, 2],
+        [6, 0, 2, 3, 0],
+        [2, 0, 0, 2, 6],
+        [0, 0, 0, 0, 0],
+    ]
+    rows = _to_rows(a)
+    snapshot = [dict(r) for r in rows]
+    assert _speedups_py.int_rank(rows) == rat_rank(a) == 4
+    assert _speedups_py.int_rank(rows + [{c: 6 for c in range(5)}]) == 5
+    assert _speedups_py.int_rank(_to_rows([[6, 6], [6, 6], [2, 2], [3, 3]])) == 1
     assert rows == snapshot
 
 
