@@ -2,8 +2,8 @@
 
 Scalars are python ints, fractions.Fraction and GaussInt (a Gaussian integer
 a + b*i held as a pair of ints, for the factorizations that need a square
-root of -1).  Ranks over Q(i) come from the integer kernel through
-realify_columns.  Nothing in this module (or in anything built on top of it)
+root of -1).  Ranks over Q and Q(i) come from the integer kernel through
+integer_columns.  Nothing in this module (or in anything built on top of it)
 touches floating point or complex.
 """
 
@@ -387,38 +387,47 @@ class GaussInt:
 I = GaussInt(0, 1)
 
 
-def _real_or_gauss(c):
-    """Canonical coefficient: a Fraction when the imaginary part is 0."""
+def _canonical(c):
+    """Canonical coefficient: an int when c is integral, a GaussInt when its
+    imaginary part is nonzero, else a Fraction."""
+    if type(c) is int:
+        return c
     if isinstance(c, GaussInt):
-        return Rat(c.re) if c.im == 0 else c
-    return c
+        return c.re if c.im == 0 else c
+    c = Rat(c)
+    return c.numerator if c.denominator == 1 else c
 
 
-def realify_columns(cols):
-    """Integer columns of a Q(i)-linear map, written over Q in the basis {e, i*e}.
+def integer_columns(cols, gauss=False):
+    """Integer columns with the rank of a sparse linear map over Q or Q(i).
 
     `cols` holds sparse columns {row: value} with int, Fraction or GaussInt
-    values.  Row r of a column a + i*b becomes rows 2r (a) and 2r + 1 (b),
-    and each column v gives the two columns v and i*v = -b + i*a, so the
-    integer rank of the result is exactly twice the Q(i)-rank of `cols`.
-    Each column is first scaled by the lcm of its denominators, which
-    keeps the rank.  Empty columns are dropped.
+    values.  A column with a Fraction is scaled by the lcm of its
+    denominators, which keeps the rank; an all-int column is passed on as
+    it is.  With `gauss` the map is Q(i)-linear and is written over Q in the
+    basis {e, i*e}: row r of a column a + i*b becomes rows 2r (a) and
+    2r + 1 (b), and each column v gives the two columns v and
+    i*v = -b + i*a, so the integer rank of the result is exactly twice the
+    Q(i)-rank of `cols`.  Empty columns are dropped.
     """
     out = []
     for col in cols:
         if not col:
             continue
-        denom = 1
-        for v in col.values():
-            if isinstance(v, Rat) and v.denominator != 1:
-                denom = lcm(denom, v.denominator)
+        denoms = [v.denominator for v in col.values() if isinstance(v, Rat)]
+        if denoms:
+            d = lcm(*denoms)
+            col = {
+                r: v * d if isinstance(v, GaussInt) else int(v * d)
+                for r, v in col.items()
+            }
+        if not gauss:
+            out.append(col)
+            continue
         re_col = {}
         im_col = {}
         for r, v in col.items():
-            if isinstance(v, GaussInt):
-                a, b = v.re * denom, v.im * denom
-            else:
-                a, b = int(v * denom), 0
+            a, b = (v.re, v.im) if isinstance(v, GaussInt) else (v, 0)
             if a:
                 re_col[2 * r] = a
                 im_col[2 * r + 1] = a
@@ -436,10 +445,12 @@ def realify_columns(cols):
 class Poly:
     """Sparse multivariate polynomial with exact coefficients.
 
-    Coefficients are Fractions, or GaussInt for the ones with a nonzero
-    imaginary part, so a polynomial with real coefficients has the same
-    terms however it was computed.  Terms are stored in a dict keyed by
-    exponent tuples; zero coefficients are never kept.  Instances are
+    Coefficients are canonical: a plain int when integral, a Fraction when
+    rational but not integral, and a GaussInt when the imaginary part is
+    nonzero.  So a polynomial has the same terms however it was computed,
+    and integral polynomials, which are all the package builds over Q, do
+    their arithmetic on machine-size ints.  Terms are stored in a dict keyed
+    by exponent tuples; zero coefficients are never kept.  Instances are
     treated as immutable.
     """
 
@@ -449,27 +460,17 @@ class Poly:
         self.nvars = nvars
         clean = {}
         if terms:
-            gauss = False
             for exps, coeff in terms.items():
-                try:
-                    c = Rat(coeff)
-                except TypeError:
-                    if not isinstance(coeff, GaussInt):
-                        raise
-                    c = coeff
-                    gauss = True
-                if c == 0:
+                c = _canonical(coeff)
+                if not c:
                     continue
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != nvars:
                     raise ValueError("exponent vector has wrong length")
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent")
-                clean[exps] = clean.get(exps, Rat(0)) + c
-            if gauss:
-                clean = {e: _real_or_gauss(c) for e, c in clean.items() if c != 0}
-            else:
-                clean = {e: c for e, c in clean.items() if c != 0}
+                clean[exps] = clean.get(exps, 0) + c
+            clean = {e: _canonical(c) for e, c in clean.items() if c}
         self.terms = clean
 
     # ---- constructors
@@ -480,7 +481,7 @@ class Poly:
 
     @classmethod
     def one(cls, nvars):
-        return cls(nvars, {(0,) * nvars: Rat(1)})
+        return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def constant(cls, nvars, c):
@@ -490,7 +491,7 @@ class Poly:
     def variable(cls, nvars, i, power=1):
         exps = [0] * nvars
         exps[i] = power
-        return cls(nvars, {tuple(exps): Rat(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, nvars, exps, coeff=1):
@@ -531,7 +532,7 @@ class Poly:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Rat(0)) + c
+            terms[e] = terms.get(e, 0) + c
         return Poly(self.nvars, terms)
 
     def __neg__(self):
@@ -552,7 +553,7 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Rat(0)) + c1 * c2
+                terms[e] = terms.get(e, 0) + c1 * c2
         return Poly(self.nvars, terms)
 
     def __rmul__(self, other):

@@ -273,7 +273,6 @@ def cmd_verify(args):
     if args.window < 0:
         raise CLIError(EXIT_PARSE, "--window must be non-negative")
     window = (-args.window, args.window)
-    threads = max(1, args.threads)
 
     if args.matrix is not None:
         if args.group is None:
@@ -305,36 +304,45 @@ def cmd_verify(args):
     }
     key = request_key(request)
     cache = TableCache(resolve_cache_dir(args.cache_dir))
-    started = time.perf_counter()
+
+    def cold():
+        started = time.perf_counter()
+        payload = ext_table_to_json(ext_table(col, window))
+        cache.store(key, payload)
+        _diag(args, f"b-side table computed in {time.perf_counter() - started:.2f}s (key {key[:12]})")
+        return payload
+
+    adims = {(i, j, k): d for i, j, k, d in model.entries()}
+
+    def first_difference(payload):
+        bdims = {(i, j, k): d for i, j, k, d in payload["entries"]}
+        for i in range(len(col)):
+            for j in range(len(col)):
+                for k in range(window[0], window[1] + 1):
+                    b = bdims.get((i, j, k), 0)
+                    a = adims.get((i, j, k), 0)
+                    if b != a:
+                        return [i, j, k, b, a]
+        return None
+
     payload = cache.load(key)
     if payload is not None and not _table_payload_ok(
         payload, [label for label, _ in col], window
     ):
         _diag(args, f"ignoring malformed cache entry (key {key[:12]}), recomputing")
         payload = None
-    if payload is None:
-        tab = ext_table(col, window, threads=threads)
-        payload = ext_table_to_json(tab)
-        cache.store(key, payload)
-        _diag(args, f"b-side table computed in {time.perf_counter() - started:.2f}s (key {key[:12]})")
-    else:
+    cached = payload is not None
+    if cached:
         _diag(args, f"b-side table from cache (key {key[:12]})")
-
-    bdims = {(i, j, k): d for i, j, k, d in payload["entries"]}
-    adims = {(i, j, k): d for i, j, k, d in model.entries()}
-    first = None
-    for i in range(len(col)):
-        for j in range(len(col)):
-            for k in range(window[0], window[1] + 1):
-                b = bdims.get((i, j, k), 0)
-                a = adims.get((i, j, k), 0)
-                if b != a:
-                    first = [i, j, k, b, a]
-                    break
-            if first:
-                break
-        if first:
-            break
+    else:
+        payload = cold()
+    first = first_difference(payload)
+    if cached and first is not None:
+        # a cached table must not turn a match into a mismatch: a
+        # mismatch is only reported from a table computed in this run
+        _diag(args, f"cached table disagrees with the a side (key {key[:12]}), recomputing")
+        payload = cold()
+        first = first_difference(payload)
 
     report = {
         "schema": 1,
@@ -475,7 +483,10 @@ def _build_parser():
     v.add_argument("--matrix", metavar="JSON", default=None, help="exponent matrix (with --group)")
     v.add_argument("--group", metavar="GENS", default=None, help="symmetry group generators, e.g. '1/3,1/3'")
     v.add_argument("--window", type=int, default=4, help="compare |k| <= WINDOW (default 4)")
-    v.add_argument("--threads", type=int, default=1, help="parallel hom computations")
+    v.add_argument(
+        "--threads", type=int, default=1,
+        help="deprecated and ignored: tables are computed serially",
+    )
     v.add_argument("--cache-dir", metavar="DIR", default=None, help="table cache directory")
     _add_common(v)
     v.set_defaults(func=cmd_verify)

@@ -8,17 +8,23 @@ dimension counts come from exact integer linear algebra on the finite
 degree-zero pieces of the 2-periodic hom complexes.  Dimensions are over Q,
 or over Q(i) when either object has a Gaussian-integer entry: the boundary
 map is then written over Q in the basis {e, i*e} and its rank halved.
+
+Polynomial coefficients follow the Poly rule (an int when integral, a
+Fraction otherwise, a GaussInt when non-real), so the boundary matrices of
+the integral factorizations built here are assembled on plain ints.  Twisting
+is an autoequivalence, so a hom cell depends only on the two objects'
+differentials, their slot labels relative to their first label and the
+relative shift; each grading context instance keeps one memo keyed on that
+(see _HomMemo), which twisted copies of an object share.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from ._backend import int_rank
-from .exactmat import Poly, realify_columns
+from .exactmat import Poly
+from .exactmat import integer_columns as _int_columns  # traced by perfbench as "intcols"
 from .grading import GradingError, LElement, grading_group, lbar_representatives, sum_grading_maps, trivial_context
 from .polyforms import build
 
@@ -97,8 +103,7 @@ class MatrixFactorization:
         self.d0 = tuple(tuple(row) for row in d0)
         self.d1 = tuple(tuple(row) for row in d1)
         self.koszul_data = koszul_data
-        self._rank_cache = {}
-        self._dim_cache = {}
+        self._form = None
         self._field = None
         if check:
             self.validate()
@@ -586,49 +591,86 @@ def _boundary_columns(k, h, q, parity):
     return cols, len(src), len(dst_index)
 
 
-def _int_columns(cols):
-    out = []
-    for col in cols:
-        if not col:
-            continue
-        denom = 1
-        for v in col.values():
-            if isinstance(v, Fraction) and v.denominator != 1:
-                denom = lcm(denom, v.denominator)
-        out.append({r: int(v * denom) for r, v in col.items()})
-    return out
+class _HomMemo:
+    """Hom-cell memo of one grading context instance.
+
+    `forms` interns, per object m, the content (d0, d1, slot labels minus
+    m's first label) as a small int id.  `dims` and `ranks` map
+    (form(k), form(h), first label of h - first label of k + q*c, parity)
+    to the dimension of that cell and the rank of its boundary map: equal
+    keys give literally the same matrix.  Values are ints only; no basis or
+    matrix is kept.  Ids are only comparable within one memo, so both
+    objects of a pair are interned in the memo of k's context.
+    """
+
+    __slots__ = ("forms", "dims", "ranks")
+
+    def __init__(self):
+        self.forms = {}
+        self.dims = {}
+        self.ranks = {}
+
+
+def _form(m, memo):
+    """(form id of m in memo, first slot label of m)."""
+    hit = m._form
+    if hit is None or hit[0] is not memo:
+        labels = m.p0 + m.p1
+        base = labels[0] if labels else m.ctx.zero()
+        content = (
+            m.d0,
+            m.d1,
+            tuple(l - base for l in m.p0),
+            tuple(l - base for l in m.p1),
+        )
+        hit = m._form = (memo, memo.forms.setdefault(content, len(memo.forms)), base)
+    return hit[1], hit[2]
+
+
+def _cell_key(k, h, q, parity):
+    """The memo of k's context and the key of the cell (q, parity) of Hom(k, h)."""
+    ctx = k.ctx
+    memo = getattr(ctx, "_hom_memo", None)
+    if memo is None:
+        memo = ctx._hom_memo = _HomMemo()
+    fk, bk = _form(k, memo)
+    fh, bh = _form(h, memo)
+    return memo, (fk, fh, bh - bk + q * ctx.deg_c, parity)
 
 
 def _cell_dim(k, h, q, parity, max_cells=None):
-    key = (h, "dim", parity, q)
-    hit = k._dim_cache.get(key)
-    if hit is None:
+    memo, key = _cell_key(k, h, q, parity)
+    dim = memo.dims.get(key)
+    if dim is None:
         slots = _even_slots(k, h, q) if parity == "even" else _odd_slots(k, h, q)
-        hit = sum(len(monomials_of_degree(k.ctx, d)) for _, _, _, d in slots)
-        k._dim_cache[key] = hit
-    if max_cells is not None and hit > max_cells:
-        raise ResourceLimitError(
-            f"hom cell has dimension {hit}, above the limit {max_cells}"
+        dim = memo.dims[key] = sum(
+            len(monomials_of_degree(k.ctx, d)) for _, _, _, d in slots
         )
-    return hit
+    if max_cells is not None and dim > max_cells:
+        raise ResourceLimitError(
+            f"hom cell has dimension {dim}, above the limit {max_cells}"
+        )
+    return dim
 
 
 def _boundary_rank(k, h, q, parity, max_cells=None):
-    key = (h, parity, q)
-    hit = k._rank_cache.get(key)
-    if hit is not None:
-        return hit
-    _cell_dim(k, h, q, parity, max_cells)
+    memo, key = _cell_key(k, h, q, parity)
+    rank = memo.ranks.get(key)
+    if rank is not None:
+        return rank
+    src = _cell_dim(k, h, q, parity, max_cells)
     if parity == "odd":
-        _cell_dim(k, h, q + 1, "even", max_cells)
+        dst = _cell_dim(k, h, q + 1, "even", max_cells)
     else:
-        _cell_dim(k, h, q, "odd", max_cells)
-    cols, _, _ = _boundary_columns(k, h, q, parity)
-    if k.field == "Q" and h.field == "Q":
-        rank = int_rank(_int_columns(cols))
-    else:
-        rank = int_rank(realify_columns(cols)) // 2
-    k._rank_cache[key] = rank
+        dst = _cell_dim(k, h, q, "odd", max_cells)
+    rank = 0
+    if src and dst:
+        cols, _, _ = _boundary_columns(k, h, q, parity)
+        gauss = k.field != "Q" or h.field != "Q"
+        rank = int_rank(_int_columns(cols, gauss))
+        if gauss:
+            rank //= 2
+    memo.ranks[key] = rank
     return rank
 
 
@@ -692,7 +734,9 @@ def ext_table(collection, window, threads=1, max_cells=None):
     """Full hom-dimension table of a collection over a shift window.
 
     `collection` is a list of (label, MatrixFactorization) pairs, or bare
-    factorizations (labels are then positional).
+    factorizations (labels are then positional).  `threads` is deprecated
+    and ignored: the pairs run serially, since the work holds the
+    interpreter lock and a thread pool measured slower.
     """
     items = []
     for n, entry in enumerate(collection):
@@ -709,25 +753,14 @@ def ext_table(collection, window, threads=1, max_cells=None):
         if mf.ctx != items[0][1].ctx or mf.w != items[0][1].w:
             raise MFError("collection objects disagree on potential or grading")
 
-    pairs = [(i, j) for i in range(len(items)) for j in range(len(items))]
-
-    def compute(pair):
-        i, j = pair
-        out = {}
-        for k in range(lo, hi + 1):
-            d = hom_dim(items[i][1], items[j][1], k, max_cells=max_cells)
-            if d:
-                out[(i, j, k)] = d
-        return out
-
+    del threads
     dims = {}
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(compute, pairs):
-                dims.update(chunk)
-    else:
-        for pair in pairs:
-            dims.update(compute(pair))
+    for i, (_, a) in enumerate(items):
+        for j, (_, b) in enumerate(items):
+            for k in range(lo, hi + 1):
+                d = hom_dim(a, b, k, max_cells=max_cells)
+                if d:
+                    dims[(i, j, k)] = d
     return ExtTable(tuple(labels), (lo, hi), dims)
 
 
@@ -839,7 +872,7 @@ def one_period_end_total(gens, periods=4, threads=1, max_cells=None):
     over `periods` translation periods on each side; the outermost period
     on both sides must come out zero (raising otherwise), and everything
     below the scanned range vanishes because the hom cells are empty
-    there.
+    there.  `threads` is deprecated and ignored, as in ext_table.
     """
     if not gens:
         return 0
@@ -867,11 +900,8 @@ def one_period_end_total(gens, periods=4, threads=1, max_cells=None):
             )
         return sum(per_k)
 
+    del threads
     items = sorted(diffs.items(), key=lambda kv: kv[0].key())
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            totals = list(pool.map(lambda kv: folded(kv[0]) * kv[1], items))
-        return sum(totals)
     return sum(folded(d) * mult for d, mult in items)
 
 

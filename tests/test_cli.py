@@ -314,6 +314,24 @@ def test_verify_replaces_malformed_cache_entry(tmp_path, capsys, entry):
     assert "from cache" in err and "malformed" not in err
 
 
+def test_verify_recomputes_a_cached_table_that_mismatches(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    code, cold, _ = run_cli(capsys, "verify", "A2", "--cache-dir", str(cache_dir), "--quiet")
+    assert code == 0
+    (path,) = cache_dir.iterdir()
+    stored = path.read_bytes()
+    payload = json.loads(stored)
+    payload["entries"][0][3] = 5  # well shaped, wrong value
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+    code, out, err = run_cli(capsys, "verify", "A2", "--cache-dir", str(cache_dir))
+    assert code == 0
+    assert out == cold
+    assert json.loads(out)["verdict"] == "match"
+    assert "disagrees" in err and "computed" in err
+    assert path.read_bytes() == stored  # the entry was overwritten
+
+
 def test_verify_json_flag_writes_same_bytes(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -16,6 +16,7 @@ from hmskit.exactmat import (
     charpoly,
     det_int,
     identity_matrix,
+    integer_columns,
     int_kernel,
     mat_inverse_rat,
     mat_mul,
@@ -26,7 +27,6 @@ from hmskit.exactmat import (
     poly_partial,
     rat_kernel,
     rat_rank,
-    realify_columns,
     smith_normal_form,
     snf_diagonal,
 )
@@ -370,6 +370,21 @@ def test_poly_format_roundtrip(p):
     assert parse_poly_string(p.format(), 2) == p
 
 
+def test_poly_coefficients_are_canonical():
+    p = Poly(1, {(1,): Fraction(4, 2)})
+    q = Poly(1, {(1,): 2})
+    assert type(p.terms[(1,)]) is int
+    assert p == q and hash(p) == hash(q)
+    x = Poly.variable(2, 0)
+    half = x * Fraction(1, 2)
+    assert type(half.terms[(1, 0)]) is Fraction
+    assert type((half + half).terms[(1, 0)]) is int
+    assert (half + half) == x and hash(half + half) == hash(x)
+    iy = I * Poly.variable(2, 1)
+    assert type((iy * iy).terms[(0, 2)]) is int
+    assert type(iy.terms[(0, 1)]) is GaussInt
+
+
 def test_gaussian_poly_format_and_parse():
     x = Poly.variable(2, 0)
     y = Poly.variable(2, 1)
@@ -391,7 +406,7 @@ def test_gaussian_poly_format_and_parse():
 
 
 def _realified_rank(cols):
-    return _speedups_py.int_rank(realify_columns(cols))
+    return _speedups_py.int_rank(integer_columns(cols, gauss=True))
 
 
 def test_gaussian_rank_by_realification():

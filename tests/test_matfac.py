@@ -2,11 +2,13 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmskit import matfac
 from hmskit.exactmat import I, Poly, parse_poly_string
 from hmskit.grading import GradingContext, lbar_representatives, m_grading
 from hmskit.polyforms import parse_model
@@ -323,6 +325,83 @@ def test_hom_dims_match_independent_oracle():
     gens = generator_E(s)
     for a, b, k in [(gens[0], gens[0], 0), (gens[0], gens[4], 0), (gens[0], gens[1], 1)]:
         assert hom_dim(a, b, k) == oracle_hom_dim(a, b, k)
+
+
+def test_hom_dims_across_equal_contexts_match_oracle():
+    # equal but separately built contexts keep one memo each; t2 sits on
+    # x1's first label, so a form id read from the wrong memo would replay
+    # the self-hom cells of the other object
+    p1, col1, _ = _rank_one_objects("D4t")
+    p2, col2, _ = _rank_one_objects("D4t")
+    assert p1.ctx == p2.ctx and p1.ctx is not p2.ctx
+    x1 = col1[0][1]
+    s2 = col2[2][1]
+    t2 = shift_mf(s2, x1.p0[0] - s2.p0[0])
+    for a, b in [(x1, x1), (t2, t2), (t2, x1), (x1, t2)]:
+        for k in (-2, -1, 0, 1, 2):
+            assert hom_dim(a, b, k) == oracle_hom_dim(a, b, k)
+
+
+def _counting_rank(monkeypatch):
+    calls = []
+    rank = matfac.int_rank
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(matfac, "int_rank", counted)
+    return calls
+
+
+def test_hom_memo_is_per_context_instance(monkeypatch):
+    calls = _counting_rank(monkeypatch)
+    first = generator_collection(_model("A2+A2"))
+    one = ext_table(first, 2)
+    cold = len(calls)
+    assert cold > 0
+    ranks = dict(first[0][1].ctx._hom_memo.ranks)
+    again = generator_collection(_model("A2+A2"))
+    assert not hasattr(again[0][1].ctx, "_hom_memo")
+    del calls[:]
+    two = ext_table(again, 2)
+    assert len(calls) == cold  # a second build starts cold
+    assert two.dims == one.dims
+    assert first[0][1].ctx._hom_memo.ranks == ranks
+
+
+def test_fractional_differentials_keep_hom_dims():
+    p, col, _ = _rank_one_objects("D4t")
+    stab = col[2][1]
+    half = Fraction(1, 2)
+    scaled = MatrixFactorization(
+        stab.ctx,
+        stab.w,
+        stab.p0,
+        stab.p1,
+        [[e * half for e in row] for row in stab.d0],
+        [[e * 2 for e in row] for row in stab.d1],
+    )
+    assert any(
+        type(c) is Fraction for row in scaled.d0 for e in row for c in e.terms.values()
+    )
+    for _, other in col:
+        for k in range(-3, 4):
+            assert hom_dim(scaled, other, k) == hom_dim(stab, other, k)
+            assert hom_dim(other, scaled, k) == hom_dim(other, stab, k)
+    assert hom_dim(scaled, scaled, 0) == hom_dim(stab, stab, 0)
+
+
+def test_rank_calls_stay_within_the_memo_budget(monkeypatch):
+    # counts, not timings: each distinct boundary matrix is ranked once and
+    # empty cells are never ranked
+    calls = _counting_rank(monkeypatch)
+    assert one_period_end_total(generator_E(_model("A2+A2")), periods=3) == 36
+    assert len(calls) <= 84
+    del calls[:]
+    ext_table(generator_collection(_model("D4t")), 4)
+    assert len(calls) <= 76
+    assert all(calls)
 
 
 def test_hom_rejects_mismatched_potentials():
