@@ -414,7 +414,8 @@ def integer_columns(cols, gauss=False):
     for col in cols:
         if not col:
             continue
-        denoms = [v.denominator for v in col.values() if isinstance(v, Rat)]
+        # Poly coefficients are exactly int, Fraction or GaussInt
+        denoms = [v.denominator for v in col.values() if type(v) is Fraction]
         if denoms:
             d = lcm(*denoms)
             col = {

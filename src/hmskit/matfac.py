@@ -16,11 +16,18 @@ is an autoequivalence, so a hom cell depends only on the two objects'
 differentials, their slot labels relative to their first label and the
 relative shift; each grading context instance keeps one memo keyed on that
 (see _HomMemo), which twisted copies of an object share.
+
+The hom layer works on int codes of degrees and does its work once per
+context or per pair of forms, not once per matrix entry: slot degrees per
+pair of forms, slot offsets per cell and multiplication maps per degree and
+exponent, so that one differential term fills a whole block of a boundary
+matrix (see _HomMemo).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from ._backend import int_rank
 from .exactmat import Poly
@@ -442,31 +449,120 @@ def tensor_mf(k1, k2, maps=None):
 # ----------------------------------------------------------- hom complexes
 
 
+class _HomMemo:
+    """Hom-layer caches of one grading context instance.
+
+    Degrees are int codes.  With free rank one and torsion moduli
+    m_1, ..., m_t, the element (f; t_1, ..., t_t) has code f*T + sum t_r*R_r,
+    where T = m_1*...*m_t and R_r = m_1*...*m_(r-1).  A code is a valid key
+    but not additive once there is torsion, so `add` and `scale` work digit
+    by digit.
+
+    `forms` interns, per object m, the content (d0, d1, slot labels minus
+    m's first label) as a small int id, and `labels[id]` holds the codes of
+    those relative labels.  `slots` maps (form(k), form(h), parity) to the
+    id of the relative degrees of the slots of that cell of Hom(k, h): an h
+    label minus a k label, plus c for the g1 slots.  `rels[id]` is that
+    tuple and `rel_ids` interns it, since many pairs of forms share it.  A
+    cell is keyed on (form(k), form(h), shift, parity), where shift is the
+    code of h's first label - k's first label + q*c; its slot degrees are
+    shift + rel.  `cells` maps (rel id, shift) to the offsets of the slots in
+    the monomial basis (the last offset is the dimension), and `ranks` maps
+    a cell key to the rank of its boundary map: equal keys give literally
+    the same matrix.  `maps[(delta, e)]` holds, for each monomial m of
+    degree delta, the position of m*x^e among the monomials of degree
+    delta + deg(x^e).  Everything but the keys of `forms` is ints (and the
+    parity tags).  Ids are only comparable within one memo, so both objects
+    of a pair are interned in the memo of k's context.
+    """
+
+    __slots__ = (
+        "T", "radix", "weights", "tors_x", "c",
+        "forms", "labels", "rels", "rel_ids", "slots", "cells", "ranks", "maps",
+    )
+
+    def __init__(self, ctx):
+        self.T = 1
+        self.radix = []  # (R_r, m_r)
+        for m in ctx.torsion:
+            self.radix.append((self.T, m))
+            self.T *= m
+        self.weights = tuple(d.free[0] for d in ctx.deg_x)
+        # per torsion coordinate: the variables' degrees in it, m_r and R_r
+        self.tors_x = [(tuple(d.tors[i] for d in ctx.deg_x), m, r) for i, (r, m) in enumerate(self.radix)]
+        self.c = self.code(ctx.deg_c)
+        self.forms = {}
+        self.labels = []
+        self.rels = []
+        self.rel_ids = {}
+        self.slots = {}
+        self.cells = {}
+        self.ranks = {}
+        self.maps = {}
+
+    def code(self, e):
+        return e.free[0] * self.T + sum(t * r for t, (r, _) in zip(e.tors, self.radix))
+
+    def add(self, a, b, sign=1):
+        """Code of a + sign*b."""
+        fa, ta = divmod(a, self.T)
+        fb, tb = divmod(b, self.T)
+        t = 0
+        for r, m in self.radix:
+            # ta // r is digit r of ta plus a multiple of m
+            t += (ta // r + sign * (tb // r)) % m * r
+        return (fa + sign * fb) * self.T + t
+
+    def scale(self, q, a):
+        """Code of q*a."""
+        f, ta = divmod(a, self.T)
+        return q * f * self.T + sum(q * (ta // r) % m * r for r, m in self.radix)
+
+    def torsion_index(self, exps):
+        """Torsion part of the code of deg(x^exps)."""
+        return sum(sum(map(mul, col, exps)) % m * r for col, m, r in self.tors_x)
+
+    def exps_code(self, exps):
+        return sum(map(mul, self.weights, exps)) * self.T + self.torsion_index(exps)
+
+
+def _hom_memo(ctx):
+    memo = ctx.__dict__.get("_hom_memo")
+    if memo is None:
+        memo = ctx._hom_memo = _HomMemo(ctx)
+    return memo
+
+
 def monomials_of_degree(ctx, delta):
-    """All exponent tuples whose monomial has the given L-degree."""
-    cache = getattr(ctx, "_mono_cache", None)
+    """All exponent tuples whose monomial has the given L-degree.
+
+    `delta` is an LElement or its int code (see _HomMemo); the cache on the
+    context is keyed by the code.
+    """
+    cache = ctx.__dict__.get("_mono_cache")
     if cache is None:
-        cache = {}
-        ctx._mono_cache = cache
+        cache = ctx._mono_cache = {}
+    memo = _hom_memo(ctx)
+    if not isinstance(delta, int):
+        delta = memo.code(delta)
     hit = cache.get(delta)
     if hit is not None:
         return hit
-    weights = [d.free[0] for d in ctx.deg_x]
+    weights = memo.weights
     if any(w <= 0 for w in weights):
         raise MFError("unsupported grading: variable degrees must be positive")
     n = len(weights)
-    target = delta.free[0]
+    target, tors = divmod(delta, memo.T)
     out = []
     exps = [0] * n
 
     def rec(i, remaining):
-        if i == n:
-            if remaining == 0:
-                t = ctx.zero()
-                for k, e in enumerate(exps):
-                    if e:
-                        t = t + e * ctx.deg_x[k]
-                if t.tors == delta.tors:
+        if i == n - 1:
+            # the last exponent is forced by the free degree
+            e, rest = divmod(remaining, weights[i])
+            if not rest:
+                exps[i] = e
+                if memo.torsion_index(exps) == tors:
                     out.append(tuple(exps))
             return
         limit = remaining // weights[i]
@@ -475,10 +571,11 @@ def monomials_of_degree(ctx, delta):
             rec(i + 1, remaining - e * weights[i])
         exps[i] = 0
 
-    if target >= 0:
+    if target >= 0 and n:
         rec(0, target)
-    result = tuple(out)
-    cache[delta] = result
+    elif target == tors == 0:
+        out.append(())
+    result = cache[delta] = tuple(out)
     return result
 
 
@@ -494,44 +591,77 @@ def _hom_precheck(k, h):
         raise MFError("unsupported grading: variable degrees must be positive")
 
 
-def _even_slots(k, h, q):
-    ctx = k.ctx
-    qc = q * ctx.deg_c
-    slots = []
-    for i, a in enumerate(h.p0):
-        for j, b in enumerate(k.p0):
-            slots.append(("f0", i, j, a + qc - b))
-    for i, a in enumerate(h.p1):
-        for j, b in enumerate(k.p1):
-            slots.append(("f1", i, j, a + qc - b))
-    return slots
+def _form(m, memo):
+    """(form id of m in memo, code of the first slot label of m)."""
+    hit = m._form
+    if hit is None or hit[0] is not memo:
+        labels = m.p0 + m.p1
+        base = labels[0] if labels else m.ctx.zero()
+        p0 = tuple(l - base for l in m.p0)
+        p1 = tuple(l - base for l in m.p1)
+        content = (m.d0, m.d1, p0, p1)
+        fid = memo.forms.get(content)
+        if fid is None:
+            fid = memo.forms[content] = len(memo.labels)
+            memo.labels.append((tuple(map(memo.code, p0)), tuple(map(memo.code, p1))))
+        hit = m._form = (memo, fid, memo.code(base))
+    return hit[1], hit[2]
 
 
-def _odd_slots(k, h, q):
-    ctx = k.ctx
-    qc = q * ctx.deg_c
-    slots = []
-    for i, a in enumerate(h.p1):
-        for j, b in enumerate(k.p0):
-            slots.append(("g0", i, j, a + qc - b))
-    for i, a in enumerate(h.p0):
-        for j, b in enumerate(k.p1):
-            slots.append(("g1", i, j, a + (q + 1) * ctx.deg_c - b))
-    return slots
+def _cell_key(k, h, q, parity):
+    """The memo of k's context and the key of the cell (q, parity) of Hom(k, h)."""
+    memo = _hom_memo(k.ctx)
+    fk, bk = _form(k, memo)
+    fh, bh = _form(h, memo)
+    return memo, (fk, fh, memo.add(memo.add(bh, bk, -1), memo.scale(q, memo.c)), parity)
 
 
-def _cell_basis(ctx, slots):
-    basis = []
-    index = {}
-    for s, (kind, i, j, delta) in enumerate(slots):
-        for exps in monomials_of_degree(ctx, delta):
-            index[(kind, i, j, exps)] = len(basis)
-            basis.append((kind, i, j, exps))
-    return basis, index
+def _slot_degrees(memo, fk, fh, parity):
+    """Id, in memo.rels, of the relative degrees of the slots of a cell of
+    Hom(k, h), in slot order: even f0 (h.p0 x k.p0) then f1 (h.p1 x k.p1);
+    odd g0 (h.p1 x k.p0) then g1 (h.p0 x k.p1, one c higher)."""
+    rid = memo.slots.get((fk, fh, parity))
+    if rid is None:
+        k0, k1 = memo.labels[fk]
+        h0, h1 = memo.labels[fh]
+        add = memo.add
+        if parity == "even":
+            rel = [add(a, b, -1) for a in h0 for b in k0] + [add(a, b, -1) for a in h1 for b in k1]
+        else:
+            c = memo.c
+            rel = [add(a, b, -1) for a in h1 for b in k0] + [add(add(a, c), b, -1) for a in h0 for b in k1]
+        rel = tuple(rel)
+        rid = memo.rel_ids.get(rel)
+        if rid is None:
+            rid = memo.rel_ids[rel] = len(memo.rels)
+            memo.rels.append(rel)
+        memo.slots[(fk, fh, parity)] = rid
+    return rid
 
 
-def _madd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _cell_offsets(ctx, memo, rid, shift):
+    """Offsets of the slots of the cell with relative degrees rid and the
+    given shift in its monomial basis; the last one is its dimension."""
+    off = memo.cells.get((rid, shift))
+    if off is None:
+        off = [0]
+        for rel in memo.rels[rid]:
+            off.append(off[-1] + len(monomials_of_degree(ctx, memo.add(shift, rel))))
+        off = memo.cells[(rid, shift)] = tuple(off)
+    return off
+
+
+def _mult_map(ctx, memo, delta, e):
+    """Positions of m*x^e among the monomials of degree delta + deg(x^e),
+    for each monomial m of degree delta."""
+    pos = memo.maps.get((delta, e))
+    if pos is None:
+        dst = monomials_of_degree(ctx, memo.add(delta, memo.exps_code(e)))
+        index = {m: a for a, m in enumerate(dst)}
+        pos = memo.maps[(delta, e)] = tuple(
+            index[tuple(a + b for a, b in zip(m, e))] for m in monomials_of_degree(ctx, delta)
+        )
+    return pos
 
 
 def _boundary_columns(k, h, q, parity):
@@ -539,113 +669,73 @@ def _boundary_columns(k, h, q, parity):
 
     parity 'even': cell at twist q maps to the odd cell at twist q.
     parity 'odd': cell at twist q maps to the even cell at twist q + 1.
+    Column order is slot order, then monomial order within a slot; one
+    differential term of one source slot fills one block of columns.
     """
     ctx = k.ctx
+    memo, key = _cell_key(k, h, q, parity)
+    fk, fh, shift, _ = key
+    rid = _slot_degrees(memo, fk, fh, parity)
+    src_off = _cell_offsets(ctx, memo, rid, shift)
     if parity == "even":
-        src, _ = _cell_basis(ctx, _even_slots(k, h, q))
-        _, dst_index = _cell_basis(ctx, _odd_slots(k, h, q))
+        dst_off = _cell_offsets(ctx, memo, _slot_degrees(memo, fk, fh, "odd"), shift)
     else:
-        src, _ = _cell_basis(ctx, _odd_slots(k, h, q))
-        _, dst_index = _cell_basis(ctx, _even_slots(k, h, q + 1))
+        dst_off = _cell_offsets(ctx, memo, _slot_degrees(memo, fk, fh, "even"), memo.add(shift, memo.c))
+    k0, k1, h0, h1 = k.rank0, k.rank1, h.rank0, h.rank1
     cols = []
-    for kind, i, j, m in src:
-        col = {}
+    for s, rel in enumerate(memo.rels[rid]):
+        delta = memo.add(shift, rel)
+        block = [{} for _ in range(src_off[s + 1] - src_off[s])]
+        cols.extend(block)
+        if not block:
+            continue
 
-        def put(kind2, i2, j2, poly, sign):
-            if poly.is_zero():
-                return
-            for exps, coeff in poly.terms.items():
-                key = (kind2, i2, j2, _madd(m, exps))
-                row = dst_index[key]
-                val = col.get(row, 0) + sign * coeff
-                if val:
-                    col[row] = val
-                elif row in col:
-                    del col[row]
+        def put(t, poly, sign):
+            # the rows of one column never collide: distinct (slot, e)
+            base = dst_off[t]
+            for e, coeff in poly.terms.items():
+                v = sign * coeff
+                for col, p in zip(block, _mult_map(ctx, memo, delta, e)):
+                    col[base + p] = v
 
+        # destination slot t of (i, j): the first kind at i*width + j, the
+        # second after all slots of the first kind
         if parity == "even":
             # d(f) = d_H f - (-1)^|f| f d_K with |f| even
-            if kind == "f0":
-                for i2 in range(h.rank1):
-                    put("g0", i2, j, h.d0[i2][i], 1)
-                for j2 in range(k.rank1):
-                    put("g1", i, j2, k.d1[j][j2], -1)
-            else:  # f1
-                for j2 in range(k.rank0):
-                    put("g0", i, j2, k.d0[j][j2], -1)
-                for i2 in range(h.rank0):
-                    put("g1", i2, j, h.d1[i2][i], 1)
+            g1 = h1 * k0
+            if s < h0 * k0:  # f0: h.p0[i] <- k.p0[j]
+                i, j = divmod(s, k0)
+                for i2 in range(h1):
+                    put(i2 * k0 + j, h.d0[i2][i], 1)
+                for j2 in range(k1):
+                    put(g1 + i * k1 + j2, k.d1[j][j2], -1)
+            else:  # f1: h.p1[i] <- k.p1[j]
+                i, j = divmod(s - h0 * k0, k1)
+                for j2 in range(k0):
+                    put(i * k0 + j2, k.d0[j][j2], -1)
+                for i2 in range(h0):
+                    put(g1 + i2 * k1 + j, h.d1[i2][i], 1)
         else:
             # odd f: d(f) = d_H f + f d_K
-            if kind == "g0":
-                for i2 in range(h.rank0):
-                    put("f0", i2, j, h.d1[i2][i], 1)
-                for j2 in range(k.rank1):
-                    put("f1", i, j2, k.d1[j][j2], 1)
-            else:  # g1
-                for j2 in range(k.rank0):
-                    put("f0", i, j2, k.d0[j][j2], 1)
-                for i2 in range(h.rank1):
-                    put("f1", i2, j, h.d0[i2][i], 1)
-        cols.append(col)
-    return cols, len(src), len(dst_index)
-
-
-class _HomMemo:
-    """Hom-cell memo of one grading context instance.
-
-    `forms` interns, per object m, the content (d0, d1, slot labels minus
-    m's first label) as a small int id.  `dims` and `ranks` map
-    (form(k), form(h), first label of h - first label of k + q*c, parity)
-    to the dimension of that cell and the rank of its boundary map: equal
-    keys give literally the same matrix.  Values are ints only; no basis or
-    matrix is kept.  Ids are only comparable within one memo, so both
-    objects of a pair are interned in the memo of k's context.
-    """
-
-    __slots__ = ("forms", "dims", "ranks")
-
-    def __init__(self):
-        self.forms = {}
-        self.dims = {}
-        self.ranks = {}
-
-
-def _form(m, memo):
-    """(form id of m in memo, first slot label of m)."""
-    hit = m._form
-    if hit is None or hit[0] is not memo:
-        labels = m.p0 + m.p1
-        base = labels[0] if labels else m.ctx.zero()
-        content = (
-            m.d0,
-            m.d1,
-            tuple(l - base for l in m.p0),
-            tuple(l - base for l in m.p1),
-        )
-        hit = m._form = (memo, memo.forms.setdefault(content, len(memo.forms)), base)
-    return hit[1], hit[2]
-
-
-def _cell_key(k, h, q, parity):
-    """The memo of k's context and the key of the cell (q, parity) of Hom(k, h)."""
-    ctx = k.ctx
-    memo = getattr(ctx, "_hom_memo", None)
-    if memo is None:
-        memo = ctx._hom_memo = _HomMemo()
-    fk, bk = _form(k, memo)
-    fh, bh = _form(h, memo)
-    return memo, (fk, fh, bh - bk + q * ctx.deg_c, parity)
+            f1 = h0 * k0
+            if s < h1 * k0:  # g0: h.p1[i] <- k.p0[j]
+                i, j = divmod(s, k0)
+                for i2 in range(h0):
+                    put(i2 * k0 + j, h.d1[i2][i], 1)
+                for j2 in range(k1):
+                    put(f1 + i * k1 + j2, k.d1[j][j2], 1)
+            else:  # g1: h.p0[i] <- k.p1[j]
+                i, j = divmod(s - h1 * k0, k1)
+                for j2 in range(k0):
+                    put(i * k0 + j2, k.d0[j][j2], 1)
+                for i2 in range(h1):
+                    put(f1 + i2 * k1 + j, h.d0[i2][i], 1)
+    return cols, src_off[-1], dst_off[-1]
 
 
 def _cell_dim(k, h, q, parity, max_cells=None):
-    memo, key = _cell_key(k, h, q, parity)
-    dim = memo.dims.get(key)
-    if dim is None:
-        slots = _even_slots(k, h, q) if parity == "even" else _odd_slots(k, h, q)
-        dim = memo.dims[key] = sum(
-            len(monomials_of_degree(k.ctx, d)) for _, _, _, d in slots
-        )
+    memo, (fk, fh, shift, _) = _cell_key(k, h, q, parity)
+    dim = _cell_offsets(k.ctx, memo, _slot_degrees(memo, fk, fh, parity), shift)[-1]
     if max_cells is not None and dim > max_cells:
         raise ResourceLimitError(
             f"hom cell has dimension {dim}, above the limit {max_cells}"
@@ -674,13 +764,12 @@ def _boundary_rank(k, h, q, parity, max_cells=None):
     return rank
 
 
-def hom_dim(k, h, shift, window=None, max_cells=None):
+def hom_dim(k, h, shift, max_cells=None):
     """Dimension of the stable hom space from k to h translated `shift` times.
 
-    `window` is accepted for call compatibility: the degree-zero piece is
-    finite-dimensional and computed exactly, so no bound is ever applied.
+    The degree-zero piece of the hom complex is finite-dimensional and is
+    computed exactly.
     """
-    del window
     _hom_precheck(k, h)
     q, p = divmod(shift, 2)
     if p == 0:

@@ -1,5 +1,6 @@
 """Tests for graded matrix factorizations, hom dimensions, and ext tables."""
 
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmskit import matfac
+from hmskit import hmscli, matfac
 from hmskit.exactmat import I, Poly, parse_poly_string
 from hmskit.grading import GradingContext, lbar_representatives, m_grading
 from hmskit.polyforms import parse_model
@@ -411,10 +412,42 @@ def test_hom_rejects_mismatched_potentials():
         hom_dim(d, a, 0)
 
 
-def test_hom_window_argument_is_vestigial():
-    _, col, _ = _rank_one_objects("D4t")
-    x1 = col[0][1]
-    assert hom_dim(x1, x1, 0, window=1) == hom_dim(x1, x1, 0)
+def _compose(first, second):
+    """Exact sparse columns of second * first."""
+    out = []
+    for col in first:
+        acc = {}
+        for r, v in col.items():
+            for r2, w in second[r].items():
+                acc[r2] = acc.get(r2, 0) + v * w
+        out.append({r: v for r, v in acc.items() if v})
+    return out
+
+
+def test_assembled_boundaries_compose_to_zero():
+    # D_odd(q) D_even(q) = 0 and D_even(q+1) D_odd(q) = 0, multiplied
+    # exactly over Q and over Q(i); a slot laid out one row off breaks this
+    pairs = []
+    for name in ("D4t", "A2+A2"):
+        objs = [m for _, m in generator_collection(_model(name))]
+        pairs += [(a, b) for a in objs for b in objs]
+    col, _, _ = hmscli._quotient_graded_collection([[3, 0], [1, 2]], "1/3,1/3")
+    x, y = col[0][1], col[1][1]
+    assert x.field == y.field == "Q(i)"
+    pairs += [(x, y), (y, x)]
+    nontrivial = 0
+    for k, h in pairs:
+        for q in range(-2, 2):
+            even, ns, nd = matfac._boundary_columns(k, h, q, "even")
+            odd, os_, od = matfac._boundary_columns(k, h, q, "odd")
+            even_next, _, _ = matfac._boundary_columns(k, h, q + 1, "even")
+            assert (len(even), len(odd)) == (ns, os_) and nd == os_
+            assert all(r < nd for c in even for r in c)
+            assert all(r < od for c in odd for r in c)
+            assert not any(_compose(even, odd))
+            assert not any(_compose(odd, even_next))
+            nontrivial += any(even) and any(odd) and any(even_next)
+    assert nontrivial >= 20
 
 
 # ---------------------------------------------------------------- monomials
@@ -441,6 +474,67 @@ def test_monomials_see_torsion_classes():
     assert monomials_of_degree(ctx, ctx.element(1, (1,))) == ((0, 1),)
     assert monomials_of_degree(ctx, ctx.element(2, (0,))) == ((0, 2), (2, 0))
     assert monomials_of_degree(ctx, ctx.element(2, (1,))) == ((1, 1),)
+
+
+def test_monomials_match_a_brute_force_filter():
+    # every free degree 0..9 and every class of Z/3 x Z/3, against the
+    # degree of each monomial summed in LElement arithmetic
+    ctx = _model("A2+A2+A2").ctx
+    assert ctx.torsion == (3, 3)
+    by_degree = {}
+    for exps in itertools.product(range(10), repeat=3):
+        if sum(exps) <= 9:
+            d = ctx.zero()
+            for e, dx in zip(exps, ctx.deg_x):
+                d = d + e * dx
+            by_degree.setdefault(d, []).append(exps)
+    for f in range(10):
+        for t in itertools.product(range(3), range(3)):
+            delta = ctx.element(f, t)
+            got = monomials_of_degree(ctx, delta)
+            assert got == tuple(sorted(by_degree.get(delta, [])))
+            assert monomials_of_degree(ctx, ctx._hom_memo.code(delta)) is got
+
+
+def _int_leaves(value):
+    # ints and the parity tag of a cell key; no LElement, Poly or coefficient
+    if isinstance(value, tuple):
+        return all(_int_leaves(v) for v in value)
+    return type(value) is int or value in ("even", "odd")
+
+
+def test_multiplication_maps_place_each_product():
+    gens = generator_E(_model("A2+A2+A2"))
+    assert one_period_end_total(gens[:3], periods=3) > 0
+    ctx = gens[0].ctx
+    memo = ctx._hom_memo
+    assert memo.maps
+    for (delta, e), pos in memo.maps.items():
+        src = monomials_of_degree(ctx, delta)
+        assert len(pos) == len(src)
+        if not src:
+            continue
+        target = ctx.zero()
+        for a, dx in zip(map(sum, zip(src[0], e)), ctx.deg_x):
+            target = target + a * dx
+        dst = monomials_of_degree(ctx, target)
+        for a, m in enumerate(src):
+            assert dst[pos[a]] == tuple(u + v for u, v in zip(m, e))
+    for cache in (memo.maps, memo.rel_ids, memo.slots, memo.cells, memo.ranks, ctx._mono_cache):
+        assert cache and all(_int_leaves(k) and _int_leaves(v) for k, v in cache.items())
+
+
+def test_second_build_starts_with_empty_caches():
+    first = generator_E(_model("A2+A2"))
+    assert one_period_end_total(first, periods=3) == 36
+    assert first[0].ctx._hom_memo.maps and first[0].ctx._mono_cache
+    again = generator_E(_model("A2+A2"))
+    ctx = again[0].ctx
+    assert ctx is not first[0].ctx
+    assert "_hom_memo" not in vars(ctx) and "_mono_cache" not in vars(ctx)
+    assert one_period_end_total(again, periods=3) == 36
+    assert ctx._hom_memo.maps == first[0].ctx._hom_memo.maps
+    assert not [n for n, v in vars(matfac).items() if isinstance(v, (dict, list, set)) and v and n[:2] != "__"]
 
 
 # ---------------------------------------------------------------- ext tables
