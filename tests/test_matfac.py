@@ -361,14 +361,21 @@ def test_hom_memo_is_per_context_instance(monkeypatch):
     one = ext_table(first, 2)
     cold = len(calls)
     assert cold > 0
-    ranks = dict(first[0][1].ctx._hom_memo.ranks)
+    memo = first[0][1].ctx._hom_memo
+    ranks = dict(memo.ranks)
+    assert memo.maps and first[0][1].ctx._mono_cache
     again = generator_collection(_model("A2+A2"))
-    assert not hasattr(again[0][1].ctx, "_hom_memo")
+    ctx = again[0][1].ctx
+    assert ctx is not first[0][1].ctx
+    assert "_hom_memo" not in vars(ctx) and "_mono_cache" not in vars(ctx)
     del calls[:]
     two = ext_table(again, 2)
     assert len(calls) == cold  # a second build starts cold
     assert two.dims == one.dims
-    assert first[0][1].ctx._hom_memo.ranks == ranks
+    assert memo.ranks == ranks
+    assert ctx._hom_memo.maps == memo.maps
+    # nothing is kept at module level
+    assert not [n for n, v in vars(matfac).items() if isinstance(v, (dict, list, set)) and v and n[:2] != "__"]
 
 
 def test_fractional_differentials_keep_hom_dims():
@@ -522,19 +529,6 @@ def test_multiplication_maps_place_each_product():
             assert dst[pos[a]] == tuple(u + v for u, v in zip(m, e))
     for cache in (memo.maps, memo.rel_ids, memo.slots, memo.cells, memo.ranks, ctx._mono_cache):
         assert cache and all(_int_leaves(k) and _int_leaves(v) for k, v in cache.items())
-
-
-def test_second_build_starts_with_empty_caches():
-    first = generator_E(_model("A2+A2"))
-    assert one_period_end_total(first, periods=3) == 36
-    assert first[0].ctx._hom_memo.maps and first[0].ctx._mono_cache
-    again = generator_E(_model("A2+A2"))
-    ctx = again[0].ctx
-    assert ctx is not first[0].ctx
-    assert "_hom_memo" not in vars(ctx) and "_mono_cache" not in vars(ctx)
-    assert one_period_end_total(again, periods=3) == 36
-    assert ctx._hom_memo.maps == first[0].ctx._hom_memo.maps
-    assert not [n for n, v in vars(matfac).items() if isinstance(v, (dict, list, set)) and v and n[:2] != "__"]
 
 
 # ---------------------------------------------------------------- ext tables

@@ -8,8 +8,10 @@ traced run's `host.ref_s`, to one JSON file:
     python3 tools/bench_record.py --n 6
     python3 tools/bench_record.py --n 0 --root ../parent-checkout --out BENCH_0.json
 
-With --previous, per-layer metrics more than 10% worse than in that file
-are listed under "flags" and printed.
+Every record uses seed 7 and BENCHMARK.json's `run_seconds`, so any two
+records compare.  Per-layer metrics more than 10% worse than in the
+latest BENCH_<m>.json of this checkout with m < n are listed under
+"flags" and printed.
 """
 
 import argparse
@@ -21,11 +23,12 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+SEED = 7
 
 
-def run(root, workload, seed, seconds, trace):
+def run(root, workload, seconds, trace):
     out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=True,
     )
@@ -33,8 +36,18 @@ def run(root, workload, seed, seconds, trace):
     return json.loads(lines[-1])
 
 
-def flags(current, previous, worse=0.10):
-    """Per-layer metrics more than `worse` worse than in the previous record."""
+def previous_record(n):
+    """The latest BENCH_<m>.json of this checkout with m < n, or None."""
+    found = []
+    for path in HERE.glob("BENCH_*.json"):
+        m = path.stem[len("BENCH_"):]
+        if m.isdigit() and int(m) < n:
+            found.append((int(m), path))
+    return json.loads(max(found)[1].read_text()) if found else None
+
+
+def flags(current, previous):
+    """Per-layer metrics more than 10% worse than in the previous record."""
     units = {m["name"]: m["better"] for m in json.loads((HERE / "BENCHMARK.json").read_text())["per_layer"]}
     out = []
     for workload, cur in current["workloads"].items():
@@ -47,7 +60,7 @@ def flags(current, previous, worse=0.10):
             if not a or b is None:
                 continue
             change = (b - a) / abs(a) if better == "lower" else (a - b) / abs(a)
-            if change > worse:
+            if change > 0.10:
                 out.append(f"{workload} {name}: {a:.4g} -> {b:.4g}")
     return out
 
@@ -57,13 +70,11 @@ def main(argv=None):
     ap.add_argument("--n", type=int, required=True, help="record number, names BENCH_<n>.json")
     ap.add_argument("--root", default=str(HERE), help="source checkout to measure")
     ap.add_argument("--out", help="output file (default: BENCH_<n>.json in this checkout)")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--seconds", type=float, default=15)
-    ap.add_argument("--previous", help="earlier BENCH file to flag per-layer regressions against")
     args = ap.parse_args(argv)
 
     root = Path(args.root).resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
                             text=True).stdout.strip() or "unknown"
     record = {
@@ -71,22 +82,23 @@ def main(argv=None):
         "commit": commit,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": seconds,
         "workloads": {},
     }
     for w in spec["workloads"]:
         name = w["name"]
-        plain = run(root, name, args.seed, args.seconds, 0)
-        traced = run(root, name, args.seed, args.seconds, 1)
+        plain = run(root, name, seconds, 0)
+        traced = run(root, name, seconds, 1)
         record["workloads"][name] = {
             "host.ref_s": traced["metrics"]["host.ref_s"]["value"],
             "trace0": plain,
             "trace1": traced,
         }
         print(f"{name}: wall_s {plain['metrics']['wall_s']['value']:.4g} s", file=sys.stderr)
-    if args.previous:
-        record["flags"] = flags(record, json.loads(Path(args.previous).read_text()))
+    previous = previous_record(args.n)
+    if previous is not None:
+        record["flags"] = flags(record, previous)
         for line in record["flags"]:
             print("flag: " + line, file=sys.stderr)
     out = Path(args.out) if args.out else HERE / f"BENCH_{args.n}.json"
