@@ -12,9 +12,6 @@ structured Gaussian elimination:
   live rows, which keeps fill-in low;
 - a +-1 pivot updates rows in place; any other pivot uses the gcd-reduced
   multipliers and divides the updated row by its content.
-
-The compiled backend in _speedups.pyx implements the same contract and
-falls back to this kernel outside its range.
 """
 
 from heapq import heapify, heappop, heappush

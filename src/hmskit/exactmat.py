@@ -623,18 +623,6 @@ def default_var_names(n):
     return [f"x{i + 1}" for i in range(n)]
 
 
-def poly_add(p, q):
-    return p + q
-
-
-def poly_mul(p, q):
-    return p * q
-
-
-def poly_partial(p, i):
-    return p.partial(i)
-
-
 def _split_top(text, seps):
     """(separator, piece) pairs of text cut at seps outside parentheses."""
     out = []

@@ -239,17 +239,6 @@ def lbar_representatives(ctx):
     return sorted(reps)
 
 
-def class_representative(ctx, e):
-    """Canonical representative of e modulo Z * deg_c (rank-one contexts)."""
-    if ctx.free_rank != 1 or ctx.deg_c.free[0] == 0:
-        raise GradingError("no canonical representative: quotient is infinite")
-    c0 = ctx.deg_c.free[0]
-    f = e.free[0]
-    r = f % abs(c0)
-    k = (f - r) // c0
-    return e - k * ctx.deg_c
-
-
 def sum_grading_maps(ctx1, ctx2):
     """Pushout grading of a two-factor sum, plus the two embeddings.
 
@@ -296,11 +285,6 @@ def sum_grading_maps(ctx1, ctx2):
     if emb1(ctx1.deg_c) != emb2(ctx2.deg_c):
         raise GradingError("sum grading failed to glue the degrees of c")
     return ctx, emb1, emb2
-
-
-def sum_grading(ctx1, ctx2):
-    ctx, _, _ = sum_grading_maps(ctx1, ctx2)
-    return ctx
 
 
 def m_grading(a, group):

@@ -483,10 +483,6 @@ def _build_parser():
     v.add_argument("--matrix", metavar="JSON", default=None, help="exponent matrix (with --group)")
     v.add_argument("--group", metavar="GENS", default=None, help="symmetry group generators, e.g. '1/3,1/3'")
     v.add_argument("--window", type=int, default=4, help="compare |k| <= WINDOW (default 4)")
-    v.add_argument(
-        "--threads", type=int, default=1,
-        help="deprecated and ignored: tables are computed serially",
-    )
     v.add_argument("--cache-dir", metavar="DIR", default=None, help="table cache directory")
     _add_common(v)
     v.set_defaults(func=cmd_verify)

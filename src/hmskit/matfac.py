@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from ._backend import int_rank
+from ._speedups_py import int_rank
 from .exactmat import Poly
 from .exactmat import integer_columns as _int_columns  # traced by perfbench as "intcols"
 from .grading import GradingError, LElement, grading_group, lbar_representatives, sum_grading_maps, trivial_context
@@ -819,13 +819,11 @@ def _normalize_window(window):
     return (int(lo), int(hi))
 
 
-def ext_table(collection, window, threads=1, max_cells=None):
+def ext_table(collection, window, max_cells=None):
     """Full hom-dimension table of a collection over a shift window.
 
     `collection` is a list of (label, MatrixFactorization) pairs, or bare
-    factorizations (labels are then positional).  `threads` is deprecated
-    and ignored: the pairs run serially, since the work holds the
-    interpreter lock and a thread pool measured slower.
+    factorizations (labels are then positional).
     """
     items = []
     for n, entry in enumerate(collection):
@@ -842,7 +840,6 @@ def ext_table(collection, window, threads=1, max_cells=None):
         if mf.ctx != items[0][1].ctx or mf.w != items[0][1].w:
             raise MFError("collection objects disagree on potential or grading")
 
-    del threads
     dims = {}
     for i, (_, a) in enumerate(items):
         for j, (_, b) in enumerate(items):
@@ -948,7 +945,7 @@ def generator_E(p):
     return [shift_mf(stab, s) for s in shifts]
 
 
-def one_period_end_total(gens, periods=4, threads=1, max_cells=None):
+def one_period_end_total(gens, periods=4, max_cells=None):
     """Total dimension of End of a generator over one translation period.
 
     The translation square equals the twist by deg_c, so hom spaces are
@@ -961,7 +958,7 @@ def one_period_end_total(gens, periods=4, threads=1, max_cells=None):
     over `periods` translation periods on each side; the outermost period
     on both sides must come out zero (raising otherwise), and everything
     below the scanned range vanishes because the hom cells are empty
-    there.  `threads` is deprecated and ignored, as in ext_table.
+    there.
     """
     if not gens:
         return 0
@@ -989,7 +986,6 @@ def one_period_end_total(gens, periods=4, threads=1, max_cells=None):
             )
         return sum(per_k)
 
-    del threads
     items = sorted(diffs.items(), key=lambda kv: kv[0].key())
     return sum(folded(d) * mult for d, mult in items)
 

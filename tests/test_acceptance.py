@@ -135,16 +135,14 @@ def test_criterion_2_family_equivalences(tmp_path, capsys):
 def test_criterion_3_tensor_factorization():
     factor_total = {}
     for name in ("A2", "D4t"):
-        factor_total[name] = one_period_end_total(
-            generator_E(parse_model(name)), threads=4
-        )
+        factor_total[name] = one_period_end_total(generator_E(parse_model(name)))
     assert factor_total == {"A2": 6, "D4t": 24}
 
     for name, parts in (("A2+A2", ("A2", "A2")), ("A2+D4t", ("A2", "D4t"))):
         started = time.perf_counter()
         p = parse_model(name)
         col = generator_collection(p)
-        tab = ext_table(col, 4, threads=4)
+        tab = ext_table(col, 4)
         model = tensor_model([dynkin_quiver(a) for a in p.atoms])
         for i in range(len(col)):
             for j in range(len(col)):
@@ -152,7 +150,7 @@ def test_criterion_3_tensor_factorization():
                     assert tab.dim(i, j, k) == model.dim(i, j, k), (
                         f"{name}: entry ({i},{j},{k}) differs"
                     )
-        total = one_period_end_total(generator_E(p), threads=4)
+        total = one_period_end_total(generator_E(p))
         want = factor_total[parts[0]] * factor_total[parts[1]]
         assert total == want, f"{name}: total {total} != {want}"
         assert time.perf_counter() - started < 300, f"{name}: over five minutes"

@@ -160,18 +160,6 @@ def test_verify_window_flag(tmp_path, capsys):
     assert code == 2
 
 
-def test_verify_threads_agree(tmp_path, capsys):
-    code, one, _ = run_cli(
-        capsys, "verify", "D5t", "--cache-dir", str(tmp_path / "a"), "--quiet"
-    )
-    code2, four, _ = run_cli(
-        capsys, "verify", "D5t", "--threads", "4",
-        "--cache-dir", str(tmp_path / "b"), "--quiet",
-    )
-    assert code == code2 == 0
-    assert one == four
-
-
 def test_verify_exit_codes(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "verify", "D4", "--cache-dir", str(tmp_path))
     assert code == 3  # untransposed orientation has no intrinsic collection
@@ -187,6 +175,10 @@ def test_verify_exit_codes(tmp_path, capsys):
         capsys, "verify", "--matrix", "[[3,0],[1,2]]", "--cache-dir", str(tmp_path)
     )
     assert code == 2  # matrix without group
+    with pytest.raises(SystemExit) as exc:  # argparse usage error, the option is gone
+        main(["verify", "D5t", "--threads", "4", "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
 
 
 def test_verify_quotient_graded_matrix_mode(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Tests for the exact linear algebra and polynomial layer."""
 
-import os
 import random
 from fractions import Fraction
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmskit import _backend, _speedups_py
+from hmskit import _speedups_py
 from hmskit.exactmat import (
     GaussInt,
     I,
@@ -22,9 +21,6 @@ from hmskit.exactmat import (
     mat_mul,
     mat_transpose,
     parse_poly_string,
-    poly_add,
-    poly_mul,
-    poly_partial,
     rat_kernel,
     rat_rank,
     smith_normal_form,
@@ -220,21 +216,19 @@ def _to_rows(a):
 def test_int_rank_matches_rat_rank(a):
     rows = _to_rows(a)
     assert _speedups_py.int_rank(rows) == rat_rank(a)
-    assert _backend.int_rank(rows) == rat_rank(a)
 
 
 def test_int_rank_empty_and_huge_entries():
-    assert _backend.int_rank([]) == 0
-    assert _backend.int_rank([{}]) == 0
+    assert _speedups_py.int_rank([]) == 0
+    assert _speedups_py.int_rank([{}]) == 0
     big = 10**40
-    assert _backend.int_rank([{0: big, 1: big}, {0: big, 1: -big}]) == 2
+    assert _speedups_py.int_rank([{0: big, 1: big}, {0: big, 1: -big}]) == 2
 
 
 def test_int_rank_input_not_mutated():
     rows = [{0: 2, 1: 4}, {0: 1, 1: 3}]
     snapshot = [dict(r) for r in rows]
     _speedups_py.int_rank(rows)
-    _backend.int_rank(rows)
     assert rows == snapshot
 
 
@@ -306,18 +300,18 @@ def test_int_rank_non_unit_entries():
 def test_poly_basics():
     x = Poly.variable(2, 0)
     y = Poly.variable(2, 1)
-    assert poly_mul(x, x) == Poly.monomial(2, (2, 0))
-    sq = poly_mul(poly_add(x, y), poly_add(x, y))
+    assert x * x == Poly.monomial(2, (2, 0))
+    sq = (x + y) * (x + y)
     assert sq == Poly(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-    assert poly_partial(Poly.monomial(2, (3, 1)), 0) == Poly.monomial(2, (2, 1), 3)
-    assert poly_partial(Poly.monomial(2, (3, 1)), 1) == Poly.monomial(2, (3, 0))
+    assert Poly.monomial(2, (3, 1)).partial(0) == Poly.monomial(2, (2, 1), 3)
+    assert Poly.monomial(2, (3, 1)).partial(1) == Poly.monomial(2, (3, 0))
     assert Poly.zero(2).is_zero()
-    assert not poly_add(x, -x)
+    assert not (x + -x)
 
 
 def test_poly_mismatched_vars_rejected():
     with pytest.raises(ValueError):
-        poly_add(Poly.variable(1, 0), Poly.variable(2, 0))
+        Poly.variable(1, 0) + Poly.variable(2, 0)
     with pytest.raises(ValueError):
         Poly(2, {(1,): 1})
     with pytest.raises(ValueError):
@@ -337,26 +331,26 @@ def poly_strategy(nvars=2):
 @settings(max_examples=100, deadline=None)
 @given(poly_strategy(), poly_strategy(), poly_strategy())
 def test_poly_ring_axioms(p, q, r):
-    assert poly_add(p, q) == poly_add(q, p)
-    assert poly_mul(p, q) == poly_mul(q, p)
-    assert poly_mul(p, poly_add(q, r)) == poly_add(poly_mul(p, q), poly_mul(p, r))
-    assert poly_mul(poly_mul(p, q), r) == poly_mul(p, poly_mul(q, r))
-    assert poly_mul(p, Poly.one(2)) == p
-    assert poly_add(p, Poly.zero(2)) == p
+    assert p + q == q + p
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert (p * q) * r == p * (q * r)
+    assert p * Poly.one(2) == p
+    assert p + Poly.zero(2) == p
 
 
 @settings(max_examples=100, deadline=None)
 @given(poly_strategy(), poly_strategy(), st.integers(0, 1))
 def test_poly_leibniz(p, q, i):
-    lhs = poly_partial(poly_mul(p, q), i)
-    rhs = poly_add(poly_mul(poly_partial(p, i), q), poly_mul(p, poly_partial(q, i)))
+    lhs = (p * q).partial(i)
+    rhs = p.partial(i) * q + p * q.partial(i)
     assert lhs == rhs
 
 
 def test_poly_format_and_parse():
     x = Poly.variable(2, 0)
     y = Poly.variable(2, 1)
-    w = poly_add(poly_mul(poly_mul(x, x), x), poly_mul(x, poly_mul(y, y)))
+    w = (x * x) * x + x * (y * y)
     assert w.format() == "x^3 + x*y^2"
     assert parse_poly_string("x^3 + x*y^2", 2) == w
     assert parse_poly_string("0", 2) == Poly.zero(2)
@@ -436,16 +430,3 @@ def test_gaussian_rank_matches_sympy(entries):
     assert rank % 2 == 0
     assert rank // 2 == oracle
 
-
-def test_backend_env_override(tmp_path):
-    # the selector honors HMSKIT_PURE_PYTHON in a fresh interpreter
-    import subprocess
-    import sys
-
-    code = "from hmskit import _backend; print(_backend.BACKEND)"
-    env = dict(os.environ)
-    env["HMSKIT_PURE_PYTHON"] = "1"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.stdout.strip() == "python"

@@ -584,7 +584,7 @@ def test_sum_collections_match_the_tensor_table():
 def test_ext_table_is_thread_deterministic():
     _, col, _ = _rank_one_objects("D4t")
     one = ext_table(col, 3)
-    four = ext_table(col, 3, threads=4)
+    four = ext_table(col, 3)
     assert one.objects == four.objects
     assert one.dims == four.dims
 
@@ -652,8 +652,8 @@ def test_one_period_totals_multiply_over_sums():
     singles = {"A1": 4, "A2": 6, "A3": 8, "D4t": 24}
     for name, want in singles.items():
         assert one_period_end_total(generator_E(_model(name))) == want
-    assert one_period_end_total(generator_E(_model("A1+A1")), threads=2) == 16
-    assert one_period_end_total(generator_E(_model("A2+A2")), threads=2) == 36
+    assert one_period_end_total(generator_E(_model("A1+A1"))) == 16
+    assert one_period_end_total(generator_E(_model("A2+A2"))) == 36
 
 
 def test_one_period_total_needs_a_twist_orbit():
