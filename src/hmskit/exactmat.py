@@ -25,10 +25,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_shape(m):
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -483,10 +479,6 @@ class Poly:
     @classmethod
     def one(cls, nvars):
         return cls(nvars, {(0,) * nvars: 1})
-
-    @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars, i, power=1):

@@ -16,11 +16,11 @@ from math import lcm
 from .exactmat import (
     identity_matrix,
     int_kernel,
-    mat_inverse_rat,
     mat_transpose,
     smith_normal_form,
     snf_diagonal,
 )
+from .symmetry import j_element
 
 
 class GradingError(ValueError):
@@ -128,15 +128,15 @@ class GradingContext:
             if self._free_rows
             else (len(self._tors_rows[0]) if self._tors_rows else 0)
         )
-        raw_c = self._class_of(deg_c_vector)
+        raw_c = self.class_of(deg_c_vector)
         # sign-normalize free coordinates so deg_c has non-negative free part
         for i, coord in enumerate(raw_c.free):
             if coord < 0:
                 self._free_rows[i] = [-a for a in self._free_rows[i]]
-        self.deg_c = self._class_of(deg_c_vector)
-        self.deg_x = tuple(self._class_of(v) for v in deg_x_vectors)
+        self.deg_c = self.class_of(deg_c_vector)
+        self.deg_x = tuple(self.class_of(v) for v in deg_x_vectors)
 
-    def _class_of(self, vec):
+    def class_of(self, vec):
         if len(vec) != self.ngens:
             raise GradingError("coordinate vector has wrong length")
         return LElement(
@@ -144,8 +144,6 @@ class GradingContext:
             tuple(_dot(r, vec) for r in self._tors_rows),
             self.torsion,
         )
-
-    class_of = _class_of
 
     def zero(self):
         return LElement((0,) * self.free_rank, (0,) * len(self.torsion), self.torsion)
@@ -305,11 +303,8 @@ def m_grading(a, group):
         if t not in seen:
             seen.add(t)
             elements.append(t)
-    ainv = mat_inverse_rat(a)
-    phi = [sum(row) for row in ainv]
-    ell = lcm(*[f.denominator for f in phi]) if phi else 1
+    phi, ell, j_elt = j_element(a)
     lphi = [int(f * ell) for f in phi]
-    j_elt = tuple(f % 1 for f in phi)
     if j_elt not in seen:
         raise GradingError("exponential grading element is not in the group")
     for g in elements:

@@ -457,6 +457,7 @@ def cmd_mutate(args):
 def _add_common(sp):
     sp.add_argument("--json", metavar="PATH", default=None, help="also write the report to PATH")
     sp.add_argument("--quiet", action="store_true", help="suppress stderr diagnostics")
+    sp.set_defaults(parser=sp)
 
 
 def _build_parser():
@@ -509,7 +510,10 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        # reported with the usage of the subcommand, not the top-level one
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except CLIError as exc:

@@ -145,34 +145,24 @@ class MatrixFactorization:
         wc = poly_class(ctx, self.w)
         if wc is not None and wc != ctx.deg_c:
             raise MFError("potential is not homogeneous of degree c")
-        prod = _pmatmul(self.d1, self.d0, r0, r1, r0, nv)
-        for i in range(r0):
-            for j in range(r0):
-                want = self.w if i == j else Poly.zero(nv)
-                if prod[i][j] != want:
-                    raise MFError("d1*d0 is not W times the identity")
-        prod = _pmatmul(self.d0, self.d1, r1, r0, r1, nv)
-        for i in range(r1):
-            for j in range(r1):
-                want = self.w if i == j else Poly.zero(nv)
-                if prod[i][j] != want:
-                    raise MFError("d0*d1 is not W times the identity")
-        for i in range(r1):
-            for j in range(r0):
-                cls = poly_class(ctx, self.d0[i][j])
-                if cls is not None and cls != self.p1[i] - self.p0[j]:
-                    raise MFError(
-                        f"d0[{i}][{j}] = {self.d0[i][j].format()} is not "
-                        "homogeneous of the degree forced by its slots"
-                    )
-        for i in range(r0):
-            for j in range(r1):
-                cls = poly_class(ctx, self.d1[i][j])
-                if cls is not None and cls != self.p0[i] + ctx.deg_c - self.p1[j]:
-                    raise MFError(
-                        f"d1[{i}][{j}] = {self.d1[i][j].format()} is not "
-                        "homogeneous of the degree forced by its slots"
-                    )
+        for name, a, b, ra, rb in (("d1*d0", self.d1, self.d0, r0, r1), ("d0*d1", self.d0, self.d1, r1, r0)):
+            prod = _pmatmul(a, b, ra, rb, ra, nv)
+            for i in range(ra):
+                for j in range(ra):
+                    want = self.w if i == j else Poly.zero(nv)
+                    if prod[i][j] != want:
+                        raise MFError(f"{name} is not W times the identity")
+        # d0[i][j] has degree p1[i] - p0[j], d1[i][j] degree p0[i] + c - p1[j]
+        checks = (("d0", self.d0, self.p1, self.p0, ctx.zero()), ("d1", self.d1, self.p0, self.p1, ctx.deg_c))
+        for name, d, rows, cols, lift in checks:
+            for i, row in enumerate(rows):
+                for j, col in enumerate(cols):
+                    cls = poly_class(ctx, d[i][j])
+                    if cls is not None and cls != row + lift - col:
+                        raise MFError(
+                            f"{name}[{i}][{j}] = {d[i][j].format()} is not "
+                            "homogeneous of the degree forced by its slots"
+                        )
         return True
 
     def same_data(self, other):
@@ -351,6 +341,12 @@ def _lift_poly(p, nvars, offset):
     return Poly(nvars, terms)
 
 
+def _block_slots(blocks, rows, cols):
+    """Slots (a, b, i, j) of a layout of Z/2-graded blocks, in order: block
+    by block, then i in range(rows[a]), then j in range(cols[b])."""
+    return [(a, b, i, j) for a, b in blocks for i in range(rows[a]) for j in range(cols[b])]
+
+
 def unit_mf():
     """Identity for tensor products: the empty factorization of 0."""
     ctx = trivial_context()
@@ -380,70 +376,33 @@ def tensor_mf(k1, k2, maps=None):
 
     w = l1(k1.w) + l2(k2.w)
     c = ctx.deg_c
+    labels1, labels2 = (k1.p0, k1.p1), (k2.p0, k2.p1)
+    diff1, diff2 = (k1.d0, k1.d1), (k2.d0, k2.d1)
+    # slot (a, b, i, j) is slot i of k1's parity-a part times slot j of k2's
+    # parity-b part; P0 holds the blocks (0, 0), (1, 1) and P1 holds (0, 1), (1, 0)
+    slots = [
+        _block_slots(blocks, (k1.rank0, k1.rank1), (k2.rank0, k2.rank1))
+        for blocks in (((0, 0), (1, 1)), ((0, 1), (1, 0)))
+    ]
+    pos = {s: n for part in slots for n, s in enumerate(part)}
 
-    b00 = [(i, j) for i in range(k1.rank0) for j in range(k2.rank0)]
-    b11 = [(i, j) for i in range(k1.rank1) for j in range(k2.rank1)]
-    b01 = [(i, j) for i in range(k1.rank0) for j in range(k2.rank1)]
-    b10 = [(i, j) for i in range(k1.rank1) for j in range(k2.rank0)]
-    p0 = [emb1(k1.p0[i]) + emb2(k2.p0[j]) for i, j in b00] + [
-        emb1(k1.p1[i]) + emb2(k2.p1[j]) - c for i, j in b11
-    ]
-    p1 = [emb1(k1.p0[i]) + emb2(k2.p1[j]) for i, j in b01] + [
-        emb1(k1.p1[i]) + emb2(k2.p0[j]) for i, j in b10
-    ]
+    def label(a, b, i, j):
+        l = emb1(labels1[a][i]) + emb2(labels2[b][j])
+        return l - c if a & b else l  # the (1, 1) block sits in P0, one c lower
+
+    p0, p1 = ([label(*s) for s in part] for part in slots)
     zero = Poly.zero(nv)
-    d0 = [[zero for _ in p0] for _ in p1]
-    d1 = [[zero for _ in p1] for _ in p0]
-    off11 = len(b00)
-    off10 = len(b01)
-    pos00 = {s: i for i, s in enumerate(b00)}
-    pos11 = {s: i for i, s in enumerate(b11)}
-    pos01 = {s: i for i, s in enumerate(b01)}
-    pos10 = {s: i for i, s in enumerate(b10)}
-
-    # d0: B00 -> B10 by d0_1 x I, B00 -> B01 by I x d0_2,
-    #     B11 -> B01 by d1_1 x I, B11 -> B10 by -(I x d1_2)
-    for (i, j), col in pos00.items():
-        for i2 in range(k1.rank1):
-            e = k1.d0[i2][i]
-            if not e.is_zero():
-                d0[off10 + pos10[(i2, j)]][col] = l1(e)
-        for j2 in range(k2.rank1):
-            e = k2.d0[j2][j]
-            if not e.is_zero():
-                d0[pos01[(i, j2)]][col] = l2(e)
-    for (i, j), col in pos11.items():
-        for i2 in range(k1.rank0):
-            e = k1.d1[i2][i]
-            if not e.is_zero():
-                d0[pos01[(i2, j)]][off11 + col] = l1(e)
-        for j2 in range(k2.rank0):
-            e = k2.d1[j2][j]
-            if not e.is_zero():
-                d0[off10 + pos10[(i, j2)]][off11 + col] = -l2(e)
-
-    # d1: B01 -> B00 by I x d1_2, B01 -> B11 by d0_1 x I,
-    #     B10 -> B00 by d1_1 x I, B10 -> B11 by -(I x d0_2)
-    for (i, j), col in pos01.items():
-        for j2 in range(k2.rank0):
-            e = k2.d1[j2][j]
-            if not e.is_zero():
-                d1[pos00[(i, j2)]][col] = l2(e)
-        for i2 in range(k1.rank1):
-            e = k1.d0[i2][i]
-            if not e.is_zero():
-                d1[off11 + pos11[(i2, j)]][col] = l1(e)
-    for (i, j), col in pos10.items():
-        for i2 in range(k1.rank0):
-            e = k1.d1[i2][i]
-            if not e.is_zero():
-                d1[pos00[(i2, j)]][off10 + col] = l1(e)
-        for j2 in range(k2.rank1):
-            e = k2.d0[j2][j]
-            if not e.is_zero():
-                d1[off11 + pos11[(i, j2)]][off10 + col] = -l2(e)
-
-    return MatrixFactorization(ctx, w, p0, p1, d0, d1)
+    d = ([[zero for _ in p0] for _ in p1], [[zero for _ in p1] for _ in p0])
+    # d = d_1 (x) 1 + (-1)^a 1 (x) d_2 on the block (a, b)
+    for (a, b, i, j), col in pos.items():
+        out = d[(a + b) % 2]
+        for i2, row in enumerate(diff1[a]):
+            if not row[i].is_zero():
+                out[pos[(1 - a, b, i2, j)]][col] = l1(row[i])
+        for j2, row in enumerate(diff2[b]):
+            if not row[j].is_zero():
+                out[pos[(a, 1 - b, i, j2)]][col] = -l2(row[j]) if a else l2(row[j])
+    return MatrixFactorization(ctx, w, p0, p1, *d)
 
 
 # ----------------------------------------------------------- hom complexes
@@ -461,9 +420,10 @@ class _HomMemo:
     `forms` interns, per object m, the content (d0, d1, slot labels minus
     m's first label) as a small int id, and `labels[id]` holds the codes of
     those relative labels.  `slots` maps (form(k), form(h), parity) to the
-    id of the relative degrees of the slots of that cell of Hom(k, h): an h
-    label minus a k label, plus c for the g1 slots.  `rels[id]` is that
-    tuple and `rel_ids` interns it, since many pairs of forms share it.  A
+    id of the relative degrees of the slots of that cell of Hom(k, h): in
+    its block (a, b) = Hom(K_b, H_a), an H_a label minus a K_b label, plus c
+    in the block (0, 1) (see _BLOCKS).  `rels[id]` is that tuple and
+    `rel_ids` interns it, since many pairs of forms share it.  A
     cell is keyed on (form(k), form(h), shift, parity), where shift is the
     code of h's first label - k's first label + q*c; its slot degrees are
     shift + rel.  `cells` maps (rel id, shift) to the offsets of the slots in
@@ -608,29 +568,47 @@ def _form(m, memo):
     return hit[1], hit[2]
 
 
-def _cell_key(k, h, q, parity):
-    """The memo of k's context and the key of the cell (q, parity) of Hom(k, h)."""
+def _cell_base(k, h):
+    """The memo of k's context, the form ids of k and h and the code of h's
+    first label minus k's; the cell (q, parity) of Hom(k, h) has the key
+    (form(k), form(h), base + q*c, parity)."""
     memo = _hom_memo(k.ctx)
     fk, bk = _form(k, memo)
     fh, bh = _form(h, memo)
-    return memo, (fk, fh, memo.add(memo.add(bh, bk, -1), memo.scale(q, memo.c)), parity)
+    return memo, fk, fh, memo.add(bh, bk, -1)
+
+
+def _cell_key(cell, q, parity):
+    memo, fk, fh, base = cell
+    return fk, fh, memo.add(base, memo.scale(q, memo.c)), parity
+
+
+def _target_key(memo, key):
+    """Key of the cell the boundary of cell `key` maps into: even at twist q
+    goes to odd at q, odd at q to even at q + 1."""
+    fk, fh, shift, parity = key
+    if parity == "even":
+        return fk, fh, shift, "odd"
+    return fk, fh, memo.add(shift, memo.c), "even"
+
+
+# The blocks of a cell of Hom(k, h), in slot order: block (a, b) is
+# Hom(K_b, H_a), of parity a + b; the odd block (0, 1) is one c higher.
+_BLOCKS = (((0, 0), (1, 1)), ((1, 0), (0, 1)))
 
 
 def _slot_degrees(memo, fk, fh, parity):
     """Id, in memo.rels, of the relative degrees of the slots of a cell of
-    Hom(k, h), in slot order: even f0 (h.p0 x k.p0) then f1 (h.p1 x k.p1);
-    odd g0 (h.p1 x k.p0) then g1 (h.p0 x k.p1, one c higher)."""
+    Hom(k, h), in slot order (see _block_slots): slot (a, b, i, j) of the
+    block (a, b) has degree h.p_a[i] - k.p_b[j], plus c in the block (0, 1)."""
     rid = memo.slots.get((fk, fh, parity))
     if rid is None:
-        k0, k1 = memo.labels[fk]
-        h0, h1 = memo.labels[fh]
+        k, h = memo.labels[fk], memo.labels[fh]
         add = memo.add
-        if parity == "even":
-            rel = [add(a, b, -1) for a in h0 for b in k0] + [add(a, b, -1) for a in h1 for b in k1]
-        else:
-            c = memo.c
-            rel = [add(a, b, -1) for a in h1 for b in k0] + [add(add(a, c), b, -1) for a in h0 for b in k1]
-        rel = tuple(rel)
+        slots = _block_slots(_BLOCKS[parity == "odd"], tuple(map(len, h)), tuple(map(len, k)))
+        rel = tuple(
+            add(add(h[a][i], memo.c) if (a, b) == (0, 1) else h[a][i], k[b][j], -1) for a, b, i, j in slots
+        )
         rid = memo.rel_ids.get(rel)
         if rid is None:
             rid = memo.rel_ids[rel] = len(memo.rels)
@@ -639,16 +617,18 @@ def _slot_degrees(memo, fk, fh, parity):
     return rid
 
 
-def _cell_offsets(ctx, memo, rid, shift):
-    """Offsets of the slots of the cell with relative degrees rid and the
-    given shift in its monomial basis; the last one is its dimension."""
+def _cell_offsets(ctx, memo, key):
+    """Id in memo.rels of the slot degrees of the cell `key`, and the offsets
+    of its slots in its monomial basis; the last offset is its dimension."""
+    fk, fh, shift, parity = key
+    rid = _slot_degrees(memo, fk, fh, parity)
     off = memo.cells.get((rid, shift))
     if off is None:
         off = [0]
         for rel in memo.rels[rid]:
             off.append(off[-1] + len(monomials_of_degree(ctx, memo.add(shift, rel))))
         off = memo.cells[(rid, shift)] = tuple(off)
-    return off
+    return rid, off
 
 
 def _mult_map(ctx, memo, delta, e):
@@ -673,69 +653,44 @@ def _boundary_columns(k, h, q, parity):
     differential term of one source slot fills one block of columns.
     """
     ctx = k.ctx
-    memo, key = _cell_key(k, h, q, parity)
-    fk, fh, shift, _ = key
-    rid = _slot_degrees(memo, fk, fh, parity)
-    src_off = _cell_offsets(ctx, memo, rid, shift)
-    if parity == "even":
-        dst_off = _cell_offsets(ctx, memo, _slot_degrees(memo, fk, fh, "odd"), shift)
-    else:
-        dst_off = _cell_offsets(ctx, memo, _slot_degrees(memo, fk, fh, "even"), memo.add(shift, memo.c))
-    k0, k1, h0, h1 = k.rank0, k.rank1, h.rank0, h.rank1
+    cell = _cell_base(k, h)
+    memo, key = cell[0], _cell_key(cell, q, parity)
+    shift, odd = key[2], parity == "odd"
+    rid, src_off = _cell_offsets(ctx, memo, key)
+    _, dst_off = _cell_offsets(ctx, memo, _target_key(memo, key))
+    kr, hr = (k.rank0, k.rank1), (h.rank0, h.rank1)
+    kd, hd = (k.d0, k.d1), (h.d0, h.d1)
+    # the target cell's first block and its slot count
+    first = _BLOCKS[not odd][0]
+    first_len = hr[first[0]] * kr[first[1]]
+    # d(f) = d_H f - (-1)^|f| f d_K
+    sign = 1 if odd else -1
+    rels = memo.rels[rid]
     cols = []
-    for s, rel in enumerate(memo.rels[rid]):
-        delta = memo.add(shift, rel)
+    for s, (a, b, i, j) in enumerate(_block_slots(_BLOCKS[odd], hr, kr)):
+        delta = memo.add(shift, rels[s])
         block = [{} for _ in range(src_off[s + 1] - src_off[s])]
         cols.extend(block)
         if not block:
             continue
-
-        def put(t, poly, sign):
+        # d_H f fills the slots (i2, j) of block (1 - a, b), f d_K the slots
+        # (i, j2) of block (a, 1 - b); with b = 1 the f d_K term comes first
+        at = (0 if (1 - a, b) == first else first_len) + j
+        d_h = [(at + i2 * kr[b], hd[a][i2][i], 1) for i2 in range(hr[1 - a])]
+        at = (0 if (a, 1 - b) == first else first_len) + i * kr[1 - b]
+        f_d = [(at + j2, kd[1 - b][j][j2], sign) for j2 in range(kr[1 - b])]
+        for t, poly, sg in f_d + d_h if b else d_h + f_d:
             # the rows of one column never collide: distinct (slot, e)
             base = dst_off[t]
             for e, coeff in poly.terms.items():
-                v = sign * coeff
+                v = sg * coeff
                 for col, p in zip(block, _mult_map(ctx, memo, delta, e)):
                     col[base + p] = v
-
-        # destination slot t of (i, j): the first kind at i*width + j, the
-        # second after all slots of the first kind
-        if parity == "even":
-            # d(f) = d_H f - (-1)^|f| f d_K with |f| even
-            g1 = h1 * k0
-            if s < h0 * k0:  # f0: h.p0[i] <- k.p0[j]
-                i, j = divmod(s, k0)
-                for i2 in range(h1):
-                    put(i2 * k0 + j, h.d0[i2][i], 1)
-                for j2 in range(k1):
-                    put(g1 + i * k1 + j2, k.d1[j][j2], -1)
-            else:  # f1: h.p1[i] <- k.p1[j]
-                i, j = divmod(s - h0 * k0, k1)
-                for j2 in range(k0):
-                    put(i * k0 + j2, k.d0[j][j2], -1)
-                for i2 in range(h0):
-                    put(g1 + i2 * k1 + j, h.d1[i2][i], 1)
-        else:
-            # odd f: d(f) = d_H f + f d_K
-            f1 = h0 * k0
-            if s < h1 * k0:  # g0: h.p1[i] <- k.p0[j]
-                i, j = divmod(s, k0)
-                for i2 in range(h0):
-                    put(i2 * k0 + j, h.d1[i2][i], 1)
-                for j2 in range(k1):
-                    put(f1 + i * k1 + j2, k.d1[j][j2], 1)
-            else:  # g1: h.p0[i] <- k.p1[j]
-                i, j = divmod(s - h1 * k0, k1)
-                for j2 in range(k0):
-                    put(i * k0 + j2, k.d0[j][j2], 1)
-                for i2 in range(h1):
-                    put(f1 + i2 * k1 + j, h.d0[i2][i], 1)
     return cols, src_off[-1], dst_off[-1]
 
 
-def _cell_dim(k, h, q, parity, max_cells=None):
-    memo, (fk, fh, shift, _) = _cell_key(k, h, q, parity)
-    dim = _cell_offsets(k.ctx, memo, _slot_degrees(memo, fk, fh, parity), shift)[-1]
+def _cell_dim(ctx, memo, key, max_cells=None):
+    dim = _cell_offsets(ctx, memo, key)[1][-1]
     if max_cells is not None and dim > max_cells:
         raise ResourceLimitError(
             f"hom cell has dimension {dim}, above the limit {max_cells}"
@@ -743,16 +698,16 @@ def _cell_dim(k, h, q, parity, max_cells=None):
     return dim
 
 
-def _boundary_rank(k, h, q, parity, max_cells=None):
-    memo, key = _cell_key(k, h, q, parity)
+def _boundary_rank(k, h, q, parity, cell, max_cells=None):
+    """Rank of the boundary out of the cell (q, parity) of Hom(k, h); `cell`
+    is _cell_base(k, h)."""
+    memo = cell[0]
+    key = _cell_key(cell, q, parity)
     rank = memo.ranks.get(key)
     if rank is not None:
         return rank
-    src = _cell_dim(k, h, q, parity, max_cells)
-    if parity == "odd":
-        dst = _cell_dim(k, h, q + 1, "even", max_cells)
-    else:
-        dst = _cell_dim(k, h, q, "odd", max_cells)
+    src = _cell_dim(k.ctx, memo, key, max_cells)
+    dst = _cell_dim(k.ctx, memo, _target_key(memo, key), max_cells)
     rank = 0
     if src and dst:
         cols, _, _ = _boundary_columns(k, h, q, parity)
@@ -771,19 +726,16 @@ def hom_dim(k, h, shift, max_cells=None):
     computed exactly.
     """
     _hom_precheck(k, h)
+    cell = _cell_base(k, h)
     q, p = divmod(shift, 2)
-    if p == 0:
-        dim = (
-            _cell_dim(k, h, q, "even", max_cells)
-            - _boundary_rank(k, h, q, "even", max_cells)
-            - _boundary_rank(k, h, q - 1, "odd", max_cells)
-        )
-    else:
-        dim = (
-            _cell_dim(k, h, q, "odd", max_cells)
-            - _boundary_rank(k, h, q, "odd", max_cells)
-            - _boundary_rank(k, h, q, "even", max_cells)
-        )
+    parity, before = ("even", "odd") if p == 0 else ("odd", "even")
+    # the cell, less the boundaries out of it and into it (from odd at q - 1,
+    # or from even at q)
+    dim = (
+        _cell_dim(k.ctx, cell[0], _cell_key(cell, q, parity), max_cells)
+        - _boundary_rank(k, h, q, parity, cell, max_cells)
+        - _boundary_rank(k, h, q - 1 + p, before, cell, max_cells)
+    )
     if dim < 0:
         raise MFError("internal error: negative cohomology dimension")
     return dim

@@ -50,14 +50,6 @@ class Atom:
             return [[n - 1, 1], [0, 2]]
         return [[n - 1, 0], [1, 2]]
 
-    def local_poly(self):
-        t = self.template()
-        k = len(t)
-        p = Poly.zero(k)
-        for row in t:
-            p = p + Poly.monomial(k, tuple(row))
-        return p
-
 
 class InvertiblePolynomial:
     def __init__(self, matrix, atoms):

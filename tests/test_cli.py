@@ -178,7 +178,9 @@ def test_verify_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # argparse usage error, the option is gone
         main(["verify", "D5t", "--threads", "4", "--cache-dir", str(tmp_path)])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --threads 4" in err
+    assert "usage: hmskit verify" in err  # the subcommand's usage, not the top-level one
 
 
 def test_verify_quotient_graded_matrix_mode(tmp_path, capsys):

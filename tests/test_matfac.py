@@ -233,6 +233,24 @@ def test_tensor_of_rank_one_factors():
     assert one_period_end_total(alt) == 16
 
 
+def test_tensor_block_layout_and_sign():
+    # P0 = (0, 0), (1, 1) and P1 = (0, 1), (1, 0); d = d_1 x 1 + (-1)^a 1 x d_2
+    a2 = _model("A2")
+    x = Poly.variable(1, 0)
+    k = mf_from_pair(a2.ctx, a2.poly, x, x * x)
+    t = tensor_mf(k, k)
+    got = mf_to_json(t)
+    assert got["w"] == "x^3 + y^3"
+    assert got["d0"] == [["y", "x^2"], ["x", "-y^2"]]
+    assert got["d1"] == [["y^2", "x^2"], ["x", "-y"]]
+    dx, dy = t.ctx.deg_x
+    assert t.p0 == (t.ctx.zero(), dx + dy - t.ctx.deg_c)  # the (1, 1) block is one c lower
+    assert t.p1 == (dy, dx)
+    assert got["p0"] == [{"free": [0], "tors": [0]}, {"free": [-1], "tors": [1]}]
+    assert got["p1"] == [{"free": [1], "tors": [0]}, {"free": [1], "tors": [1]}]
+
+
+
 # ---------------------------------------------------------------- hom dims
 
 
@@ -364,6 +382,7 @@ def test_hom_memo_is_per_context_instance(monkeypatch):
     memo = first[0][1].ctx._hom_memo
     ranks = dict(memo.ranks)
     assert memo.maps and first[0][1].ctx._mono_cache
+    assert ext_table(first, 2).dims == one.dims  # a warm memo repeats the table
     again = generator_collection(_model("A2+A2"))
     ctx = again[0][1].ctx
     assert ctx is not first[0][1].ctx
@@ -579,14 +598,6 @@ def test_sum_collections_match_the_tensor_table():
             for j in range(len(col)):
                 for k in range(-4, 5):
                     assert tab.dim(i, j, k) == model.dim(i, j, k)
-
-
-def test_ext_table_is_thread_deterministic():
-    _, col, _ = _rank_one_objects("D4t")
-    one = ext_table(col, 3)
-    four = ext_table(col, 3)
-    assert one.objects == four.objects
-    assert one.dims == four.dims
 
 
 def test_ext_table_rejects_mixed_potentials():
