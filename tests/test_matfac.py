@@ -250,7 +250,6 @@ def test_tensor_block_layout_and_sign():
     assert got["p1"] == [{"free": [1], "tors": [0]}, {"free": [1], "tors": [1]}]
 
 
-
 # ---------------------------------------------------------------- hom dims
 
 
@@ -598,6 +597,15 @@ def test_sum_collections_match_the_tensor_table():
             for j in range(len(col)):
                 for k in range(-4, 5):
                     assert tab.dim(i, j, k) == model.dim(i, j, k)
+
+
+def test_ext_table_is_thread_deterministic():
+    # a second table over the same objects, built with a warm memo, repeats the first
+    _, col, _ = _rank_one_objects("D4t")
+    one = ext_table(col, 3)
+    again = ext_table(col, 3)
+    assert one.objects == again.objects
+    assert one.dims == again.dims
 
 
 def test_ext_table_rejects_mixed_potentials():
