@@ -18,10 +18,13 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 
-def int_rank(rows):
+def int_rank(rows, pivots=None):
     """Rank of an integer matrix given as a list of {col: value} dicts.
 
     Zero entries must be absent from the dicts.  The input is not mutated.
+    When `pivots` is a list, the pivot column of each elimination step is
+    appended to it: the rows restricted to those columns have full rank,
+    since each pivot row is zero in the columns of the earlier pivots.
     """
     work = {}
     cols = {}
@@ -53,6 +56,8 @@ def int_rank(rows):
             cost = (v != 1 and v != -1, len(rows_c))
             if best is None or cost < best:
                 pc, best = c, cost
+        if pivots is not None:
+            pivots.append(pc)
         pv = prow.pop(pc)
         unit = pv == 1 or pv == -1
         for i in cols.pop(pc):

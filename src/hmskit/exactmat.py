@@ -404,12 +404,12 @@ def integer_columns(cols, gauss=False):
     basis {e, i*e}: row r of a column a + i*b becomes rows 2r (a) and
     2r + 1 (b), and each column v gives the two columns v and
     i*v = -b + i*a, so the integer rank of the result is exactly twice the
-    Q(i)-rank of `cols`.  Empty columns are dropped.
+    Q(i)-rank of `cols`.  Positions are kept: output column s is input
+    column s, or 2s and 2s + 1 with `gauss`, and an empty column stays
+    empty.
     """
     out = []
     for col in cols:
-        if not col:
-            continue
         # Poly coefficients are exactly int, Fraction or GaussInt
         denoms = [v.denominator for v in col.values() if type(v) is Fraction]
         if denoms:

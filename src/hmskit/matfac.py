@@ -22,10 +22,20 @@ context or per pair of forms, not once per matrix entry: slot degrees per
 pair of forms, slot offsets per cell and multiplication maps per degree and
 exponent, so that one differential term fills a whole block of a boundary
 matrix (see _HomMemo).
+
+A boundary is ranked only on the coordinates that the boundary into its cell
+leaves free.  The differential d(f) = d_H f - (-1)^|f| f d_K squares to
+W f - f W = 0, so the boundary out of a cell X vanishes on the image of the
+boundary into X.  The elimination that ranks the boundary into X finds pivot
+rows P, coordinates of X on which that image projects one to one; so X is
+the image plus the span of the coordinates outside P, and the boundary out
+of X has the same rank on those coordinates alone.  The result is exact
+either way; hom_dim ranks the boundary into a cell first.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from operator import mul
 
@@ -429,16 +439,19 @@ class _HomMemo:
     shift + rel.  `cells` maps (rel id, shift) to the offsets of the slots in
     the monomial basis (the last offset is the dimension), and `ranks` maps
     a cell key to the rank of its boundary map: equal keys give literally
-    the same matrix.  `maps[(delta, e)]` holds, for each monomial m of
-    degree delta, the position of m*x^e among the monomials of degree
-    delta + deg(x^e).  Everything but the keys of `forms` is ints (and the
-    parity tags).  Ids are only comparable within one memo, so both objects
-    of a pair are interned in the memo of k's context.
+    the same matrix.  `pivots` maps a cell key to the pivot rows found when
+    the boundary into that cell was ranked, until the boundary out of it is
+    ranked on the other rows (see the module docstring).  `maps[(delta, e)]`
+    holds, for each monomial m of degree delta, the position of m*x^e among
+    the monomials of degree delta + deg(x^e).  Everything but the keys of
+    `forms` is ints (and the parity tags), so the memo holds no reference
+    cycle.  Ids are only comparable within one memo, so both objects of a
+    pair are interned in the memo of k's context.
     """
 
     __slots__ = (
         "T", "radix", "weights", "tors_x", "c",
-        "forms", "labels", "rels", "rel_ids", "slots", "cells", "ranks", "maps",
+        "forms", "labels", "rels", "rel_ids", "slots", "cells", "ranks", "pivots", "maps",
     )
 
     def __init__(self, ctx):
@@ -458,6 +471,7 @@ class _HomMemo:
         self.slots = {}
         self.cells = {}
         self.ranks = {}
+        self.pivots = {}
         self.maps = {}
 
     def code(self, e):
@@ -514,25 +528,18 @@ def monomials_of_degree(ctx, delta):
     n = len(weights)
     target, tors = divmod(delta, memo.T)
     out = []
-    exps = [0] * n
-
-    def rec(i, remaining):
-        if i == n - 1:
-            # the last exponent is forced by the free degree
-            e, rest = divmod(remaining, weights[i])
-            if not rest:
-                exps[i] = e
-                if memo.torsion_index(exps) == tors:
-                    out.append(tuple(exps))
-            return
-        limit = remaining // weights[i]
-        for e in range(limit + 1):
-            exps[i] = e
-            rec(i + 1, remaining - e * weights[i])
-        exps[i] = 0
-
     if target >= 0 and n:
-        rec(0, target)
+        # prefixes of the first n - 1 exponents with the free degree they
+        # leave, in lexicographic order; the last exponent is then forced
+        heads = [((), target)]
+        for w in weights[:-1]:
+            heads = [(p + (e,), r - e * w) for p, r in heads for e in range(r // w + 1)]
+        for p, r in heads:
+            e, rest = divmod(r, weights[-1])
+            if not rest:
+                exps = p + (e,)
+                if memo.torsion_index(exps) == tors:
+                    out.append(exps)
     elif target == tors == 0:
         out.append(())
     result = cache[delta] = tuple(out)
@@ -706,13 +713,22 @@ def _boundary_rank(k, h, q, parity, cell, max_cells=None):
     rank = memo.ranks.get(key)
     if rank is not None:
         return rank
+    target = _target_key(memo, key)
     src = _cell_dim(k.ctx, memo, key, max_cells)
-    dst = _cell_dim(k.ctx, memo, _target_key(memo, key), max_cells)
+    dst = _cell_dim(k.ctx, memo, target, max_cells)
+    # the boundary out of this cell is ranked on the rows other than the
+    # pivot rows of the boundary into it (see the module docstring)
+    drop = set(memo.pivots.pop(key, ()))
     rank = 0
     if src and dst:
         cols, _, _ = _boundary_columns(k, h, q, parity)
         gauss = k.field != "Q" or h.field != "Q"
-        rank = int_rank(_int_columns(cols, gauss))
+        piv = []
+        rank = int_rank([c for s, c in enumerate(_int_columns(cols, gauss)) if s not in drop], piv)
+        if target not in memo.ranks:
+            # an array, not a set (8 bytes a row instead of about 60): the
+            # last boundary of each walk up the shifts leaves its rows unread
+            memo.pivots[target] = array("l", piv)
         if gauss:
             rank //= 2
     memo.ranks[key] = rank
@@ -729,12 +745,13 @@ def hom_dim(k, h, shift, max_cells=None):
     cell = _cell_base(k, h)
     q, p = divmod(shift, 2)
     parity, before = ("even", "odd") if p == 0 else ("odd", "even")
-    # the cell, less the boundaries out of it and into it (from odd at q - 1,
-    # or from even at q)
+    # the cell, less the boundaries into it (from odd at q - 1, or from even
+    # at q) and out of it; the boundary in is ranked first, so that its pivot
+    # rows are known when the boundary out is ranked
     dim = (
         _cell_dim(k.ctx, cell[0], _cell_key(cell, q, parity), max_cells)
-        - _boundary_rank(k, h, q, parity, cell, max_cells)
         - _boundary_rank(k, h, q - 1 + p, before, cell, max_cells)
+        - _boundary_rank(k, h, q, parity, cell, max_cells)
     )
     if dim < 0:
         raise MFError("internal error: negative cohomology dimension")

@@ -254,6 +254,19 @@ def test_int_rank_sparse_matches_rat_rank(a):
     assert rows == snapshot
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_mat_strategy())
+def test_int_rank_reports_independent_pivot_columns(a):
+    rows = _to_rows(a)
+    snapshot = [dict(r) for r in rows]
+    pivots = []
+    rank = _speedups_py.int_rank(rows, pivots)
+    assert rows == snapshot
+    assert len(pivots) == len(set(pivots)) == rank
+    # the rows restricted to the pivot columns keep the rank
+    assert rat_rank([[row[c] for c in pivots] for row in a]) == rank
+
+
 def test_int_rank_pivot_paths_agree():
     # transposing and permuting rows changes which rows are shortest and
     # which columns are densest, so the elimination takes other pivots
@@ -410,6 +423,17 @@ def test_gaussian_rank_by_realification():
     assert _realified_rank([{0: 1, 1: I}, {0: 1, 1: -I}]) == 4
     # a rational matrix keeps its rank, doubled; denominators are cleared
     assert _realified_rank([{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 2}]) == 2
+
+
+def test_integer_columns_keep_positions():
+    # output column s is input column s (2s and 2s + 1 over Q(i)), so the
+    # indices of a realified map line up with its source coordinates
+    cols = [{0: 1}, {}, {1: Fraction(1, 2)}, {0: I}]
+    assert integer_columns(cols) == [{0: 1}, {}, {1: 1}, {0: I}]
+    assert integer_columns(cols, gauss=True) == [
+        {0: 1}, {1: 1}, {}, {}, {2: 1}, {3: 1}, {1: 1}, {0: -1},
+    ]
+    assert integer_columns([{}, {}]) == [{}, {}]
 
 
 gauss_entry = st.tuples(st.integers(-3, 3), st.integers(-3, 3))

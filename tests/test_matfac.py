@@ -1,5 +1,6 @@
 """Tests for graded matrix factorizations, hom dimensions, and ext tables."""
 
+import gc
 import itertools
 import json
 import time
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmskit import hmscli, matfac
+from hmskit import _speedups_py, hmscli, matfac
 from hmskit.exactmat import I, Poly, parse_poly_string
 from hmskit.grading import GradingContext, lbar_representatives, m_grading
 from hmskit.polyforms import parse_model
@@ -364,9 +365,9 @@ def _counting_rank(monkeypatch):
     calls = []
     rank = matfac.int_rank
 
-    def counted(rows):
+    def counted(rows, pivots=None):
         calls.append(len(rows))
-        return rank(rows)
+        return rank(rows, pivots)
 
     monkeypatch.setattr(matfac, "int_rank", counted)
     return calls
@@ -473,6 +474,87 @@ def test_assembled_boundaries_compose_to_zero():
             assert not any(_compose(odd, even_next))
             nontrivial += any(even) and any(odd) and any(even_next)
     assert nontrivial >= 20
+
+
+# three integral collections, one with torsion, and a Q(i) collection with
+# objects of both fields
+REDUCTION_COLLECTIONS = ("D4t", "A2+A2", "A2+D4t", "[[5,0],[1,2]] 1/5,2/5")
+
+
+def _objects(name):
+    if name.startswith("["):
+        matrix, group = name.split()
+        col, _, _ = hmscli._quotient_graded_collection(hmscli._parse_matrix(matrix), group)
+    else:
+        col = generator_collection(_model(name))
+    return [m for _, m in col]
+
+
+def _cell_boundaries(q, parity):
+    """The boundary into the cell (q, parity) and the boundary out of it."""
+    return ((q - 1, "odd") if parity == "even" else (q, "even")), (q, parity)
+
+
+@pytest.mark.parametrize("name", REDUCTION_COLLECTIONS)
+def test_boundary_out_vanishes_on_boundary_in(name):
+    # the premise of ranking a boundary only on the coordinates the boundary
+    # into its cell leaves free: d_out d_in = 0 exactly, cell by cell
+    objs = _objects(name)
+    nontrivial = 0
+    for k, h in itertools.product(objs, repeat=2):
+        for q in range(-2, 3):
+            for parity in ("even", "odd"):
+                d_in, d_out = (matfac._boundary_columns(k, h, *b)[0] for b in _cell_boundaries(q, parity))
+                assert not any(_compose(d_in, d_out))
+                nontrivial += any(d_in) and any(d_out)
+    assert nontrivial >= 40
+
+
+@pytest.mark.parametrize("name", REDUCTION_COLLECTIONS)
+def test_reduced_boundary_ranks_equal_full_ranks(name, monkeypatch):
+    calls = _counting_rank(monkeypatch)
+    objs = _objects(name)
+    ext_table(objs, 2)
+    full_rows = {}
+    for k, h in itertools.product(objs, repeat=2):
+        cell = matfac._cell_base(k, h)
+        memo = cell[0]
+        gauss = k.field != "Q" or h.field != "Q"
+        for shift in range(-2, 3):
+            q, p = divmod(shift, 2)
+            for b in _cell_boundaries(q, ("even", "odd")[p]):
+                key = matfac._cell_key(cell, *b)
+                assert key in memo.ranks
+                cols, _, ndst = matfac._boundary_columns(k, h, *b)
+                rows = matfac._int_columns(cols, gauss)
+                full = _speedups_py.int_rank(rows) // (2 if gauss else 1)
+                assert matfac._boundary_rank(k, h, *b, cell) == full
+                if cols and ndst:
+                    full_rows[key] = len(rows)
+    # one rank call per distinct nonempty boundary, on fewer rows in all
+    assert len(calls) == len(full_rows)
+    assert sum(calls) < sum(full_rows.values())
+
+
+def test_finished_table_leaves_no_reference_cycle():
+    # once a table's objects are dropped, reference counting frees the
+    # context's memos and monomial lists; none waits for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        col = generator_collection(_model("A2+D4t"))
+        ext_table(col, 2)
+        assert col[0][1].ctx._hom_memo.pivots
+        del col
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not [o for o in left if isinstance(o, matfac._HomMemo)]
+    assert not [o for o in left if getattr(o, "__qualname__", "").startswith("monomials_of_degree.")]
 
 
 # ---------------------------------------------------------------- monomials
