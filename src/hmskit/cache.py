@@ -1,8 +1,15 @@
 """Content-addressed cache for computed hom tables.
 
-Requests are canonicalized to JSON, hashed, and the stored payload is the
-canonical JSON of the result: a warm lookup reproduces the cold output byte
-for byte.
+Requests are canonicalized to JSON, hashed together with BSIDE_REVISION, and
+the stored entry is the canonical JSON of the result plus a stamp: a warm
+lookup reproduces the cold output byte for byte.
+
+The stamp holds the request key, the entry layout (SCHEMA), BSIDE_REVISION
+and the SHA-256 of the table's canonical JSON.  An entry whose stamp is
+missing or differs in any field is a miss, so tables of an older algorithm,
+partial edits and bit rot are recomputed.  The cache directory is trusted
+like the user's own files: an entry forged with a valid stamp is not told
+apart without recomputing it.
 """
 
 import hashlib
@@ -10,14 +17,26 @@ import json
 import os
 import tempfile
 
+# layout of a stored entry: the table's keys plus "stamp"
+SCHEMA = 1
+
+# revision of the B-side algorithm: bump it whenever a change to the hom
+# computation may change a table, so that no older table is replayed
+BSIDE_REVISION = 1
+
 
 def canonical_json(payload):
     """Stable text form: sorted keys, fixed separators, no trailing space."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def request_key(request):
-    return hashlib.sha256(canonical_json(request).encode("utf-8")).hexdigest()
+    """Hash of the request and of BSIDE_REVISION."""
+    return _sha256(canonical_json({"request": request, "revision": BSIDE_REVISION}))
 
 
 def resolve_cache_dir(flag_value=None):
@@ -30,29 +49,54 @@ def resolve_cache_dir(flag_value=None):
     return os.path.join(".", ".hmskit-cache")
 
 
+def _stamp(key, table):
+    return {
+        "key": key,
+        "schema": SCHEMA,
+        "revision": BSIDE_REVISION,
+        "sha256": _sha256(canonical_json(table)),
+    }
+
+
 class TableCache:
-    """Directory of JSON payloads addressed by request hash."""
+    """Directory of stamped JSON tables addressed by request hash.
+
+    After a `load` that finds an entry but does not return it, `rejected`
+    says why: "malformed" (unreadable, or no stamp) or "stale" (a stamp
+    that does not match); otherwise it is None.
+    """
 
     def __init__(self, root):
         self.root = root
+        self.rejected = None
 
     def path_for(self, key):
         return os.path.join(self.root, key + ".json")
 
     def load(self, key):
-        """Stored payload for the key, or None on miss or unreadable entry."""
+        """Stored table for the key, or None on a miss or rejected entry."""
+        self.rejected = None
         try:
             with open(self.path_for(key), "r", encoding="utf-8") as fh:
-                return json.load(fh)
+                entry = json.load(fh)
         except FileNotFoundError:
             return None
         except (OSError, ValueError):
             # ValueError covers both bad JSON and bytes that are not UTF-8
+            self.rejected = "malformed"
             return None
+        stamp = entry.pop("stamp", None) if isinstance(entry, dict) else None
+        if not isinstance(stamp, dict):
+            self.rejected = "malformed"
+            return None
+        if stamp != _stamp(key, entry):
+            self.rejected = "stale"
+            return None
+        return entry
 
     def store(self, key, payload):
         os.makedirs(self.root, exist_ok=True)
-        data = canonical_json(payload)
+        data = canonical_json({**payload, "stamp": _stamp(key, payload)})
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -326,11 +326,15 @@ def cmd_verify(args):
         return None
 
     payload = cache.load(key)
+    rejected = cache.rejected
     if payload is not None and not _table_payload_ok(
         payload, [label for label, _ in col], window
     ):
+        rejected, payload = "malformed", None
+    if rejected == "malformed":
         _diag(args, f"ignoring malformed cache entry (key {key[:12]}), recomputing")
-        payload = None
+    elif rejected == "stale":
+        _diag(args, f"cache entry disagrees with its stamp (key {key[:12]}), recomputing")
     cached = payload is not None
     if cached:
         _diag(args, f"b-side table from cache (key {key[:12]})")

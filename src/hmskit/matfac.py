@@ -30,13 +30,19 @@ boundary into X.  The elimination that ranks the boundary into X finds pivot
 rows P, coordinates of X on which that image projects one to one; so X is
 the image plus the span of the coordinates outside P, and the boundary out
 of X has the same rank on those coordinates alone.  The result is exact
-either way; hom_dim ranks the boundary into a cell first.
+either way; hom_dim ranks the boundary into a cell first.  The columns of
+the boundary out on P are not assembled at all (_boundary_columns leaves
+them empty, keeping every column's position): on the benchmark's period
+total they held 108,516 of 252,882 nonzeros.  Over Q(i) source column s is
+realified as the columns 2s and 2s + 1, and it is left empty only when both
+are in P.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from operator import mul
 
 from ._speedups_py import int_rank
@@ -651,13 +657,14 @@ def _mult_map(ctx, memo, delta, e):
     return pos
 
 
-def _boundary_columns(k, h, q, parity):
+def _boundary_columns(k, h, q, parity, skip=()):
     """Columns of the hom-complex differential in the monomial bases.
 
     parity 'even': cell at twist q maps to the odd cell at twist q.
     parity 'odd': cell at twist q maps to the even cell at twist q + 1.
     Column order is slot order, then monomial order within a slot; one
-    differential term of one source slot fills one block of columns.
+    differential term of one source slot fills one block of columns.  The
+    columns whose positions are in `skip` are left empty.
     """
     ctx = k.ctx
     cell = _cell_base(k, h)
@@ -673,13 +680,19 @@ def _boundary_columns(k, h, q, parity):
     # d(f) = d_H f - (-1)^|f| f d_K
     sign = 1 if odd else -1
     rels = memo.rels[rid]
+    # keep[c] is 0 for a column that is left empty
+    keep = bytearray(b"\x01") * src_off[-1]
+    for c in skip:
+        keep[c] = 0
     cols = []
     for s, (a, b, i, j) in enumerate(_block_slots(_BLOCKS[odd], hr, kr)):
-        delta = memo.add(shift, rels[s])
-        block = [{} for _ in range(src_off[s + 1] - src_off[s])]
+        sel = keep[src_off[s] : src_off[s + 1]]
+        block = [{} for _ in sel]
         cols.extend(block)
-        if not block:
+        if 1 not in sel:
             continue
+        live = list(compress(block, sel))
+        delta = memo.add(shift, rels[s])
         # d_H f fills the slots (i2, j) of block (1 - a, b), f d_K the slots
         # (i, j2) of block (a, 1 - b); with b = 1 the f d_K term comes first
         at = (0 if (1 - a, b) == first else first_len) + j
@@ -691,7 +704,7 @@ def _boundary_columns(k, h, q, parity):
             base = dst_off[t]
             for e, coeff in poly.terms.items():
                 v = sg * coeff
-                for col, p in zip(block, _mult_map(ctx, memo, delta, e)):
+                for col, p in zip(live, compress(_mult_map(ctx, memo, delta, e), sel)):
                     col[base + p] = v
     return cols, src_off[-1], dst_off[-1]
 
@@ -721,8 +734,11 @@ def _boundary_rank(k, h, q, parity, cell, max_cells=None):
     drop = set(memo.pivots.pop(key, ()))
     rank = 0
     if src and dst:
-        cols, _, _ = _boundary_columns(k, h, q, parity)
         gauss = k.field != "Q" or h.field != "Q"
+        # source column s is integer column s, or 2s and 2s + 1 over Q(i);
+        # it is not assembled when all of those are dropped
+        skip = {c >> 1 for c in drop if c ^ 1 in drop} if gauss else drop
+        cols, _, _ = _boundary_columns(k, h, q, parity, skip)
         piv = []
         rank = int_rank([c for s, c in enumerate(_int_columns(cols, gauss)) if s not in drop], piv)
         if target not in memo.ranks:

@@ -1,12 +1,19 @@
 """Tests for the command line front end and the table cache."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hmskit import cache as cache_module
 from hmskit.cache import TableCache, canonical_json, request_key, resolve_cache_dir
-from hmskit.hmscli import main
+from hmskit.hmscli import CLIError, _build_model, _parse_matrix, main
+from hmskit.symmetry import SymmetryError, parse_group_string
 
 
 def run_cli(capsys, *args):
@@ -36,6 +43,58 @@ def test_cache_round_trip(tmp_path):
     with open(cache.path_for(key), "w") as fh:
         fh.write("{not json")
     assert cache.load(key) is None
+
+
+def test_cache_rejects_entries_without_a_matching_stamp(tmp_path):
+    cache = TableCache(str(tmp_path))
+    key = request_key({"probe": 2})
+    table = {"entries": [[0, 0, 0, 1]], "objects": ["X"], "window": [0, 0]}
+    cache.store(key, table)
+    assert cache.load(key) == table and cache.rejected is None
+    with open(cache.path_for(key), encoding="utf-8") as fh:
+        entry = json.load(fh)
+    assert set(entry["stamp"]) == {"key", "schema", "revision", "sha256"}
+    assert entry["stamp"]["key"] == key
+
+    def rewrite(data):
+        with open(cache.path_for(key), "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(data))
+
+    rewrite(table)  # an unstamped entry, as older builds wrote them
+    assert cache.load(key) is None and cache.rejected == "malformed"
+    for field, value in [
+        ("key", request_key({"probe": 3})),
+        ("schema", cache_module.SCHEMA + 1),
+        ("revision", cache_module.BSIDE_REVISION + 1),
+        ("sha256", "0" * 64),
+    ]:
+        rewrite({**entry, "stamp": {**entry["stamp"], field: value}})
+        assert cache.load(key) is None and cache.rejected == "stale", field
+    rewrite({**entry, "entries": [[0, 0, 0, 2]]})  # a partial edit
+    assert cache.load(key) is None and cache.rejected == "stale"
+    assert cache.load(request_key({"absent": 1})) is None and cache.rejected is None
+
+
+def test_request_key_pins_the_bside_revision(monkeypatch):
+    request = {"command": "ext_table", "window": [-4, 4]}
+    expected = canonical_json({"request": request, "revision": cache_module.BSIDE_REVISION})
+    assert request_key(request) == hashlib.sha256(expected.encode("utf-8")).hexdigest()
+    before = request_key(request)
+    monkeypatch.setattr(cache_module, "BSIDE_REVISION", cache_module.BSIDE_REVISION + 1)
+    assert request_key(request) != before
+
+
+def test_verify_recomputes_tables_of_another_revision(tmp_path, capsys, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    code, cold, _ = run_cli(capsys, "verify", "A2", "--cache-dir", str(cache_dir), "--quiet")
+    assert code == 0
+    (old,) = cache_dir.iterdir()
+    monkeypatch.setattr(cache_module, "BSIDE_REVISION", cache_module.BSIDE_REVISION + 1)
+    code, out, err = run_cli(capsys, "verify", "A2", "--cache-dir", str(cache_dir))
+    assert code == 0 and out == cold
+    assert "computed" in err and "from cache" not in err
+    (new,) = set(cache_dir.iterdir()) - {old}
+    assert json.loads(new.read_text())["stamp"]["revision"] == cache_module.BSIDE_REVISION
 
 
 def test_cache_dir_resolution(monkeypatch):
@@ -326,6 +385,24 @@ def test_verify_recomputes_a_cached_table_that_mismatches(tmp_path, capsys):
     assert path.read_bytes() == stored  # the entry was overwritten
 
 
+def test_cached_table_cannot_turn_a_mismatch_into_a_match(tmp_path, capsys):
+    # an entry whose entries were replaced by the A side's would replay as
+    # a match if it were trusted; its stamp no longer fits, so it is redone
+    cache_dir = tmp_path / "cache"
+    args = ["verify", "--matrix", "[[4,0],[1,2]]", "--group", "1/4,3/8", "--cache-dir", str(cache_dir)]
+    code, cold, _ = run_cli(capsys, *args, "--quiet")
+    assert code == 1 and json.loads(cold)["verdict"] == "mismatch"
+    (path,) = cache_dir.iterdir()
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    entry["entries"] = json.loads(cold)["aside"]["entries"]
+    path.write_text(json.dumps(entry), encoding="utf-8")
+
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == cold
+    assert "disagrees with its stamp" in err and "computed" in err
+
+
 def test_verify_json_flag_writes_same_bytes(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -426,3 +503,78 @@ def test_reports_are_deterministic(tmp_path, capsys):
         )
         outs.add(out)
     assert len(outs) == 1
+
+
+# ------------------------------------------------------------------- fuzz
+
+# junk without digits can never be a well-formed model, so the verify runs
+# below stay tiny; the digit alphabets stay short, so no group is huge
+_JUNK = st.text(alphabet="ADt+[]{},;:/ -xy\"\\\u00e9\x00", max_size=10)
+_ATOM = st.builds("{}{}{}".format, st.sampled_from("AD"), st.integers(0, 4), st.sampled_from(["", "t"]))
+_SUM = st.lists(_ATOM, min_size=1, max_size=2).map("+".join)
+_MODEL = st.one_of(_SUM, _SUM, _JUNK)
+_MATRIX = st.one_of(
+    st.lists(st.lists(st.integers(-1, 4), min_size=1, max_size=2), min_size=1, max_size=2).map(json.dumps),
+    st.text(alphabet="[],0123-. ", max_size=9),
+    _JUNK,
+)
+_FRACTION = st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "1/4", "3/8", "-1/5", "1/0", "x"])
+_GROUP = st.one_of(
+    st.lists(st.lists(_FRACTION, min_size=1, max_size=2).map(",".join), max_size=2).map(";".join),
+    st.text(alphabet="0123456789/,; -.", max_size=5),
+)
+_WINDOW = st.sampled_from(["-1", "0", "1", "2", "x"])
+_PAIRS = [("[[3,0],[1,2]]", "1/3,1/3"), ("[[4,0],[1,2]]", "1/4,3/8")]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["grade", "gmax", "transpose", "verify"]))
+    if command in ("grade", "gmax"):
+        argv = [command, draw(st.one_of(_MODEL, _MATRIX))]
+    elif command == "transpose":
+        argv = [command, draw(_MATRIX), "--group", draw(_GROUP)]
+    elif draw(st.booleans()):
+        argv = [command, draw(_MODEL), "--window", draw(_WINDOW)]
+    else:
+        # the pairs of the matrix-mode tests (a match over Q(i) and an
+        # honest mismatch), or random ones
+        matrix, group = draw(st.one_of(st.sampled_from(_PAIRS), st.tuples(_MATRIX, _GROUP)))
+        argv = [command, "--matrix", matrix, "--group", group, "--window", draw(_WINDOW)]
+    return argv + draw(st.sampled_from([[], [], [], ["--quiet"], ["--bogus"], ["--group"]]))
+
+
+def _exit_code(call):
+    """Exit code of a CLI call, with stdout and stderr captured; any
+    exception other than SystemExit escapes and fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_MODEL, _MATRIX), _GROUP, st.integers(1, 3))
+def test_parsers_fail_only_with_cli_errors(text, group, n):
+    for parse in (_build_model, _parse_matrix):
+        try:
+            parse(text)
+        except CLIError as exc:
+            assert exc.code in (2, 3)
+    try:
+        parse_group_string(group, n)
+    except SymmetryError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, argv):
+    cache_dir = str(tmp_path_factory.getbasetemp() / "fuzz-cache")
+    if argv[0] == "verify":
+        argv = argv + ["--cache-dir", cache_dir]
+    assert _exit_code(lambda: main(argv)) in range(5), argv

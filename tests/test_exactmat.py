@@ -267,6 +267,56 @@ def test_int_rank_reports_independent_pivot_columns(a):
     assert rat_rank([[row[c] for c in pivots] for row in a]) == rank
 
 
+@st.composite
+def peel_mat_strategy(draw):
+    """Sparse rows, then rows that are sums of others, then planted
+    singleton columns: a fresh column with one nonzero entry in a random
+    row.  Rows with a planted column are peeled; the dependent rows make a
+    core that only elimination resolves."""
+    a = draw(sparse_mat_strategy(max_dim=12))
+    row = st.integers(0, len(a) - 1)
+    for p, q, sign in draw(st.lists(st.tuples(row, row, st.sampled_from([1, -1, 2])), max_size=6)):
+        a.append([x + sign * y for x, y in zip(a[p], a[q])])
+    planted = st.tuples(st.integers(0, len(a) - 1), st.sampled_from([1, -1, 2, -3]))
+    for i, v in draw(st.lists(planted, max_size=8)):
+        for j, r in enumerate(a):
+            r.append(v if j == i else 0)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(peel_mat_strategy())
+def test_int_rank_peels_and_eliminates(a):
+    rows = _to_rows(a)
+    snapshot = [dict(r) for r in rows]
+    pivots = []
+    rank = _speedups_py.int_rank(rows, pivots)
+    assert rank == rat_rank(a)
+    assert len(pivots) == len(set(pivots)) == rank
+    assert rat_rank([[row[c] for c in pivots] for row in a]) == rank
+    assert rows == snapshot
+
+
+def test_int_rank_peels_a_permuted_identity():
+    # every identity column is a singleton, so peeling takes every pivot;
+    # elimination would prefer the unit entries of the dense columns
+    rng = random.Random(7)
+    n = 40
+    perm = list(range(n))
+    rng.shuffle(perm)
+    a = []
+    for i in range(n):
+        row = [0] * n + [rng.choice((1, -1)) for _ in range(5)]
+        row[perm[i]] = rng.choice((2, -3, 5))
+        a.append(row)
+    rows = _to_rows(a)
+    snapshot = [dict(r) for r in rows]
+    pivots = []
+    assert _speedups_py.int_rank(rows, pivots) == n == rat_rank(a)
+    assert sorted(pivots) == list(range(n))
+    assert rows == snapshot
+
+
 def test_int_rank_pivot_paths_agree():
     # transposing and permuting rows changes which rows are shortest and
     # which columns are densest, so the elimination takes other pivots

@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import time
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -534,6 +535,67 @@ def test_reduced_boundary_ranks_equal_full_ranks(name, monkeypatch):
     # one rank call per distinct nonempty boundary, on fewer rows in all
     assert len(calls) == len(full_rows)
     assert sum(calls) < sum(full_rows.values())
+
+
+@pytest.mark.parametrize("name", REDUCTION_COLLECTIONS)
+def test_assembly_leaves_exactly_the_skipped_columns_empty(name, monkeypatch):
+    assemble = matfac._boundary_columns
+    seen = []
+
+    def recording(k, h, q, parity, skip=()):
+        out = assemble(k, h, q, parity, skip)
+        seen.append(((k, h, q, parity), set(skip), out))
+        return out
+
+    monkeypatch.setattr(matfac, "_boundary_columns", recording)
+    ext_table(_objects(name), 2)
+    skipped = 0
+    for args, skip, (cols, nsrc, ndst) in seen:
+        full, fsrc, fdst = assemble(*args)
+        assert (len(cols), nsrc, ndst) == (len(full), fsrc, fdst)
+        for s, (col, ref) in enumerate(zip(cols, full)):
+            # same rows in the same order, or nothing at all when skipped
+            assert list(col.items()) == ([] if s in skip else list(ref.items()))
+        skipped += len(skip)
+    assert skipped >= 20
+
+
+def test_gaussian_source_column_is_skipped_only_when_both_halves_drop(monkeypatch):
+    # any subset of the pivot rows of the boundary into a cell is a valid
+    # drop set; keep both halves 2s, 2s + 1 of some pairs and one of others
+    assemble = matfac._boundary_columns
+    skips = []
+
+    def recording(k, h, q, parity, skip=()):
+        skips.append(set(skip))
+        return assemble(k, h, q, parity, skip)
+
+    monkeypatch.setattr(matfac, "_boundary_columns", recording)
+    objs = _objects(REDUCTION_COLLECTIONS[-1])
+    checked = 0
+    for k, h in itertools.product(objs, repeat=2):
+        if k.field == h.field == "Q":
+            continue
+        cell = matfac._cell_base(k, h)
+        memo = cell[0]
+        for q in range(-2, 2):
+            for parity in ("even", "odd"):
+                into, out = _cell_boundaries(q, parity)
+                key = matfac._cell_key(cell, *out)
+                if key in memo.ranks:
+                    continue
+                pivots = []
+                _speedups_py.int_rank(matfac._int_columns(assemble(k, h, *into)[0], True), pivots)
+                drop = sorted(c for c in pivots if c % 2 == 0 or c % 4 == 1)
+                if not drop:
+                    continue
+                cols = assemble(k, h, *out)[0]
+                full = _speedups_py.int_rank(matfac._int_columns(cols, True)) // 2
+                memo.pivots[key] = array("l", drop)
+                assert matfac._boundary_rank(k, h, *out, cell) == full
+                assert skips.pop() == {s for s in range(len(cols)) if 2 * s in drop and 2 * s + 1 in drop}
+                checked += 1
+    assert checked >= 10
 
 
 def test_finished_table_leaves_no_reference_cycle():
