@@ -13,7 +13,6 @@ import time
 
 from . import __version__
 from .cache import TableCache, request_key, resolve_cache_dir
-from .exactmat import I, Poly
 from .grading import GradingError, m_grading
 from .matfac import (
     MFError,
@@ -22,12 +21,8 @@ from .matfac import (
     ext_table,
     ext_table_to_json,
     generator_collection,
-    koszul_mf,
-    mf_from_pair,
     mf_to_json,
-    poly_class,
-    shift_mf,
-    translate_mf,
+    quotient_graded_collection,
 )
 from .polyforms import PolyFormError, build, parse_model
 from .polyforms import transpose as transpose_model
@@ -166,73 +161,6 @@ def cmd_generators(args):
 # ---------------------------------------------------------------- verify
 
 
-def _quotient_graded_collection(matrix, group_text):
-    """Generator collection of a two-variable model in a quotient grading.
-
-    The intrinsic route refuses the orientation W = x^(n-1) + x*y^2; this
-    route grades it by the characters of an explicit symmetry group instead.
-    For even n, with m = (n-2)/2, the cofactor splits over the Gaussian
-    integers as x^(n-2) + y^2 = (x^m + i*y)(x^m - i*y), and the collection
-    is made of rank-one objects only, in vertex order: R/(x^m+i*y),
-    R/(x^m-i*y), then for s = 0..m-1 the pair R/(x)(-1-s) and
-    R/(x^(n-2)+y^2)(-n/2-s).  Its hom dimensions are over Q(i).
-    For odd n the cofactor is irreducible even over C, and in a grading
-    that gives x^m and y different degrees its factors are not homogeneous;
-    no collection is known to be sound there, so the route keeps the two
-    rank-one cuts plus translated residue-field objects over Q, an honest
-    mismatch.
-    """
-    n = len(matrix)
-    try:
-        group = parse_group_string(group_text, n)
-    except SymmetryError as exc:
-        raise CLIError(EXIT_PARSE, str(exc)) from None
-    p = build(matrix)
-    if len(p.atoms) != 1 or p.atoms[0].kind != "D" or n != 2:
-        raise CLIError(
-            EXIT_UNSUPPORTED,
-            "matrix-mode verification supports a single two-variable model "
-            "of the form x^(n-1) + x*y^2",
-        )
-    rank = p.atoms[0].param
-    ctx = m_grading(matrix, group)
-    w = p.poly
-    x = Poly.variable(2, 0)
-    cof = Poly.monomial(2, (rank - 2, 0)) + Poly.monomial(2, (0, 2))
-
-    def label(f):
-        return f"R/({f.format().replace(' ', '')})"
-
-    def twist(t):
-        return ctx.element(t, (0,) * len(ctx.torsion))
-
-    xm = Poly.variable(2, 0, (rank - 2) // 2)
-    y = Poly.variable(2, 1)
-    if rank % 2 == 0 and poly_class(ctx, xm) == poly_class(ctx, y):
-        iy = I * y
-        col = [
-            (label(f), mf_from_pair(ctx, w, f, x * g))
-            for f, g in ((xm + iy, xm - iy), (xm - iy, xm + iy))
-        ]
-        for s in range((rank - 2) // 2):
-            a, b = -1 - s, -(rank // 2) - s
-            col.append((f"{label(x)}({a})", mf_from_pair(ctx, w, x, cof, twist(a))))
-            col.append((f"{label(cof)}({b})", mf_from_pair(ctx, w, cof, x, twist(b))))
-    else:
-        stab = translate_mf(koszul_mf(p, ctx=ctx))
-        col = [
-            (label(x), mf_from_pair(ctx, w, x, cof)),
-            (label(cof), mf_from_pair(ctx, w, cof, x)),
-        ]
-        for t in range(rank - 2):
-            col.append((f"R/m({-t})", shift_mf(stab, twist(-t))))
-    desc = {
-        "matrix": matrix,
-        "group": [format_element(g) for g in group.elements],
-    }
-    return col, desc, [dynkin_quiver(f"D{rank}")]
-
-
 def _table_payload_ok(payload, labels, window):
     """Whether a cached payload has the shape of the table this request
     computes: the same object labels and window, and sorted, distinct
@@ -277,9 +205,14 @@ def cmd_verify(args):
     if args.matrix is not None:
         if args.group is None:
             raise CLIError(EXIT_PARSE, "verify --matrix also needs --group")
-        col, desc, quivers = _quotient_graded_collection(
-            _parse_matrix(args.matrix), args.group
-        )
+        matrix = _parse_matrix(args.matrix)
+        try:
+            group = parse_group_string(args.group, len(matrix))
+        except SymmetryError as exc:
+            raise CLIError(EXIT_PARSE, str(exc)) from None
+        col, quiver = quotient_graded_collection(matrix, group)
+        quivers = [quiver]
+        desc = {"matrix": matrix, "group": [format_element(g) for g in group.elements]}
     else:
         p, desc = _build_model(args.input)
         col = generator_collection(p)

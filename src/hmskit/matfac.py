@@ -36,6 +36,18 @@ them empty, keeping every column's position): on the benchmark's period
 total they held 108,516 of 252,882 nonzeros.  Over Q(i) source column s is
 realified as the columns 2s and 2s + 1, and it is left empty only when both
 are in P.
+
+A sum that repeats an atom has each hom space once per orbit of its pairs.
+Exchanging two identical summands permutes the variables, preserves W and
+the grading and fixes c; the tensor product of matrix factorizations is
+symmetric up to the Koszul-sign swap (Y. Yoshino, "Tensor products of
+matrix factorizations", Nagoya Math. J. 152, 1998).  So for a permutation
+sigma of identical atoms, hom_dim(sigma a, sigma b, k) = hom_dim(a, b, k),
+where sigma a is the object whose per-atom indices are those of a permuted.
+generator_E and generator_collection record those indices on each object
+(`coords`), and ext_table and one_period_end_total compute one pair per
+orbit (see _orbit_key); objects without coordinates are computed pair by
+pair.
 """
 
 from __future__ import annotations
@@ -46,10 +58,14 @@ from itertools import compress
 from operator import mul
 
 from ._speedups_py import int_rank
-from .exactmat import Poly
+from .exactmat import I, Poly
 from .exactmat import integer_columns as _int_columns  # traced by perfbench as "intcols"
-from .grading import GradingError, LElement, grading_group, lbar_representatives, sum_grading_maps, trivial_context
+from .grading import (
+    GradingError, LElement, grading_group, lbar_representatives, m_grading, sum_grading_maps, trivial_context,
+)
 from .polyforms import build
+from .quivercat import dynkin_quiver
+from .symmetry import DiagonalGroup, format_element, format_group, j_element
 
 
 class MFError(ValueError):
@@ -116,6 +132,11 @@ class MatrixFactorization:
 
     Identity-based equality on purpose: two factorizations may be
     isomorphic without sharing data, so use same_data for raw comparison.
+
+    `coords` is None, or (source, kinds, index) on an object that
+    generator_E or generator_collection built: the source ("E" or
+    "collection"), the atom names of the sum in order and the object's
+    per-atom indices (see _orbit_key).  Derived objects do not inherit it.
     """
 
     def __init__(self, ctx, w, p0, p1, d0, d1, check=True, koszul_data=None):
@@ -126,6 +147,7 @@ class MatrixFactorization:
         self.d0 = tuple(tuple(row) for row in d0)
         self.d1 = tuple(tuple(row) for row in d1)
         self.koszul_data = koszul_data
+        self.coords = None
         self._form = None
         self._field = None
         if check:
@@ -804,11 +826,47 @@ def _normalize_window(window):
     return (int(lo), int(hi))
 
 
+def _orbit_key(objects):
+    """Orbit key of the pairs of `objects` under the permutations of
+    identical atoms.
+
+    The key of the positions (i, j) lists, position by position, the index
+    pairs (c_i[p], c_j[p]) of the objects' coordinates c, sorted among the
+    positions of each atom name: the least image of the pair (c_i, c_j)
+    under a permutation of identical atoms.  Two pairs have the same key
+    exactly when such a permutation maps one onto the other, and then their
+    hom spaces have the same dimensions (see the module docstring).  When
+    an object carries no coordinates, or two objects' coordinates name
+    different constructions or sums, the key is the pair of positions: each
+    pair is its own orbit.
+    """
+    first = objects[0].coords if objects else None
+    if first is None or any(m.coords is None or m.coords[:2] != first[:2] for m in objects):
+        return lambda i, j: (i, j)
+    kinds = first[1]
+    blocks = [at for at in ([p for p, k in enumerate(kinds) if k == kind] for kind in set(kinds)) if len(at) > 1]
+    coords = [m.coords[2] for m in objects]
+
+    def key(i, j):
+        cols = list(zip(coords[i], coords[j]))
+        for at in blocks:
+            for p, col in zip(at, sorted([cols[p] for p in at])):
+                cols[p] = col
+        return tuple(cols)
+
+    return key
+
+
 def ext_table(collection, window, max_cells=None):
     """Full hom-dimension table of a collection over a shift window.
 
     `collection` is a list of (label, MatrixFactorization) pairs, or bare
-    factorizations (labels are then positional).
+    factorizations (labels are then positional).  When every object carries
+    coordinates of one sum (generator_collection records them), hom_dim runs
+    for one pair (i, j) per orbit under the permutations of identical atoms
+    and the rest of the orbit is filled from it, at the caller's positions;
+    otherwise, as for matrix-mode and hand-built collections, it runs for
+    every pair.
     """
     items = []
     for n, entry in enumerate(collection):
@@ -825,11 +883,17 @@ def ext_table(collection, window, max_cells=None):
         if mf.ctx != items[0][1].ctx or mf.w != items[0][1].w:
             raise MFError("collection objects disagree on potential or grading")
 
+    orbit = _orbit_key([mf for _, mf in items])
+    shifts = range(lo, hi + 1)
+    done = {}
     dims = {}
     for i, (_, a) in enumerate(items):
         for j, (_, b) in enumerate(items):
-            for k in range(lo, hi + 1):
-                d = hom_dim(a, b, k, max_cells=max_cells)
+            key = orbit(i, j)
+            row = done.get(key)
+            if row is None:
+                row = done[key] = [hom_dim(a, b, k, max_cells=max_cells) for k in shifts]
+            for k, d in zip(shifts, row):
                 if d:
                     dims[(i, j, k)] = d
     return ExtTable(tuple(labels), (lo, hi), dims)
@@ -891,19 +955,92 @@ def atom_collection(atom):
 
 
 def generator_collection(p):
-    """Generator collection of a recognized polynomial; tensor for sums."""
+    """Generator collection of a recognized polynomial; tensor for sums.
+
+    Object t of the product, in order, is the tensor of object t[r] of the
+    collection of atom r; its `coords` are ("collection", atom names, t).
+    """
     if not p.atoms:
         raise MFError("the zero polynomial has no generator collection")
-    cols = atom_collection(p.atoms[0])
+    cols = [((n,), label, mf) for n, (label, mf) in enumerate(atom_collection(p.atoms[0]))]
     for atom in p.atoms[1:]:
         nxt = atom_collection(atom)
-        maps = sum_grading_maps(cols[0][1].ctx, nxt[0][1].ctx)
+        maps = sum_grading_maps(cols[0][2].ctx, nxt[0][1].ctx)
         cols = [
-            (f"{l1}|{l2}", tensor_mf(k1, k2, maps))
-            for l1, k1 in cols
-            for l2, k2 in nxt
+            (t + (n,), f"{l1}|{l2}", tensor_mf(k1, k2, maps))
+            for t, l1, k1 in cols
+            for n, (l2, k2) in enumerate(nxt)
         ]
-    return cols
+    kinds = tuple(atom.name for atom in p.atoms)
+    for t, _, mf in cols:
+        mf.coords = ("collection", kinds, t)
+    return [(label, mf) for _, label, mf in cols]
+
+
+def quotient_graded_collection(matrix, group):
+    """Generator collection of a two-variable model in a quotient grading,
+    and the quiver it predicts.
+
+    The intrinsic route refuses the orientation W = x^(n-1) + x*y^2; this
+    route grades it by the characters of an explicit symmetry group (a
+    symmetry.DiagonalGroup) instead.  The D_n quiver is predicted only for
+    the group generated by J (symmetry.j_element); for any other group no
+    A side is known, and MFError is raised.  For even n, with m = (n-2)/2,
+    the cofactor splits over the Gaussian integers as
+    x^(n-2) + y^2 = (x^m + i*y)(x^m - i*y), and the collection is made of
+    rank-one objects only, in vertex order: R/(x^m+i*y), R/(x^m-i*y), then
+    for s = 0..m-1 the pair R/(x)(-1-s) and R/(x^(n-2)+y^2)(-n/2-s).  Its
+    hom dimensions are over Q(i).  For odd n the cofactor is irreducible
+    even over C; no collection is known to be sound there, so the route
+    keeps the two rank-one cuts plus translated residue-field objects over
+    Q, an honest mismatch.  The objects carry no coordinates.
+    """
+    n = len(matrix)
+    p = build(matrix)
+    if len(p.atoms) != 1 or p.atoms[0].kind != "D" or n != 2:
+        raise MFError(
+            "matrix-mode verification supports a single two-variable model "
+            "of the form x^(n-1) + x*y^2"
+        )
+    j = j_element(matrix)[2]
+    if group != DiagonalGroup.generated(n, [j]):
+        raise MFError(
+            f"no A side is known for the group {format_group(group)}: matrix-mode "
+            f"verification predicts a D quiver only for the group generated by J = {format_element(j)}"
+        )
+    rank = p.atoms[0].param
+    ctx = m_grading(matrix, group)
+    w = p.poly
+    x = Poly.variable(2, 0)
+    cof = Poly.monomial(2, (rank - 2, 0)) + Poly.monomial(2, (0, 2))
+
+    def label(f):
+        return f"R/({f.format().replace(' ', '')})"
+
+    def twist(t):
+        return ctx.element(t, (0,) * len(ctx.torsion))
+
+    xm = Poly.variable(2, 0, (rank - 2) // 2)
+    y = Poly.variable(2, 1)
+    if rank % 2 == 0 and poly_class(ctx, xm) == poly_class(ctx, y):
+        iy = I * y
+        col = [
+            (label(f), mf_from_pair(ctx, w, f, x * g))
+            for f, g in ((xm + iy, xm - iy), (xm - iy, xm + iy))
+        ]
+        for s in range((rank - 2) // 2):
+            a, b = -1 - s, -(rank // 2) - s
+            col.append((f"{label(x)}({a})", mf_from_pair(ctx, w, x, cof, twist(a))))
+            col.append((f"{label(cof)}({b})", mf_from_pair(ctx, w, cof, x, twist(b))))
+    else:
+        stab = translate_mf(koszul_mf(p, ctx=ctx))
+        col = [
+            (label(x), mf_from_pair(ctx, w, x, cof)),
+            (label(cof), mf_from_pair(ctx, w, cof, x)),
+        ]
+        for t in range(rank - 2):
+            col.append((f"R/m({-t})", shift_mf(stab, twist(-t))))
+    return col, dynkin_quiver(f"D{rank}")
 
 
 def generator_E(p):
@@ -911,23 +1048,29 @@ def generator_E(p):
 
     For sums the factor stabilizations are tensored once and the shifts
     run over the product of the factor transversals (embedded in the sum
-    grading), which is a transversal of the sum's degree classes.
+    grading), which is a transversal of the sum's degree classes.  Object t,
+    in order, is shifted by the sum of the embedded representatives
+    lbar_representatives(atom r)[t[r]]; its `coords` are ("E", atom names,
+    t).
     """
     if not p.atoms:
         raise MFError("the zero polynomial has no generator")
     stab = _atom_stab(p.atoms[0])
-    shifts = list(lbar_representatives(stab.ctx))
+    shifts = [((n,), s) for n, s in enumerate(lbar_representatives(stab.ctx))]
     for atom in p.atoms[1:]:
         nxt = _atom_stab(atom)
         maps = sum_grading_maps(stab.ctx, nxt.ctx)
         _, emb1, emb2 = maps
-        shifts = [
-            emb1(a) + emb2(b)
-            for a in shifts
-            for b in lbar_representatives(nxt.ctx)
-        ]
+        reps = list(enumerate(lbar_representatives(nxt.ctx)))
+        shifts = [(t + (n,), emb1(a) + emb2(b)) for t, a in shifts for n, b in reps]
         stab = tensor_mf(stab, nxt, maps)
-    return [shift_mf(stab, s) for s in shifts]
+    kinds = tuple(atom.name for atom in p.atoms)
+    gens = []
+    for t, s in shifts:
+        g = shift_mf(stab, s)
+        g.coords = ("E", kinds, t)
+        gens.append(g)
+    return gens
 
 
 def one_period_end_total(gens, periods=4, max_cells=None):
@@ -944,6 +1087,16 @@ def one_period_end_total(gens, periods=4, max_cells=None):
     on both sides must come out zero (raising otherwise), and everything
     below the scanned range vanishes because the hom cells are empty
     there.
+
+    The folded count of a difference d is that of any pair (a, b) of
+    generators with d = s_b - s_a, where s is the twist.  When every
+    generator carries coordinates of one sum (generator_E records them),
+    differences whose pairs lie in one orbit under the permutations of
+    identical atoms are folded once: each d is keyed on the least orbit key
+    (see _orbit_key) of its pairs, so on generator_E's whole list every
+    orbit of differences is folded once, and on a part of it pairs are only
+    matched with pairs that are in the list.  Without coordinates every
+    pair is its own orbit, so every distinct d is folded.
     """
     if not gens:
         return 0
@@ -954,11 +1107,16 @@ def one_period_end_total(gens, periods=4, max_cells=None):
         if not shift_mf(base, d).same_data(g):
             raise MFError("generators are not twists of a single object")
         deltas.append(d)
+    orbit = _orbit_key(gens)
     diffs = {}
-    for a in deltas:
-        for b in deltas:
+    least = {}  # d -> least orbit key of its pairs
+    for i, a in enumerate(deltas):
+        for j, b in enumerate(deltas):
             d = b - a
             diffs[d] = diffs.get(d, 0) + 1
+            key = orbit(i, j)
+            if d not in least or key < least[d]:
+                least[d] = key
     lo, hi = -2 * periods, 2 * periods + 1
 
     def folded(delta):
@@ -971,8 +1129,14 @@ def one_period_end_total(gens, periods=4, max_cells=None):
             )
         return sum(per_k)
 
-    items = sorted(diffs.items(), key=lambda kv: kv[0].key())
-    return sum(folded(d) * mult for d, mult in items)
+    done = {}
+    total = 0
+    for d, mult in sorted(diffs.items(), key=lambda kv: kv[0].key()):
+        key = least[d]
+        if key not in done:
+            done[key] = folded(d)
+        total += done[key] * mult
+    return total
 
 
 # ------------------------------------------------------------- serialization

@@ -1,14 +1,19 @@
 """Slow independent reference for hom-space dimensions.
 
 Builds the degree-zero pieces of the 2-periodic hom complex as dense
-sympy matrices and takes ranks over the rationals.  Deliberately naive:
-exponent boxes come from itertools, entries are multiplied as sympy
-expressions, nothing is cached.  Used to cross-check the fast kernel.
+sympy matrices and takes ranks over the rationals, or over Q(i) when an
+entry is a Gaussian integer (sympy's own domain matrices over QQ_I, with no
+realification).  Deliberately naive: exponent boxes come from itertools,
+entries are multiplied as sympy expressions, nothing is cached.  Used to
+cross-check the fast kernel.
 """
 
 import itertools
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
+
+from hmskit.exactmat import GaussInt
 
 
 def _exponents(ctx, delta):
@@ -31,7 +36,10 @@ def _exponents(ctx, delta):
 def _sym_poly(p, syms):
     expr = sympy.Integer(0)
     for exps, coeff in p.terms.items():
-        term = sympy.Rational(coeff)
+        if isinstance(coeff, GaussInt):
+            term = sympy.Integer(coeff.re) + sympy.I * coeff.im
+        else:
+            term = sympy.Rational(coeff)
         for s, e in zip(syms, exps):
             term *= s**e
         expr += term
@@ -119,15 +127,21 @@ def _boundary(k, h, q, parity, syms):
     return mat, len(src)
 
 
+def _rank(mat):
+    if not mat.rows or not mat.cols:
+        return 0
+    return DomainMatrix.from_Matrix(mat).to_field().rank()
+
+
 def oracle_hom_dim(k, h, shift):
     syms = sympy.symbols(f"x0:{k.w.nvars}")
     q, p = divmod(shift, 2)
     if p == 0:
         dim = len(_basis(k.ctx, _slots(k, h, q, "even")))
-        out_rank = _boundary(k, h, q, "even", syms)[0].rank()
-        in_rank = _boundary(k, h, q - 1, "odd", syms)[0].rank()
+        out_rank = _rank(_boundary(k, h, q, "even", syms)[0])
+        in_rank = _rank(_boundary(k, h, q - 1, "odd", syms)[0])
     else:
         dim = len(_basis(k.ctx, _slots(k, h, q, "odd")))
-        out_rank = _boundary(k, h, q, "odd", syms)[0].rank()
-        in_rank = _boundary(k, h, q, "even", syms)[0].rank()
+        out_rank = _rank(_boundary(k, h, q, "odd", syms)[0])
+        in_rank = _rank(_boundary(k, h, q, "even", syms)[0])
     return dim - out_rank - in_rank

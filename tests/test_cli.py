@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from hmskit import cache as cache_module
 from hmskit.cache import TableCache, canonical_json, request_key, resolve_cache_dir
 from hmskit.hmscli import CLIError, _build_model, _parse_matrix, main
+from hmskit.matfac import ext_table, ext_table_to_json, generator_collection, shift_mf
+from hmskit.polyforms import parse_model
 from hmskit.symmetry import SymmetryError, parse_group_string
 
 
@@ -186,6 +188,22 @@ def test_verify_match_and_cache_determinism(tmp_path, capsys):
     assert "limitations" in r and "idempotent completion" in r["limitations"]
 
 
+def test_verify_report_of_a_repeated_atom_is_the_pairwise_table(tmp_path, capsys):
+    # the orbit-filled b side of a sum with a repeated atom, as printed,
+    # equals the table of every pair computed through hom_dim; the
+    # generators report carries no coordinates
+    code, out, _ = run_cli(capsys, "verify", "A2+A2+A2", "--cache-dir", str(tmp_path), "--quiet")
+    assert code == 0
+    col = generator_collection(parse_model("A2+A2+A2"))
+    bare = [(label, shift_mf(mf, 0)) for label, mf in col]
+    assert all(mf.coords is None for _, mf in bare)
+    assert json.loads(out)["bside"] == ext_table_to_json(ext_table(bare, 4))
+    code, out, _ = run_cli(capsys, "generators", "A2+A2")
+    assert code == 0
+    objects = json.loads(out)["objects"]
+    assert len(objects) == 4 and all(set(o) == {"label", "w", "p0", "p1", "d0", "d1"} for o in objects)
+
+
 def test_verify_respects_cache_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HMSKIT_CACHE_DIR", str(tmp_path / "envcache"))
     code, _, err = run_cli(capsys, "verify", "A1")
@@ -288,9 +306,9 @@ def test_verify_quotient_graded_matrix_mode(tmp_path, capsys):
     assert r["bside"]["objects"] == [
         "R/(x)", "R/(x^3+y^2)", "R/m(0)", "R/m(-1)", "R/m(-2)"
     ]
-    # a larger group gives x and y different degrees, so x + i*y is not
-    # homogeneous: the rational collection again, and an honest mismatch
-    code, out, _ = run_cli(
+    # no document predicts a quiver for a group other than the one J
+    # generates: the route refuses it instead of comparing against D4
+    code, out, err = run_cli(
         capsys,
         "verify",
         "--matrix", "[[3,0],[1,2]]",
@@ -298,11 +316,10 @@ def test_verify_quotient_graded_matrix_mode(tmp_path, capsys):
         "--cache-dir", str(tmp_path),
         "--quiet",
     )
-    assert code == 1
-    r = json.loads(out)
-    assert r["verdict"] == "mismatch"
-    assert r["input"]["field"] == "Q"
-    assert r["bside"]["objects"] == ["R/(x)", "R/(x^2+y^2)", "R/m(0)", "R/m(-1)"]
+    assert code == 3
+    assert out == ""
+    assert "no A side is known for the group" in err
+    assert "generated by J = 1/3,1/3" in err
 
 
 def test_verify_cache_key_names_the_field(tmp_path, capsys):

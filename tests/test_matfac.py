@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import random
 import time
 from array import array
 from fractions import Fraction
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmskit import _speedups_py, hmscli, matfac
+from hmskit import _speedups_py, matfac
 from hmskit.exactmat import I, Poly, parse_poly_string
-from hmskit.grading import GradingContext, lbar_representatives, m_grading
+from hmskit.grading import GradingContext, lbar_representatives, m_grading, sum_grading_maps
 from hmskit.polyforms import parse_model
 from hmskit.quivercat import dynkin_quiver, simple_hom_dims, tensor_model
 from hmskit.symmetry import parse_group_string
@@ -32,6 +33,7 @@ from hmskit.matfac import (
     mf_to_json,
     monomials_of_degree,
     one_period_end_total,
+    quotient_graded_collection,
     residue_mf_D,
     shift_mf,
     tensor_mf,
@@ -458,7 +460,7 @@ def test_assembled_boundaries_compose_to_zero():
     for name in ("D4t", "A2+A2"):
         objs = [m for _, m in generator_collection(_model(name))]
         pairs += [(a, b) for a in objs for b in objs]
-    col, _, _ = hmscli._quotient_graded_collection([[3, 0], [1, 2]], "1/3,1/3")
+    col, _ = quotient_graded_collection([[3, 0], [1, 2]], parse_group_string("1/3,1/3", 2))
     x, y = col[0][1], col[1][1]
     assert x.field == y.field == "Q(i)"
     pairs += [(x, y), (y, x)]
@@ -485,7 +487,8 @@ REDUCTION_COLLECTIONS = ("D4t", "A2+A2", "A2+D4t", "[[5,0],[1,2]] 1/5,2/5")
 def _objects(name):
     if name.startswith("["):
         matrix, group = name.split()
-        col, _, _ = hmscli._quotient_graded_collection(hmscli._parse_matrix(matrix), group)
+        matrix = json.loads(matrix)
+        col, _ = quotient_graded_collection(matrix, parse_group_string(group, len(matrix)))
     else:
         col = generator_collection(_model(name))
     return [m for _, m in col]
@@ -515,7 +518,10 @@ def test_boundary_out_vanishes_on_boundary_in(name):
 def test_reduced_boundary_ranks_equal_full_ranks(name, monkeypatch):
     calls = _counting_rank(monkeypatch)
     objs = _objects(name)
-    ext_table(objs, 2)
+    # every pair, as ext_table walks them when it has no orbits to fill from
+    for k, h in itertools.product(objs, repeat=2):
+        for shift in range(-2, 3):
+            hom_dim(k, h, shift)
     full_rows = {}
     for k, h in itertools.product(objs, repeat=2):
         cell = matfac._cell_base(k, h)
@@ -743,13 +749,108 @@ def test_sum_collections_match_the_tensor_table():
                     assert tab.dim(i, j, k) == model.dim(i, j, k)
 
 
-def test_ext_table_is_thread_deterministic():
+def test_ext_table_repeats_on_a_warm_memo():
     # a second table over the same objects, built with a warm memo, repeats the first
     _, col, _ = _rank_one_objects("D4t")
     one = ext_table(col, 3)
     again = ext_table(col, 3)
     assert one.objects == again.objects
     assert one.dims == again.dims
+
+
+# every sum with a repeated atom among the acceptance and bench models, and
+# two with a D factor; the large ones on a smaller window
+ORBIT_MODELS = [("A2+A2", 4), ("A3+A3", 4), ("A2+A2+A2", 4), ("D4t+D4t", 2), ("A2+D4t+A2", 2)]
+
+
+def _counting_homs(monkeypatch):
+    calls = []
+    hom = matfac.hom_dim
+
+    def counted(k, h, shift, max_cells=None):
+        calls.append(shift)
+        return hom(k, h, shift, max_cells=max_cells)
+
+    monkeypatch.setattr(matfac, "hom_dim", counted)
+    return calls
+
+
+def _label_orbits(labels, kinds):
+    """Number of orbits of ordered pairs of tensor labels 'l1|l2|...' under
+    the permutations of factors of equal kind, read off the labels: per
+    kind, the multiset of the factors' label pairs."""
+    blocks = [[q for q, k in enumerate(kinds) if k == kind] for kind in set(kinds)]
+    keys = set()
+    for a in labels:
+        for b in labels:
+            cols = list(zip(a.split("|"), b.split("|")))
+            keys.add(tuple(tuple(sorted(cols[q] for q in at)) for at in blocks))
+    return len(keys)
+
+
+@pytest.mark.parametrize("name, window", ORBIT_MODELS)
+def test_orbit_filled_table_equals_the_direct_table(name, window, monkeypatch):
+    p = _model(name)
+    col = generator_collection(p)
+    order = list(range(len(col)))
+    random.Random(name).shuffle(order)
+    shuffled = [col[n] for n in order]
+    calls = _counting_homs(monkeypatch)
+    tab = ext_table(shuffled, window)
+    assert tab.objects == tuple(label for label, _ in shuffled)
+    # hom_dim runs once per orbit of pairs and shift
+    orbits = _label_orbits(tab.objects, [a.name for a in p.atoms])
+    assert orbits < len(col) ** 2
+    assert len(calls) == orbits * (2 * window + 1)
+    monkeypatch.undo()
+    # the direct table, on a fresh build, so that no memo entry is shared
+    fresh = [m for _, m in generator_collection(_model(name))]
+    direct = {}
+    for i, a in enumerate(order):
+        for j, b in enumerate(order):
+            for k in range(-window, window + 1):
+                d = hom_dim(fresh[a], fresh[b], k)
+                if d:
+                    direct[(i, j, k)] = d
+    assert tab.dims == direct
+    # a part of the collection, in the caller's order, fills from itself
+    part = len(col) // 2
+    assert ext_table(shuffled[:part], window).dims == {
+        (i, j, k): d for (i, j, k), d in direct.items() if i < part and j < part
+    }
+
+
+@given(st.data())
+@settings(max_examples=10, deadline=None)
+def test_orbit_filled_table_of_a_random_sum_equals_the_direct_table(data):
+    # a random sum with a repeated atom, and a random part of its collection
+    # in a random order
+    atom = data.draw(st.sampled_from(("A1", "A2", "A3")))
+    other = data.draw(st.sampled_from(("A1", "A2", "D4t")))
+    name = "+".join(data.draw(st.permutations((atom, atom, other))))
+    col = generator_collection(_model(name))
+    order = data.draw(st.lists(st.sampled_from(range(len(col))), min_size=1, max_size=6, unique=True))
+    tab = ext_table([col[n] for n in order], 1)
+    fresh = [m for _, m in generator_collection(_model(name))]
+    direct = {}
+    for i, a in enumerate(order):
+        for j, b in enumerate(order):
+            for k in range(-1, 2):
+                d = hom_dim(fresh[a], fresh[b], k)
+                if d:
+                    direct[(i, j, k)] = d
+    assert tab.dims == direct
+
+
+def test_objects_without_coordinates_are_tabled_pair_by_pair(monkeypatch):
+    col = generator_collection(_model("A2+A2"))
+    assert {mf.coords for _, mf in col} == {("collection", ("A2", "A2"), t) for t in itertools.product(range(2), repeat=2)}
+    # a derived object carries no coordinates, and the whole table is direct
+    bare = [shift_mf(mf, 0) for _, mf in col]
+    assert all(m.coords is None and m.same_data(mf) for m, (_, mf) in zip(bare, col))
+    calls = _counting_homs(monkeypatch)
+    assert ext_table(bare, 1).dims == ext_table(col, 1).dims
+    assert len(calls) == 16 * 3 + 10 * 3
 
 
 def test_ext_table_rejects_mixed_potentials():
@@ -819,6 +920,43 @@ def test_one_period_totals_multiply_over_sums():
     assert one_period_end_total(generator_E(_model("A2+A2"))) == 36
 
 
+def _direct_period_total(gens, periods):
+    """Sum of hom_dim over every ordered pair of generators and every shift
+    of the folding window."""
+    shifts = range(-2 * periods, 2 * periods + 2)
+    return sum(hom_dim(a, b, k) for a in gens for b in gens for k in shifts)
+
+
+@pytest.mark.parametrize("name, size", [("A2+A2", None), ("A2+A2", 4), ("A2+A2+A2", None), ("A2+A2+A2", 10)])
+def test_orbit_folded_period_total_equals_the_direct_total(name, size, monkeypatch):
+    # the whole list shuffled, and a prefix of it
+    gens = generator_E(_model(name))
+    random.Random(name).shuffle(gens)
+    gens = gens[:size]
+    calls = _counting_homs(monkeypatch)
+    total = one_period_end_total(gens, periods=3)
+    monkeypatch.undo()
+    fresh = {g.coords: g for g in generator_E(_model(name))}
+    assert total == _direct_period_total([fresh[g.coords] for g in gens], 3)
+    if name == "A2+A2+A2" and size is None:
+        # 81 differences in 30 orbits under the permutations of the atoms
+        assert total == 216
+        assert len(calls) == 30 * 14
+
+
+def test_orbit_folded_period_total_of_swapped_residue_objects(monkeypatch):
+    # D4t+D4t takes seconds a difference on the whole list, so only the
+    # objects with indices (0, 1) and (1, 0): the differences d and -d of
+    # the swapped pair share an orbit, 0 is its own
+    gens = [g for g in generator_E(_model("D4t+D4t")) if g.coords[2] in ((0, 1), (1, 0))]
+    calls = _counting_homs(monkeypatch)
+    total = one_period_end_total(gens, periods=3)
+    monkeypatch.undo()
+    assert len(calls) == 2 * 14
+    fresh = [g for g in generator_E(_model("D4t+D4t")) if g.coords[2] in ((0, 1), (1, 0))]
+    assert total == _direct_period_total(fresh, 3)
+
+
 def test_one_period_total_needs_a_twist_orbit():
     _, col, _ = _rank_one_objects("D4t")
     with pytest.raises(MFError, match="not twists of a single object"):
@@ -863,3 +1001,63 @@ def test_every_koszul_splitting_factorizes(data):
     k = koszul_mf(p, gamma_choice=choice)
     k.validate()
     assert k.rank0 == k.rank1 == 2 ** (len(k.koszul_data.eta) - 1)
+
+
+# ---------------------------------------------------------------- the oracle
+
+# one- and two-variable atoms whose objects keep hom cells to a few dozen
+# monomials; a tensor draws both factors from these
+_ORACLE_ATOMS = ("A1", "A2", "A3", "A4", "D4t", "D5t")
+_ORACLE_PAIRS = (("A1", "A2"), ("A2", "A2"), ("A1", "D4t"), ("A2", "A3"))
+
+
+def _random_atom_object(data, name):
+    """x^n = x^i * x^(n-i), a D_n^t rank-one cut or residue object, or a
+    Koszul stabilization with a random gamma choice."""
+    p = _model(name)
+    kind = data.draw(st.sampled_from(("pair", "koszul") if name[0] == "A" else ("cut", "residue", "koszul")))
+    if kind == "pair":
+        n = p.atoms[0].param + 1
+        i = data.draw(st.integers(1, n - 1))
+        return mf_from_pair(p.ctx, p.poly, Poly.monomial(1, (i,)), Poly.monomial(1, (n - i,)))
+    if kind == "cut":
+        y = Poly.variable(2, 1)
+        cofactor = Poly.monomial(2, (p.atoms[0].param - 1, 0)) + y
+        a, b = data.draw(st.permutations((y, cofactor)))
+        return mf_from_pair(p.ctx, p.poly, a, b)
+    if kind == "residue":
+        return residue_mf_D(p.atoms[0].param, ctx=p.ctx)
+    choice = {exps: data.draw(st.sampled_from([i for i, e in enumerate(exps) if e])) for exps, _ in p.poly.sorted_terms()}
+    return koszul_mf(p, gamma_choice=choice)
+
+
+def _twisted(data, k):
+    """k twisted by a random element and translated a random number of times."""
+    ctx = k.ctx
+    c = ctx.deg_c.free[0]
+    t = ctx.element(data.draw(st.integers(0, 2 * c)), tuple(data.draw(st.integers(0, m - 1)) for m in ctx.torsion))
+    k = shift_mf(k, t)
+    for _ in range(data.draw(st.integers(0, 1))):
+        k = translate_mf(k)
+    return k
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_hom_dims_match_the_oracle_on_random_objects(data):
+    source = data.draw(st.sampled_from(("atom", "tensor", "tensor", "gaussian")))
+    if source == "atom":
+        name = data.draw(st.sampled_from(_ORACLE_ATOMS))
+        objs = [_random_atom_object(data, name) for _ in range(2)]
+    elif source == "tensor":
+        first, second = data.draw(st.sampled_from(_ORACLE_PAIRS))
+        maps = sum_grading_maps(_model(first).ctx, _model(second).ctx)
+        objs = [
+            tensor_mf(_random_atom_object(data, first), _random_atom_object(data, second), maps) for _ in range(2)
+        ]
+    else:
+        col, _ = quotient_graded_collection([[3, 0], [1, 2]], parse_group_string("1/3,1/3", 2))
+        objs = [col[0][1], col[data.draw(st.integers(0, 3))][1]]
+    k, h = (_twisted(data, m) for m in objs)
+    for shift in range(-1, 3):
+        assert hom_dim(k, h, shift) == oracle_hom_dim(k, h, shift)
