@@ -1,8 +1,10 @@
 """Exact integer and rational linear algebra plus sparse multivariate polynomials.
 
-Scalars are python ints, fractions.Fraction and GaussInt (a Gaussian integer
-a + b*i held as a pair of ints, for the factorizations that need a square
-root of -1).  Ranks over Q and Q(i) come from the integer kernel through
+Polynomial coefficients lie in Z[i]: python ints, and GaussInt (a Gaussian
+integer a + b*i held as a pair of ints, for the factorizations that need a
+square root of -1).  The dense routines for symmetry groups and Coxeter
+matrices (mat_inverse_rat, rat_kernel, charpoly) work over Q, on exact
+fractions.  Ranks over Q(i) come from the integer kernel through
 integer_columns.  Nothing in this module (or in anything built on top of it)
 touches floating point or complex.
 """
@@ -10,9 +12,6 @@ touches floating point or complex.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-
-Rat = Fraction
 
 
 # ------------------------------------------------------------------ matrices
@@ -83,7 +82,7 @@ def det_int(a):
 def mat_inverse_rat(a):
     """Exact inverse of a square matrix with int/Fraction entries."""
     n = len(a)
-    aug = [[Rat(x) for x in row] + [Rat(int(i == j)) for j in range(n)]
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(a)]
     for col in range(n):
         piv = None
@@ -213,7 +212,7 @@ def rat_kernel(m):
     Returns a list of vectors (lists of Fraction) spanning {v : m v = 0}.
     """
     rows, cols = mat_shape(m)
-    red = [[Rat(x) for x in row] for row in m]
+    red = [[Fraction(x) for x in row] for row in m]
     pivots = []  # (row, col)
     r = 0
     for c in range(cols):
@@ -240,8 +239,8 @@ def rat_kernel(m):
     for free in range(cols):
         if free in pivot_cols:
             continue
-        vec = [Rat(0)] * cols
-        vec[free] = Rat(1)
+        vec = [Fraction(0)] * cols
+        vec[free] = Fraction(1)
         for prow, pcol in pivots:
             vec[pcol] = -red[prow][free]
         basis.append(vec)
@@ -273,8 +272,8 @@ def charpoly(m):
     [1, c1, ..., cn] for t^n + c1 t^(n-1) + ... + cn.
     """
     n = len(m)
-    coeffs = [Rat(1)]
-    mk = [[Rat(x) for x in row] for row in m]
+    coeffs = [Fraction(1)]
+    mk = [[Fraction(x) for x in row] for row in m]
     work = [row[:] for row in mk]
     for k in range(1, n + 1):
         trace = sum(work[i][i] for i in range(n))
@@ -292,20 +291,18 @@ def charpoly(m):
 
 
 def _integral(v):
-    """v as a python int; v must be an int or a Fraction with denominator 1."""
+    """v as a python int; anything but an int raises TypeError."""
     if isinstance(v, int):
         return int(v)
-    if isinstance(v, Rat) and v.denominator == 1:
-        return v.numerator
     raise TypeError(f"not a Gaussian integer: {v!r}")
 
 
 class GaussInt:
     """Exact Gaussian integer re + im*i, stored as a pair of python ints.
 
-    Mixes with ints and integral Fractions; a non-integral Fraction raises
-    TypeError rather than leaving Z[i].  Compares equal to the rational
-    re when im is 0.  Instances are treated as immutable.
+    Mixes with ints; any other number type raises TypeError rather than
+    leaving Z[i].  Compares equal to the int re when im is 0.  Instances
+    are treated as immutable.
     """
 
     __slots__ = ("re", "im")
@@ -319,7 +316,7 @@ class GaussInt:
         """v as a GaussInt, or None for a type that is not a number here."""
         if isinstance(v, GaussInt):
             return v
-        if isinstance(v, (int, Rat)):
+        if isinstance(v, int):
             return GaussInt(v)
         return None
 
@@ -359,7 +356,7 @@ class GaussInt:
     def __eq__(self, other):
         if isinstance(other, GaussInt):
             return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Rat)):
+        if isinstance(other, int):
             return self.im == 0 and self.re == other
         return NotImplemented
 
@@ -384,43 +381,28 @@ I = GaussInt(0, 1)
 
 
 def _canonical(c):
-    """Canonical coefficient: an int when c is integral, a GaussInt when its
-    imaginary part is nonzero, else a Fraction."""
+    """Canonical coefficient: an int, or a GaussInt whose imaginary part is
+    nonzero; anything but an int or a GaussInt raises TypeError."""
     if type(c) is int:
         return c
     if isinstance(c, GaussInt):
         return c.re if c.im == 0 else c
-    c = Rat(c)
-    return c.numerator if c.denominator == 1 else c
+    return _integral(c)
 
 
-def integer_columns(cols, gauss=False):
-    """Integer columns with the rank of a sparse linear map over Q or Q(i).
+def integer_columns(cols):
+    """Integer columns with twice the rank of a sparse Q(i)-linear map.
 
-    `cols` holds sparse columns {row: value} with int, Fraction or GaussInt
-    values.  A column with a Fraction is scaled by the lcm of its
-    denominators, which keeps the rank; an all-int column is passed on as
-    it is.  With `gauss` the map is Q(i)-linear and is written over Q in the
-    basis {e, i*e}: row r of a column a + i*b becomes rows 2r (a) and
-    2r + 1 (b), and each column v gives the two columns v and
-    i*v = -b + i*a, so the integer rank of the result is exactly twice the
-    Q(i)-rank of `cols`.  Positions are kept: output column s is input
-    column s, or 2s and 2s + 1 with `gauss`, and an empty column stays
-    empty.
+    `cols` holds sparse columns {row: value} with int or GaussInt values.
+    The map is written over Q in the basis {e, i*e}: row r of a column
+    a + i*b becomes rows 2r (a) and 2r + 1 (b), and each column v gives the
+    two columns v and i*v = -b + i*a, so the integer rank of the result is
+    exactly twice the Q(i)-rank of `cols`.  Positions are kept: input column
+    s becomes output columns 2s and 2s + 1, and an empty column gives two
+    empty ones.
     """
     out = []
     for col in cols:
-        # Poly coefficients are exactly int, Fraction or GaussInt
-        denoms = [v.denominator for v in col.values() if type(v) is Fraction]
-        if denoms:
-            d = lcm(*denoms)
-            col = {
-                r: v * d if isinstance(v, GaussInt) else int(v * d)
-                for r, v in col.items()
-            }
-        if not gauss:
-            out.append(col)
-            continue
         re_col = {}
         im_col = {}
         for r, v in col.items():
@@ -442,13 +424,13 @@ def integer_columns(cols, gauss=False):
 class Poly:
     """Sparse multivariate polynomial with exact coefficients.
 
-    Coefficients are canonical: a plain int when integral, a Fraction when
-    rational but not integral, and a GaussInt when the imaginary part is
-    nonzero.  So a polynomial has the same terms however it was computed,
-    and integral polynomials, which are all the package builds over Q, do
-    their arithmetic on machine-size ints.  Terms are stored in a dict keyed
-    by exponent tuples; zero coefficients are never kept.  Instances are
-    treated as immutable.
+    Coefficients lie in Z[i] and are canonical: a plain int, or a GaussInt
+    when the imaginary part is nonzero; any other coefficient raises
+    TypeError.  So a polynomial has the same terms however it was computed,
+    and the polynomials over Q, which are all integral, do their arithmetic
+    on machine-size ints.  Terms are stored in a dict keyed by exponent
+    tuples; zero coefficients are never kept.  Instances are treated as
+    immutable.
     """
 
     __slots__ = ("nvars", "terms")
@@ -537,7 +519,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Rat, GaussInt)):
+        if isinstance(other, (int, GaussInt)):
             return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
@@ -550,7 +532,7 @@ class Poly:
         return Poly(self.nvars, terms)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Rat, GaussInt)):
+        if isinstance(other, (int, GaussInt)):
             return self * other
         return NotImplemented
 
@@ -645,7 +627,7 @@ def parse_poly_string(text, nvars, names=None):
     for sep, part in _split_top(text, "+-"):
         if not part:
             continue
-        coeff = Rat(-1 if sep == "-" else 1)
+        coeff = -1 if sep == "-" else 1
         exps = [0] * nvars
         for _, factor in _split_top(part, "*"):
             name, _, power = factor.partition("^")
@@ -657,9 +639,11 @@ def parse_poly_string(text, nvars, names=None):
                 inner = parse_poly_string(factor[1:-1], nvars, names)
                 if any(any(e) for e in inner.terms):
                     raise ValueError(f"not a constant coefficient: {factor}")
-                coeff = coeff * inner.terms.get((0,) * nvars, Rat(0))
+                coeff = coeff * inner.terms.get((0,) * nvars, 0)
+            elif "/" in factor:
+                raise TypeError(f"not a Gaussian integer: {factor}")
             else:
-                coeff *= Rat(factor)
+                coeff *= int(factor)
         key = tuple(exps)
-        terms[key] = terms.get(key, Rat(0)) + coeff
+        terms[key] = terms.get(key, 0) + coeff
     return Poly(nvars, terms)

@@ -9,10 +9,10 @@ degree-zero pieces of the 2-periodic hom complexes.  Dimensions are over Q,
 or over Q(i) when either object has a Gaussian-integer entry: the boundary
 map is then written over Q in the basis {e, i*e} and its rank halved.
 
-Polynomial coefficients follow the Poly rule (an int when integral, a
-Fraction otherwise, a GaussInt when non-real), so the boundary matrices of
-the integral factorizations built here are assembled on plain ints.  Twisting
-is an autoequivalence, so a hom cell depends only on the two objects'
+Polynomial coefficients lie in Z[i] (an int, or a GaussInt when non-real;
+see Poly), so the boundary matrices of the factorizations over Q are
+assembled on plain ints and go to the rank kernel as they are.  Twisting is
+an autoequivalence, so a hom cell depends only on the two objects'
 differentials, their slot labels relative to their first label and the
 relative shift; each grading context instance keeps one memo keyed on that
 (see _HomMemo), which twisted copies of an object share.
@@ -761,8 +761,10 @@ def _boundary_rank(k, h, q, parity, cell, max_cells=None):
         # it is not assembled when all of those are dropped
         skip = {c >> 1 for c in drop if c ^ 1 in drop} if gauss else drop
         cols, _, _ = _boundary_columns(k, h, q, parity, skip)
+        if gauss:
+            cols = _int_columns(cols)
         piv = []
-        rank = int_rank([c for s, c in enumerate(_int_columns(cols, gauss)) if s not in drop], piv)
+        rank = int_rank([c for s, c in enumerate(cols) if s not in drop], piv)
         if target not in memo.ranks:
             # an array, not a set (8 bytes a row instead of about 60): the
             # last boundary of each walk up the shifts leaves its rows unread
@@ -902,12 +904,8 @@ def ext_table(collection, window, max_cells=None):
 # ------------------------------------------------------ generator collections
 
 
-def _atom_model(atom):
-    return build(atom.template())
-
-
 def _atom_stab(atom, model=None):
-    model = model or _atom_model(atom)
+    model = model or build(atom.template())
     if atom.kind == "A":
         x = Poly.variable(1, 0)
         return mf_from_pair(
@@ -923,7 +921,7 @@ def _atom_stab(atom, model=None):
 
 def atom_collection(atom):
     """Labeled generator collection of one atom, in vertex order."""
-    model = _atom_model(atom)
+    model = build(atom.template())
     ctx = model.ctx
     if atom.kind == "A":
         base = _atom_stab(atom, model)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exactmat import charpoly, det_int, identity_matrix, mat_inverse_rat, mat_mul, mat_transpose
 
@@ -50,7 +49,6 @@ def dynkin_quiver(qtype):
         if not m:
             raise QuiverError(f"cannot parse quiver type: {qtype!r}")
         kind, rank = m.group(1), int(m.group(2))
-        rank = int(rank)
     if kind == "A":
         if rank < 1:
             raise QuiverError("type A needs rank at least 1")
@@ -195,7 +193,6 @@ def coxeter_polynomial(e):
     coeffs = charpoly(cox)
     out = []
     for c in coeffs:
-        c = Fraction(c)
         if c.denominator != 1:
             raise QuiverError("Coxeter polynomial is not integral; E is not unimodular")
         out.append(int(c))

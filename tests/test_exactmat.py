@@ -382,12 +382,16 @@ def test_poly_mismatched_vars_rejected():
 
 
 def poly_strategy(nvars=2):
+    coeff = st.one_of(
+        st.integers(-5, 5),
+        st.builds(GaussInt, st.integers(-3, 3), st.integers(-3, 3)),
+    )
     term = st.tuples(
         st.tuples(*[st.integers(0, 4) for _ in range(nvars)]),
-        st.integers(-5, 5),
+        coeff,
     )
     return st.lists(term, max_size=5).map(
-        lambda ts: Poly(nvars, {e: Fraction(c) for e, c in ts if c})
+        lambda ts: Poly(nvars, {e: c for e, c in ts if c})
     )
 
 
@@ -417,7 +421,7 @@ def test_poly_format_and_parse():
     assert w.format() == "x^3 + x*y^2"
     assert parse_poly_string("x^3 + x*y^2", 2) == w
     assert parse_poly_string("0", 2) == Poly.zero(2)
-    neg = Poly(2, {(1, 0): -2, (0, 0): Fraction(1, 2)})
+    neg = Poly(2, {(1, 0): -2, (0, 0): 3})
     assert parse_poly_string(neg.format(), 2) == neg
 
 
@@ -428,15 +432,23 @@ def test_poly_format_roundtrip(p):
 
 
 def test_poly_coefficients_are_canonical():
-    p = Poly(1, {(1,): Fraction(4, 2)})
+    # coefficients lie in Z[i]: a Fraction is refused, even an integral one
+    with pytest.raises(TypeError):
+        Poly(1, {(1,): Fraction(4, 2)})
+    with pytest.raises(TypeError):
+        Poly(1, {(1,): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        parse_poly_string("1/2*x", 1)
+    p = Poly(1, {(1,): GaussInt(2, 0)})
     q = Poly(1, {(1,): 2})
     assert type(p.terms[(1,)]) is int
     assert p == q and hash(p) == hash(q)
     x = Poly.variable(2, 0)
-    half = x * Fraction(1, 2)
-    assert type(half.terms[(1, 0)]) is Fraction
-    assert type((half + half).terms[(1, 0)]) is int
-    assert (half + half) == x and hash(half + half) == hash(x)
+    with pytest.raises(TypeError):
+        x * Fraction(1, 2)
+    unit = x * I * -I
+    assert type(unit.terms[(1, 0)]) is int
+    assert unit == x and hash(unit) == hash(x)
     iy = I * Poly.variable(2, 1)
     assert type((iy * iy).terms[(0, 2)]) is int
     assert type(iy.terms[(0, 1)]) is GaussInt
@@ -463,7 +475,7 @@ def test_gaussian_poly_format_and_parse():
 
 
 def _realified_rank(cols):
-    return _speedups_py.int_rank(integer_columns(cols, gauss=True))
+    return _speedups_py.int_rank(integer_columns(cols))
 
 
 def test_gaussian_rank_by_realification():
@@ -471,19 +483,18 @@ def test_gaussian_rank_by_realification():
     cols = [{0: 1, 1: I}, {0: I, 1: -1}]
     assert _realified_rank(cols) == 2  # Q(i)-rank 1
     assert _realified_rank([{0: 1, 1: I}, {0: 1, 1: -I}]) == 4
-    # a rational matrix keeps its rank, doubled; denominators are cleared
-    assert _realified_rank([{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 2}]) == 2
+    # an integer matrix keeps its rank, doubled
+    assert _realified_rank([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 2
 
 
 def test_integer_columns_keep_positions():
-    # output column s is input column s (2s and 2s + 1 over Q(i)), so the
-    # indices of a realified map line up with its source coordinates
-    cols = [{0: 1}, {}, {1: Fraction(1, 2)}, {0: I}]
-    assert integer_columns(cols) == [{0: 1}, {}, {1: 1}, {0: I}]
-    assert integer_columns(cols, gauss=True) == [
+    # input column s is output columns 2s and 2s + 1, so the indices of a
+    # realified map line up with its source coordinates
+    cols = [{0: 1}, {}, {1: 1}, {0: I}]
+    assert integer_columns(cols) == [
         {0: 1}, {1: 1}, {}, {}, {2: 1}, {3: 1}, {1: 1}, {0: -1},
     ]
-    assert integer_columns([{}, {}]) == [{}, {}]
+    assert integer_columns([{}, {}]) == [{}, {}, {}, {}]
 
 
 gauss_entry = st.tuples(st.integers(-3, 3), st.integers(-3, 3))

@@ -6,7 +6,6 @@ import json
 import random
 import time
 from array import array
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -400,21 +399,20 @@ def test_hom_memo_is_per_context_instance(monkeypatch):
     assert not [n for n, v in vars(matfac).items() if isinstance(v, (dict, list, set)) and v and n[:2] != "__"]
 
 
-def test_fractional_differentials_keep_hom_dims():
+def test_unit_rescaled_differentials_keep_hom_dims():
+    # d0 * i and d1 * -i still factor W, and (1, i) on (P0, P1) is an
+    # isomorphism over Q(i) to the unscaled object
     p, col, _ = _rank_one_objects("D4t")
     stab = col[2][1]
-    half = Fraction(1, 2)
     scaled = MatrixFactorization(
         stab.ctx,
         stab.w,
         stab.p0,
         stab.p1,
-        [[e * half for e in row] for row in stab.d0],
-        [[e * 2 for e in row] for row in stab.d1],
+        [[e * I for e in row] for row in stab.d0],
+        [[e * -I for e in row] for row in stab.d1],
     )
-    assert any(
-        type(c) is Fraction for row in scaled.d0 for e in row for c in e.terms.values()
-    )
+    assert scaled.field == "Q(i)"
     for _, other in col:
         for k in range(-3, 4):
             assert hom_dim(scaled, other, k) == hom_dim(stab, other, k)
@@ -533,7 +531,7 @@ def test_reduced_boundary_ranks_equal_full_ranks(name, monkeypatch):
                 key = matfac._cell_key(cell, *b)
                 assert key in memo.ranks
                 cols, _, ndst = matfac._boundary_columns(k, h, *b)
-                rows = matfac._int_columns(cols, gauss)
+                rows = matfac._int_columns(cols) if gauss else cols
                 full = _speedups_py.int_rank(rows) // (2 if gauss else 1)
                 assert matfac._boundary_rank(k, h, *b, cell) == full
                 if cols and ndst:
@@ -591,12 +589,12 @@ def test_gaussian_source_column_is_skipped_only_when_both_halves_drop(monkeypatc
                 if key in memo.ranks:
                     continue
                 pivots = []
-                _speedups_py.int_rank(matfac._int_columns(assemble(k, h, *into)[0], True), pivots)
+                _speedups_py.int_rank(matfac._int_columns(assemble(k, h, *into)[0]), pivots)
                 drop = sorted(c for c in pivots if c % 2 == 0 or c % 4 == 1)
                 if not drop:
                     continue
                 cols = assemble(k, h, *out)[0]
-                full = _speedups_py.int_rank(matfac._int_columns(cols, True)) // 2
+                full = _speedups_py.int_rank(matfac._int_columns(cols)) // 2
                 memo.pivots[key] = array("l", drop)
                 assert matfac._boundary_rank(k, h, *out, cell) == full
                 assert skips.pop() == {s for s in range(len(cols)) if 2 * s in drop and 2 * s + 1 in drop}
