@@ -135,6 +135,7 @@ class GradingContext:
                 self._free_rows[i] = [-a for a in self._free_rows[i]]
         self.deg_c = self.class_of(deg_c_vector)
         self.deg_x = tuple(self.class_of(v) for v in deg_x_vectors)
+        self._degree_keys = {}
 
     def class_of(self, vec):
         if len(vec) != self.ngens:
@@ -147,6 +148,14 @@ class GradingContext:
 
     def zero(self):
         return LElement((0,) * self.free_rank, (0,) * len(self.torsion), self.torsion)
+
+    def degree_key(self, exps):
+        """Degree of the monomial with exponents `exps` as a plain
+        (free, tors) tuple, computed once per instance."""
+        key = self._degree_keys.get(exps)
+        if key is None:
+            key = self._degree_keys[exps] = sum((e * d for d, e in zip(self.deg_x, exps) if e), self.zero()).key()
+        return key
 
     def element(self, free, tors=()):
         if isinstance(free, int):
@@ -197,10 +206,7 @@ def grading_group(a):
     c_vector[n] = 1
     ctx = GradingContext(free_rows, tors_rows, moduli, deg_x_vectors, c_vector)
     for row in a:
-        acc = ctx.zero()
-        for j, e in enumerate(row):
-            acc = acc + e * ctx.deg_x[j]
-        if acc != ctx.deg_c:
+        if ctx.degree_key(tuple(row)) != ctx.deg_c.key():
             raise GradingError("monomial degrees do not agree")
     return ctx
 

@@ -6,6 +6,7 @@ same input always produces byte-identical report text.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -397,6 +398,7 @@ def _add_common(sp):
     sp.set_defaults(parser=sp)
 
 
+@functools.cache  # parsing writes only to the namespace, so one parser serves every call
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="hmskit",

@@ -48,6 +48,18 @@ generator_E and generator_collection record those indices on each object
 (`coords`), and ext_table and one_period_end_total compute one pair per
 orbit (see _orbit_key); objects without coordinates are computed pair by
 pair.
+
+The audit in MatrixFactorization.validate (d1*d0 = d0*d1 = W*Id, every entry
+homogeneous of the degree its slots force) works on term dicts: each product
+entry is accumulated as {exps: coeff} and compared with the terms of W or
+with {}, and the degree of an exponent tuple is computed once per context
+instance as a plain (free, tors) tuple (GradingContext.degree_key, read by
+_class_key, which poly_class also uses).  It reads the slot labels only
+through their differences (an entry must have degree row label - column
+label, plus c in d1), so a common twist of all labels cannot change its
+outcome: the constructor runs it once per form (W, d0, d1 and the labels
+minus the first one) per context instance, and the twists of that form skip
+it.
 """
 
 from __future__ import annotations
@@ -55,7 +67,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import compress
-from operator import mul
+from operator import add, mul
 
 from ._speedups_py import int_rank
 from .exactmat import I, Poly
@@ -88,35 +100,20 @@ def _as_element(ctx, a):
     raise MFError(f"cannot interpret shift {a!r}")
 
 
-def poly_class(ctx, p):
-    """L-degree of a homogeneous polynomial; None for the zero polynomial."""
+def _class_key(ctx, p):
+    """poly_class as a plain (free, tors) tuple (see GradingContext.degree_key)."""
     if len(ctx.deg_x) != p.nvars:
         raise MFError("polynomial has the wrong number of variables")
-    deg = None
-    for exps in p.terms:
-        d = ctx.zero()
-        for i, e in enumerate(exps):
-            if e:
-                d = d + e * ctx.deg_x[i]
-        if deg is None:
-            deg = d
-        elif deg != d:
-            raise MFError(f"polynomial is not homogeneous: {p.format()}")
-    return deg
+    keys = set(map(ctx.degree_key, p.terms))
+    if len(keys) > 1:
+        raise MFError(f"polynomial is not homogeneous: {p.format()}")
+    return keys.pop() if keys else None
 
 
-def _pmatmul(a, b, ra, ca, cb, nvars):
-    out = [[Poly.zero(nvars) for _ in range(cb)] for _ in range(ra)]
-    for i in range(ra):
-        for k in range(ca):
-            p = a[i][k]
-            if p.is_zero():
-                continue
-            for j in range(cb):
-                q = b[k][j]
-                if not q.is_zero():
-                    out[i][j] = out[i][j] + p * q
-    return out
+def poly_class(ctx, p):
+    """L-degree of a homogeneous polynomial; None for the zero polynomial."""
+    key = _class_key(ctx, p)
+    return None if key is None else LElement(*key, ctx.torsion)
 
 
 @dataclass
@@ -151,7 +148,18 @@ class MatrixFactorization:
         self._form = None
         self._field = None
         if check:
-            self.validate()
+            # a common twist of all slot labels changes nothing validate
+            # reads, so a form is validated once per context instance
+            seen = ctx.__dict__.setdefault("_valid_forms", set())
+            try:
+                key = (w,) + _content(self)[0]
+                fresh = key not in seen
+            except (TypeError, ValueError, AttributeError):  # malformed: validate says how
+                key, fresh = None, True
+            if fresh:
+                self.validate()
+                if key is not None:
+                    seen.add(key)
 
     @property
     def rank0(self):
@@ -180,23 +188,34 @@ class MatrixFactorization:
             raise MFError("d0 has the wrong shape")
         if len(self.d1) != r0 or any(len(row) != r1 for row in self.d1):
             raise MFError("d1 has the wrong shape")
-        wc = poly_class(ctx, self.w)
-        if wc is not None and wc != ctx.deg_c:
+        wc = _class_key(ctx, self.w)
+        if wc is not None and wc != ctx.deg_c.key():
             raise MFError("potential is not homogeneous of degree c")
-        for name, a, b, ra, rb in (("d1*d0", self.d1, self.d0, r0, r1), ("d0*d1", self.d0, self.d1, r1, r0)):
-            prod = _pmatmul(a, b, ra, rb, ra, nv)
-            for i in range(ra):
-                for j in range(ra):
-                    want = self.w if i == j else Poly.zero(nv)
-                    if prod[i][j] != want:
+        for name, d in (("d0", self.d0), ("d1", self.d1)):
+            for i, row in enumerate(d):
+                for j, e in enumerate(row):
+                    if not isinstance(e, Poly) or e.nvars != nv:
+                        raise MFError(f"{name}[{i}][{j}] = {e!r} is not a polynomial in the grading's variables")
+        # the products, entry by entry on term dicts {exps: coeff}
+        for name, a, b in (("d1*d0", self.d1, self.d0), ("d0*d1", self.d0, self.d1)):
+            for j in range(len(a)):
+                col = [row[j] for row in b]
+                for i, row in enumerate(a):
+                    acc = {}
+                    for p, q in zip(row, col):
+                        for e1, c1 in p.terms.items():
+                            for e2, c2 in q.terms.items():
+                                e = tuple(map(add, e1, e2))
+                                acc[e] = acc.get(e, 0) + c1 * c2
+                    if {e: c for e, c in acc.items() if c} != (self.w.terms if i == j else {}):
                         raise MFError(f"{name} is not W times the identity")
         # d0[i][j] has degree p1[i] - p0[j], d1[i][j] degree p0[i] + c - p1[j]
         checks = (("d0", self.d0, self.p1, self.p0, ctx.zero()), ("d1", self.d1, self.p0, self.p1, ctx.deg_c))
         for name, d, rows, cols, lift in checks:
             for i, row in enumerate(rows):
                 for j, col in enumerate(cols):
-                    cls = poly_class(ctx, d[i][j])
-                    if cls is not None and cls != row + lift - col:
+                    cls = _class_key(ctx, d[i][j])
+                    if cls is not None and cls != (row + lift - col).key():
                         raise MFError(
                             f"{name}[{i}][{j}] = {d[i][j].format()} is not "
                             "homogeneous of the degree forced by its slots"
@@ -586,19 +605,22 @@ def _hom_precheck(k, h):
         raise MFError("unsupported grading: variable degrees must be positive")
 
 
+def _content(m):
+    """((d0, d1, p0 - base, p1 - base), base), base the first slot label of m."""
+    labels = m.p0 + m.p1
+    base = labels[0] if labels else m.ctx.zero()
+    return (m.d0, m.d1, tuple(l - base for l in m.p0), tuple(l - base for l in m.p1)), base
+
+
 def _form(m, memo):
     """(form id of m in memo, code of the first slot label of m)."""
     hit = m._form
     if hit is None or hit[0] is not memo:
-        labels = m.p0 + m.p1
-        base = labels[0] if labels else m.ctx.zero()
-        p0 = tuple(l - base for l in m.p0)
-        p1 = tuple(l - base for l in m.p1)
-        content = (m.d0, m.d1, p0, p1)
+        content, base = _content(m)
         fid = memo.forms.get(content)
         if fid is None:
             fid = memo.forms[content] = len(memo.labels)
-            memo.labels.append((tuple(map(memo.code, p0)), tuple(map(memo.code, p1))))
+            memo.labels.append((tuple(map(memo.code, content[2])), tuple(map(memo.code, content[3]))))
         hit = m._form = (memo, fid, memo.code(base))
     return hit[1], hit[2]
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmskit import cache as cache_module
+from hmskit import hmscli
 from hmskit.cache import TableCache, canonical_json, request_key, resolve_cache_dir
 from hmskit.hmscli import CLIError, _build_model, _parse_matrix, main
 from hmskit.matfac import ext_table, ext_table_to_json, generator_collection, shift_mf
@@ -258,6 +259,35 @@ def test_verify_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unrecognized arguments: --threads 4" in err
     assert "usage: hmskit verify" in err  # the subcommand's usage, not the top-level one
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main builds its parser once per process; a usage error on it leaves
+    # nothing behind for the next call
+    def calls(cache_dir):
+        return [
+            ["grade", "D4t"],
+            ["verify", "A2", "--bogus", "--cache-dir", cache_dir],
+            ["verify", "A2", "--cache-dir", cache_dir, "--quiet"],
+        ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    shared = [run(argv) for argv in calls(str(tmp_path / "shared"))]
+    assert hmscli._build_parser() is hmscli._build_parser()
+    fresh = []
+    for argv in calls(str(tmp_path / "fresh")):
+        hmscli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in shared] == [0, 2, 0]
+    assert "unrecognized arguments: --bogus" in shared[1][2]
+    assert shared == fresh
 
 
 def test_verify_quotient_graded_matrix_mode(tmp_path, capsys):

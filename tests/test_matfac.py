@@ -41,6 +41,7 @@ from hmskit.matfac import (
 )
 
 from oracle_homs import oracle_hom_dim
+from reference_audit import reference_validate
 
 
 def _model(name):
@@ -98,6 +99,72 @@ def test_gaussian_factorization_validates():
     with pytest.raises(MFError, match="W times the identity"):
         MatrixFactorization(ctx, w, k.p0, k.p1, [[a]], [[x * (x + I * y)]])
     assert generator_collection(_model("D4t"))[0][1].field == "Q"
+
+
+def _broken(case):
+    """Arguments of a factorization of x^2 (A1) that breaks one condition
+    of validate, and the MFError message that condition raises; case None
+    breaks none."""
+    ctx = _model("A1").ctx
+    x, x2 = Poly.variable(1, 0), Poly.monomial(1, (2,))
+    l = [_twist(ctx, t) for t in range(3)]
+    args = {"w": x2, "p0": [l[0]], "p1": [l[1]], "d0": [[x]], "d1": [[x]]}
+    change, message = {
+        None: ({}, None),
+        "potential variables": ({"w": Poly.monomial(2, (2, 0))}, "potential has the wrong number of variables"),
+        "d0 shape": ({"d0": [[x, x]]}, "d0 has the wrong shape"),
+        "d1 shape": ({"d1": [[x], [x]]}, "d1 has the wrong shape"),
+        "potential homogeneity": ({"w": x2 + x}, r"polynomial is not homogeneous: x\^2 \+ x"),
+        "potential degree": ({"w": x2 * x}, "potential is not homogeneous of degree c"),
+        "entry variables": ({"d1": [[Poly.variable(2, 0)]]}, r"d1\[0\]\[0\] = Poly\(x\) is not a polynomial"),
+        "entry type": ({"d0": [[5]]}, r"d0\[0\]\[0\] = 5 is not a polynomial"),
+        "d1*d0": ({"d1": [[x * 2]]}, r"d1\*d0 is not W times the identity"),
+        # d1*d0 = W holds, but d0*d1 has rank one
+        "d0*d1": ({"p1": [l[1], l[1]], "d0": [[x], [x * 0]], "d1": [[x, x * 0]]}, r"d0\*d1 is not W times the identity"),
+        "entry degree": ({"p1": [l[2]]}, r"d0\[0\]\[0\] = x is not homogeneous of the degree forced by its slots"),
+        # diag(x, x) conjugated by the non-homogeneous [[1, 1 + x], [0, 1]]
+        "entry homogeneity": (
+            {"p0": [l[0]] * 2, "p1": [l[1]] * 2, "d0": [[x, x + x2], [x * 0, x]], "d1": [[x, -x - x2], [x * 0, x]]},
+            r"polynomial is not homogeneous: x\^2 \+ x",
+        ),
+    }[case]
+    args.update(change)
+    return (ctx, args["w"], args["p0"], args["p1"], args["d0"], args["d1"]), message
+
+
+_BROKEN_CASES = (
+    "potential variables", "d0 shape", "d1 shape", "potential homogeneity", "potential degree", "entry variables",
+    "entry type", "d1*d0", "d0*d1", "entry degree", "entry homogeneity",
+)
+
+
+@pytest.mark.parametrize("case", _BROKEN_CASES)
+def test_validate_rejects_each_broken_condition(case):
+    args, message = _broken(case)
+    with pytest.raises(MFError, match=message):
+        MatrixFactorization(*args)
+    with pytest.raises(MFError, match=message):
+        MatrixFactorization(*args, check=False).validate()
+    if case not in ("entry variables", "entry type"):
+        # the Poly reference rejects it the same way; on those two it raised
+        # ValueError and AttributeError
+        with pytest.raises(MFError, match=message):
+            reference_validate(MatrixFactorization(*args, check=False))
+
+
+def test_unbroken_factorization_of_the_rejection_cases_validates():
+    args, _ = _broken(None)
+    assert MatrixFactorization(*args).validate()
+
+
+def test_labels_of_another_grading_still_reach_validate():
+    # the relative labels of the once-per-form key cannot be formed here, so
+    # validate runs and reports the first broken condition as before
+    (ctx, w, _, p1, _, d1), _ = _broken(None)
+    foreign = [_twist(_model("A2+A2").ctx, 0)]
+    x = Poly.variable(1, 0)
+    with pytest.raises(MFError, match="d0 has the wrong shape"):
+        MatrixFactorization(ctx, w, foreign, p1, [[x, x]], d1)
 
 
 def test_residue_field_family():
@@ -1040,9 +1107,9 @@ def _twisted(data, k):
     return k
 
 
-@given(st.data())
-@settings(max_examples=25, deadline=None)
-def test_hom_dims_match_the_oracle_on_random_objects(data):
+def _random_objects(data):
+    """Two objects of one context: atom objects, tensors of atom objects, or
+    rank-one objects over Q(i)."""
     source = data.draw(st.sampled_from(("atom", "tensor", "tensor", "gaussian")))
     if source == "atom":
         name = data.draw(st.sampled_from(_ORACLE_ATOMS))
@@ -1056,6 +1123,86 @@ def test_hom_dims_match_the_oracle_on_random_objects(data):
     else:
         col, _ = quotient_graded_collection([[3, 0], [1, 2]], parse_group_string("1/3,1/3", 2))
         objs = [col[0][1], col[data.draw(st.integers(0, 3))][1]]
-    k, h = (_twisted(data, m) for m in objs)
+    return objs
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_hom_dims_match_the_oracle_on_random_objects(data):
+    k, h = (_twisted(data, m) for m in _random_objects(data))
     for shift in range(-1, 3):
         assert hom_dim(k, h, shift) == oracle_hom_dim(k, h, shift)
+
+
+# ------------------------------------------------------------------ the audit
+
+
+def _audit(check):
+    """None, or the message of the MFError that check() raises."""
+    try:
+        check()
+    except MFError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed(data, m):
+    """m with one coefficient, one exponent or one slot label changed, unchecked."""
+    labels = [list(m.p0), list(m.p1)]
+    d = [[list(row) for row in m.d0], [list(row) for row in m.d1]]
+    what = data.draw(st.sampled_from(("coefficient", "exponent", "label")))
+    if what == "label":
+        part = labels[data.draw(st.sampled_from([n for n in (0, 1) if labels[n]]))]
+        i = data.draw(st.integers(0, len(part) - 1))
+        part[i] = part[i] + _twist(m.ctx, data.draw(st.sampled_from((-1, 1))))
+    else:
+        spots = [(s, i, j) for s in (0, 1) for i, row in enumerate(d[s]) for j, e in enumerate(row) if e]
+        s, i, j = data.draw(st.sampled_from(spots))
+        terms = dict(d[s][i][j].terms)
+        exps = data.draw(st.sampled_from(sorted(terms)))
+        if what == "coefficient":
+            terms[exps] = terms[exps] + data.draw(st.sampled_from((-2, -1, 1, 2)))
+        else:
+            v = data.draw(st.integers(0, len(exps) - 1))
+            step = data.draw(st.sampled_from((-1, 1) if exps[v] else (1,)))
+            moved = exps[:v] + (exps[v] + step,) + exps[v + 1 :]
+            terms[moved] = terms.get(moved, 0) + terms.pop(exps)
+        d[s][i][j] = Poly(len(m.ctx.deg_x), terms)
+    return MatrixFactorization(m.ctx, m.w, *labels, *d, check=False)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_audit_agrees_with_the_poly_reference(data):
+    for m in _random_objects(data):
+        for obj in (m, _twisted(data, m), _perturbed(data, m)):
+            want = _audit(lambda: reference_validate(obj))
+            assert _audit(obj.validate) == want
+            # the constructor, in a context that has validated m's form
+            assert _audit(lambda: MatrixFactorization(obj.ctx, obj.w, obj.p0, obj.p1, obj.d0, obj.d1)) == want
+
+
+def test_each_form_is_validated_once_per_context(monkeypatch):
+    calls = []
+    validate = MatrixFactorization.validate
+    monkeypatch.setattr(MatrixFactorization, "validate", lambda self: calls.append(self) or validate(self))
+    k = residue_mf_D(4)
+    ctx = k.ctx
+    assert len(calls) == 1
+    t = _twist(ctx, 5)
+    MatrixFactorization(ctx, k.w, [l + t for l in k.p0], [l + t for l in k.p1], k.d0, k.d1)
+    assert len(calls) == 1  # a common twist of a validated form
+    # the key holds W and every relative label: neither change is let through
+    with pytest.raises(MFError, match="W times the identity"):
+        MatrixFactorization(ctx, k.w * 2, k.p0, k.p1, k.d0, k.d1)
+    moved = [k.p1[0], k.p1[1] + _twist(ctx, 1)]
+    with pytest.raises(MFError, match="degree forced by its slots"):
+        MatrixFactorization(ctx, k.w, k.p0, moved, k.d0, k.d1)
+    assert len(calls) == 3
+    # a model built again starts with no validated forms
+    assert residue_mf_D(4).ctx is not ctx and len(calls) == 4
+    # the four tensors of A2+A2 are twists of one form: one audit, after
+    # one per atom
+    del calls[:]
+    generator_collection(_model("A2+A2"))
+    assert len(calls) == 3

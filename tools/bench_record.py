@@ -11,7 +11,8 @@ traced run's `host.ref_s`, to one JSON file:
 Every record uses seed 7 and BENCHMARK.json's `run_seconds`, so any two
 records compare.  Per-layer metrics more than 10% worse than in the
 latest BENCH_<m>.json of this checkout with m < n are listed under
-"flags" and printed.
+"flags" and printed; times are compared in units of each record's
+`host.ref_s`, so a drift in the host's speed raises no flag.
 """
 
 import argparse
@@ -47,18 +48,27 @@ def previous_record(n):
 
 
 def flags(current, previous):
-    """Per-layer metrics more than 10% worse than in the previous record."""
-    units = {m["name"]: m["better"] for m in json.loads((HERE / "BENCHMARK.json").read_text())["per_layer"]}
+    """Per-layer metrics more than 10% worse than in the previous record.
+
+    The host's speed drifts between records, so a time is compared in units
+    of its record's `host.ref_s` for the workload; counts and ratios are
+    compared as they are.
+    """
+    layers = json.loads((HERE / "BENCHMARK.json").read_text())["per_layer"]
     out = []
     for workload, cur in current["workloads"].items():
         old = previous["workloads"].get(workload)
         if old is None:
             continue
-        for name, better in units.items():
+        for m in layers:
+            name, better = m["name"], m["better"]
             a = old["trace1"]["metrics"].get(name, {}).get("value")
             b = cur["trace1"]["metrics"].get(name, {}).get("value")
             if not a or b is None:
                 continue
+            if m["unit"] == "s":
+                a, b = a / old["host.ref_s"], b / cur["host.ref_s"]
+                name += " / host.ref_s"
             change = (b - a) / abs(a) if better == "lower" else (a - b) / abs(a)
             if change > 0.10:
                 out.append(f"{workload} {name}: {a:.4g} -> {b:.4g}")
