@@ -18,10 +18,12 @@ relative shift; each grading context instance keeps one memo keyed on that
 (see _HomMemo), which twisted copies of an object share.
 
 The hom layer works on int codes of degrees and does its work once per
-context or per pair of forms, not once per matrix entry: slot degrees per
-pair of forms, slot offsets per cell and multiplication maps per degree and
-exponent, so that one differential term fills a whole block of a boundary
-matrix (see _HomMemo).
+context, pair of forms or cell, not once per matrix entry (see _HomMemo):
+slot degrees and a plan per pair of forms and parity, slot degree codes and
+offsets per cell, multiplication maps per degree and exponent.  A plan lists
+per source slot the (target slot, exponent, signed coefficient) of each term
+of the differential, so that assembly only walks it and each step fills a
+block of columns.
 
 A boundary is ranked only on the coordinates that the boundary into its cell
 leaves free.  The differential d(f) = d_H f - (-1)^|f| f d_K squares to
@@ -32,8 +34,7 @@ the image plus the span of the coordinates outside P, and the boundary out
 of X has the same rank on those coordinates alone.  The result is exact
 either way; hom_dim ranks the boundary into a cell first.  The columns of
 the boundary out on P are not assembled at all (_boundary_columns leaves
-them empty, keeping every column's position): on the benchmark's period
-total they held 108,516 of 252,882 nonzeros.  Over Q(i) source column s is
+them empty, keeping every column's position).  Over Q(i) source column s is
 realified as the columns 2s and 2s + 1, and it is left empty only when both
 are in P.
 
@@ -50,23 +51,18 @@ orbit (see _orbit_key); objects without coordinates are computed pair by
 pair.
 
 The audit in MatrixFactorization.validate (d1*d0 = d0*d1 = W*Id, every entry
-homogeneous of the degree its slots force) works on term dicts: each product
-entry is accumulated as {exps: coeff} and compared with the terms of W or
-with {}, and the degree of an exponent tuple is computed once per context
-instance as a plain (free, tors) tuple (GradingContext.degree_key, read by
-_class_key, which poly_class also uses).  It reads the slot labels only
-through their differences (an entry must have degree row label - column
-label, plus c in d1), so a common twist of all labels cannot change its
-outcome: the constructor runs it once per form (W, d0, d1 and the labels
-minus the first one) per context instance, and the twists of that form skip
-it.
+homogeneous of the degree its slots force) sums product entries as term dicts
+{exps: coeff} and compares (free, tors) degree keys cached per context
+(GradingContext.degree_key).  It reads slot labels only through their
+differences, so the constructor runs it once per form (W, d0, d1 and the
+labels minus the first) per context instance.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from operator import add, mul
 
 from ._speedups_py import int_rank
@@ -474,31 +470,29 @@ class _HomMemo:
     but not additive once there is torsion, so `add` and `scale` work digit
     by digit.
 
-    `forms` interns, per object m, the content (d0, d1, slot labels minus
-    m's first label) as a small int id, and `labels[id]` holds the codes of
-    those relative labels.  `slots` maps (form(k), form(h), parity) to the
-    id of the relative degrees of the slots of that cell of Hom(k, h): in
-    its block (a, b) = Hom(K_b, H_a), an H_a label minus a K_b label, plus c
-    in the block (0, 1) (see _BLOCKS).  `rels[id]` is that tuple and
-    `rel_ids` interns it, since many pairs of forms share it.  A
-    cell is keyed on (form(k), form(h), shift, parity), where shift is the
-    code of h's first label - k's first label + q*c; its slot degrees are
-    shift + rel.  `cells` maps (rel id, shift) to the offsets of the slots in
-    the monomial basis (the last offset is the dimension), and `ranks` maps
-    a cell key to the rank of its boundary map: equal keys give literally
-    the same matrix.  `pivots` maps a cell key to the pivot rows found when
-    the boundary into that cell was ranked, until the boundary out of it is
-    ranked on the other rows (see the module docstring).  `maps[(delta, e)]`
-    holds, for each monomial m of degree delta, the position of m*x^e among
-    the monomials of degree delta + deg(x^e).  Everything but the keys of
-    `forms` is ints (and the parity tags), so the memo holds no reference
-    cycle.  Ids are only comparable within one memo, so both objects of a
-    pair are interned in the memo of k's context.
+    `forms` interns an object's (d0, d1, slot labels minus its first label)
+    as a small int id; `labels[id]` holds the codes of those labels.  A cell
+    of Hom(k, h) has the key (form(k), form(h), shift, parity), shift the
+    code of h's first label - k's first label + q*c, cached in `shifts` per
+    (that base, q).  Per (form(k), form(h), parity), `slots` holds the id of
+    the cell's relative slot degrees (see _slot_degrees), a tuple in `rels`
+    interned by `rel_ids`, and `plans` the plan of its boundary (see _plan).
+    `cells[(rel id, shift)]` holds the slot degree codes shift + rel and the
+    slot offsets in the monomial basis (the last is the dimension).  `ranks`
+    maps a cell key to the rank of its boundary: equal keys give literally
+    the same matrix.  `pivots` maps a cell key to the pivot rows of the
+    boundary into that cell until the boundary out of it is ranked (see the
+    module docstring).  `maps[(delta, e)]` holds, for each monomial m of
+    degree delta, the position of m*x^e among the monomials of degree
+    delta + deg(x^e).  But for the keys of `forms`, the memo holds only
+    ints, exponent tuples, Z[i] coefficients and parity tags, so no
+    reference cycle.  Ids are only comparable within one memo, so both
+    objects of a pair are interned in the memo of k's context.
     """
 
     __slots__ = (
         "T", "radix", "weights", "tors_x", "c",
-        "forms", "labels", "rels", "rel_ids", "slots", "cells", "ranks", "pivots", "maps",
+        "forms", "labels", "rels", "rel_ids", "slots", "plans", "cells", "shifts", "ranks", "pivots", "maps",
     )
 
     def __init__(self, ctx):
@@ -516,7 +510,9 @@ class _HomMemo:
         self.rels = []
         self.rel_ids = {}
         self.slots = {}
+        self.plans = {}
         self.cells = {}
+        self.shifts = {}
         self.ranks = {}
         self.pivots = {}
         self.maps = {}
@@ -594,9 +590,9 @@ def monomials_of_degree(ctx, delta):
 
 
 def _hom_precheck(k, h):
-    if k.ctx != h.ctx:
+    if k.ctx is not h.ctx and k.ctx != h.ctx:
         raise MFError("matrix factorizations live over different gradings")
-    if k.w != h.w:
+    if k.w is not h.w and k.w != h.w:
         raise MFError("matrix factorizations are over different potentials")
     ctx = k.ctx
     if ctx.free_rank != 1:
@@ -626,9 +622,8 @@ def _form(m, memo):
 
 
 def _cell_base(k, h):
-    """The memo of k's context, the form ids of k and h and the code of h's
-    first label minus k's; the cell (q, parity) of Hom(k, h) has the key
-    (form(k), form(h), base + q*c, parity)."""
+    """(memo of k's context, form(k), form(h), code of h's first label -
+    k's first label); see _HomMemo for the cell keys."""
     memo = _hom_memo(k.ctx)
     fk, bk = _form(k, memo)
     fh, bh = _form(h, memo)
@@ -637,16 +632,10 @@ def _cell_base(k, h):
 
 def _cell_key(cell, q, parity):
     memo, fk, fh, base = cell
-    return fk, fh, memo.add(base, memo.scale(q, memo.c)), parity
-
-
-def _target_key(memo, key):
-    """Key of the cell the boundary of cell `key` maps into: even at twist q
-    goes to odd at q, odd at q to even at q + 1."""
-    fk, fh, shift, parity = key
-    if parity == "even":
-        return fk, fh, shift, "odd"
-    return fk, fh, memo.add(shift, memo.c), "even"
+    shift = memo.shifts.get((base, q))
+    if shift is None:
+        shift = memo.shifts[(base, q)] = memo.add(base, memo.scale(q, memo.c))
+    return fk, fh, shift, parity
 
 
 # The blocks of a cell of Hom(k, h), in slot order: block (a, b) is
@@ -663,42 +652,63 @@ def _slot_degrees(memo, fk, fh, parity):
         k, h = memo.labels[fk], memo.labels[fh]
         add = memo.add
         slots = _block_slots(_BLOCKS[parity == "odd"], tuple(map(len, h)), tuple(map(len, k)))
-        rel = tuple(
-            add(add(h[a][i], memo.c) if (a, b) == (0, 1) else h[a][i], k[b][j], -1) for a, b, i, j in slots
-        )
-        rid = memo.rel_ids.get(rel)
-        if rid is None:
-            rid = memo.rel_ids[rel] = len(memo.rels)
+        rel = tuple(add(add(h[a][i], memo.c) if (a, b) == (0, 1) else h[a][i], k[b][j], -1) for a, b, i, j in slots)
+        rid = memo.slots[(fk, fh, parity)] = memo.rel_ids.setdefault(rel, len(memo.rels))
+        if rid == len(memo.rels):
             memo.rels.append(rel)
-        memo.slots[(fk, fh, parity)] = rid
     return rid
 
 
 def _cell_offsets(ctx, memo, key):
-    """Id in memo.rels of the slot degrees of the cell `key`, and the offsets
-    of its slots in its monomial basis; the last offset is its dimension."""
+    """(codes, offsets) of the cell `key`: each slot's degree code, added and
+    counted once per distinct relative degree, and the slots' offsets in the
+    monomial basis (the last is the dimension)."""
     fk, fh, shift, parity = key
     rid = _slot_degrees(memo, fk, fh, parity)
-    off = memo.cells.get((rid, shift))
-    if off is None:
-        off = [0]
-        for rel in memo.rels[rid]:
-            off.append(off[-1] + len(monomials_of_degree(ctx, memo.add(shift, rel))))
-        off = memo.cells[(rid, shift)] = tuple(off)
-    return rid, off
+    hit = memo.cells.get((rid, shift))
+    if hit is None:
+        rels = memo.rels[rid]
+        code = {rel: memo.add(shift, rel) for rel in set(rels)}
+        size = {c: len(monomials_of_degree(ctx, c)) for c in code.values()}
+        codes = tuple(map(code.get, rels))
+        hit = memo.cells[(rid, shift)] = codes, (0, *accumulate(map(size.get, codes)))
+    return hit
 
 
 def _mult_map(ctx, memo, delta, e):
-    """Positions of m*x^e among the monomials of degree delta + deg(x^e),
-    for each monomial m of degree delta."""
-    pos = memo.maps.get((delta, e))
-    if pos is None:
-        dst = monomials_of_degree(ctx, memo.add(delta, memo.exps_code(e)))
-        index = {m: a for a, m in enumerate(dst)}
-        pos = memo.maps[(delta, e)] = tuple(
-            index[tuple(a + b for a, b in zip(m, e))] for m in monomials_of_degree(ctx, delta)
-        )
+    """Compute and keep memo.maps[(delta, e)] (see _HomMemo)."""
+    dst = monomials_of_degree(ctx, memo.add(delta, memo.exps_code(e)))
+    index = {m: a for a, m in enumerate(dst)}
+    pos = memo.maps[(delta, e)] = tuple(index[tuple(map(add, m, e))] for m in monomials_of_degree(ctx, delta))
     return pos
+
+
+def _plan(memo, k, h, key):
+    """Plan of the boundary out of the cell `key` of Hom(k, h): per source
+    slot, the (target slot, exps, coefficient) of each term of
+    d(f) = d_H f - (-1)^|f| f d_K; kept per (form(k), form(h), parity)."""
+    fk, fh, _, parity = key
+    plan = memo.plans.get((fk, fh, parity))
+    if plan is None:
+        odd = parity == "odd"
+        kr, hr = (k.rank0, k.rank1), (h.rank0, h.rank1)
+        kd, hd = (k.d0, k.d1), (h.d0, h.d1)
+        # the target cell's first block and its slot count
+        first = _BLOCKS[not odd][0]
+        first_len = hr[first[0]] * kr[first[1]]
+        sign = 1 if odd else -1
+        plan = []
+        for a, b, i, j in _block_slots(_BLOCKS[odd], hr, kr):
+            # d_H f fills the slots (i2, j) of block (1 - a, b), f d_K the
+            # slots (i, j2) of block (a, 1 - b); with b = 1 f d_K comes first
+            at = (0 if (1 - a, b) == first else first_len) + j
+            d_h = [(at + i2 * kr[b], hd[a][i2][i], 1) for i2 in range(hr[1 - a])]
+            at = (0 if (a, 1 - b) == first else first_len) + i * kr[1 - b]
+            f_d = [(at + j2, kd[1 - b][j][j2], sign) for j2 in range(kr[1 - b])]
+            terms = f_d + d_h if b else d_h + f_d
+            plan.append(tuple((t, e, sg * c) for t, poly, sg in terms for e, c in poly.terms.items()))
+        plan = memo.plans[(fk, fh, parity)] = tuple(plan)
+    return plan
 
 
 def _boundary_columns(k, h, q, parity, skip=()):
@@ -707,70 +717,52 @@ def _boundary_columns(k, h, q, parity, skip=()):
     parity 'even': cell at twist q maps to the odd cell at twist q.
     parity 'odd': cell at twist q maps to the even cell at twist q + 1.
     Column order is slot order, then monomial order within a slot; one
-    differential term of one source slot fills one block of columns.  The
-    columns whose positions are in `skip` are left empty.
+    step of the plan (see _plan) fills one block of columns.  The columns
+    whose positions are in `skip` are left empty.
     """
-    ctx = k.ctx
+    ctx, odd = k.ctx, parity == "odd"
     cell = _cell_base(k, h)
     memo, key = cell[0], _cell_key(cell, q, parity)
-    shift, odd = key[2], parity == "odd"
-    rid, src_off = _cell_offsets(ctx, memo, key)
-    _, dst_off = _cell_offsets(ctx, memo, _target_key(memo, key))
-    kr, hr = (k.rank0, k.rank1), (h.rank0, h.rank1)
-    kd, hd = (k.d0, k.d1), (h.d0, h.d1)
-    # the target cell's first block and its slot count
-    first = _BLOCKS[not odd][0]
-    first_len = hr[first[0]] * kr[first[1]]
-    # d(f) = d_H f - (-1)^|f| f d_K
-    sign = 1 if odd else -1
-    rels = memo.rels[rid]
+    codes, src_off = _cell_offsets(ctx, memo, key)
+    dst_off = _cell_offsets(ctx, memo, _cell_key(cell, q + odd, ("odd", "even")[odd]))[1]
     # keep[c] is 0 for a column that is left empty
     keep = bytearray(b"\x01") * src_off[-1]
     for c in skip:
         keep[c] = 0
     cols = []
-    for s, (a, b, i, j) in enumerate(_block_slots(_BLOCKS[odd], hr, kr)):
+    maps = memo.maps
+    for s, steps in enumerate(_plan(memo, k, h, key)):
         sel = keep[src_off[s] : src_off[s + 1]]
         block = [{} for _ in sel]
         cols.extend(block)
-        if 1 not in sel:
+        if not steps or 1 not in sel:
             continue
         live = list(compress(block, sel))
-        delta = memo.add(shift, rels[s])
-        # d_H f fills the slots (i2, j) of block (1 - a, b), f d_K the slots
-        # (i, j2) of block (a, 1 - b); with b = 1 the f d_K term comes first
-        at = (0 if (1 - a, b) == first else first_len) + j
-        d_h = [(at + i2 * kr[b], hd[a][i2][i], 1) for i2 in range(hr[1 - a])]
-        at = (0 if (a, 1 - b) == first else first_len) + i * kr[1 - b]
-        f_d = [(at + j2, kd[1 - b][j][j2], sign) for j2 in range(kr[1 - b])]
-        for t, poly, sg in f_d + d_h if b else d_h + f_d:
-            # the rows of one column never collide: distinct (slot, e)
+        delta = codes[s]
+        # the rows of one column never collide: distinct (slot, e)
+        for t, e, v in steps:
             base = dst_off[t]
-            for e, coeff in poly.terms.items():
-                v = sg * coeff
-                for col, p in zip(live, compress(_mult_map(ctx, memo, delta, e), sel)):
-                    col[base + p] = v
+            pos = maps.get((delta, e))
+            if pos is None:
+                pos = _mult_map(ctx, memo, delta, e)
+            for col, p in zip(live, compress(pos, sel)):
+                col[base + p] = v
     return cols, src_off[-1], dst_off[-1]
 
 
 def _cell_dim(ctx, memo, key, max_cells=None):
     dim = _cell_offsets(ctx, memo, key)[1][-1]
     if max_cells is not None and dim > max_cells:
-        raise ResourceLimitError(
-            f"hom cell has dimension {dim}, above the limit {max_cells}"
-        )
+        raise ResourceLimitError(f"hom cell has dimension {dim}, above the limit {max_cells}")
     return dim
 
 
-def _boundary_rank(k, h, q, parity, cell, max_cells=None):
-    """Rank of the boundary out of the cell (q, parity) of Hom(k, h); `cell`
-    is _cell_base(k, h)."""
-    memo = cell[0]
-    key = _cell_key(cell, q, parity)
+def _boundary_rank(k, h, q, parity, memo, key, target, max_cells=None):
+    """Rank of the boundary out of the cell (q, parity) of Hom(k, h), of key
+    `key`, into the cell of key `target`."""
     rank = memo.ranks.get(key)
     if rank is not None:
         return rank
-    target = _target_key(memo, key)
     src = _cell_dim(k.ctx, memo, key, max_cells)
     dst = _cell_dim(k.ctx, memo, target, max_cells)
     # the boundary out of this cell is ranked on the rows other than the
@@ -805,15 +797,18 @@ def hom_dim(k, h, shift, max_cells=None):
     """
     _hom_precheck(k, h)
     cell = _cell_base(k, h)
+    memo = cell[0]
     q, p = divmod(shift, 2)
     parity, before = ("even", "odd") if p == 0 else ("odd", "even")
-    # the cell, less the boundaries into it (from odd at q - 1, or from even
-    # at q) and out of it; the boundary in is ranked first, so that its pivot
-    # rows are known when the boundary out is ranked
+    # the cell, less the boundaries into it (from odd at q - 1, or even at
+    # q) and out of it (into odd at q, or even at q + 1); the boundary in is
+    # ranked first, so that the boundary out can use its pivot rows
+    key = _cell_key(cell, q, parity)
+    into, out = _cell_key(cell, q - 1 + p, before), _cell_key(cell, q + p, before)
     dim = (
-        _cell_dim(k.ctx, cell[0], _cell_key(cell, q, parity), max_cells)
-        - _boundary_rank(k, h, q - 1 + p, before, cell, max_cells)
-        - _boundary_rank(k, h, q, parity, cell, max_cells)
+        _cell_dim(k.ctx, memo, key, max_cells)
+        - _boundary_rank(k, h, q - 1 + p, before, memo, into, key, max_cells)
+        - _boundary_rank(k, h, q, parity, memo, key, out, max_cells)
     )
     if dim < 0:
         raise MFError("internal error: negative cohomology dimension")
@@ -1109,14 +1104,12 @@ def one_period_end_total(gens, periods=4, max_cells=None):
     there.
 
     The folded count of a difference d is that of any pair (a, b) of
-    generators with d = s_b - s_a, where s is the twist.  When every
-    generator carries coordinates of one sum (generator_E records them),
-    differences whose pairs lie in one orbit under the permutations of
-    identical atoms are folded once: each d is keyed on the least orbit key
-    (see _orbit_key) of its pairs, so on generator_E's whole list every
-    orbit of differences is folded once, and on a part of it pairs are only
-    matched with pairs that are in the list.  Without coordinates every
-    pair is its own orbit, so every distinct d is folded.
+    generators with d = s_b - s_a, s the twist.  Each d is keyed on the
+    least orbit key (see _orbit_key) of its pairs and each key is folded
+    once: with coordinates of one sum (generator_E records them) that is
+    once per orbit of differences under the permutations of identical atoms,
+    pairs being matched only with pairs in the list; without, every
+    distinct d is folded.
     """
     if not gens:
         return 0

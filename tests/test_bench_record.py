@@ -36,3 +36,17 @@ def test_flags_see_through_host_speed_but_not_a_count():
     # on the same host, a time that doubles is flagged
     same = dict(base, **{"rank.self_s": 2.0})
     assert flags(_record(0.15, same), old) == ["verify-warm rank.self_s / host.ref_s: 6.667 -> 13.33"]
+
+
+def test_tracer_overhead_is_flagged_as_a_share_of_the_traced_wall():
+    flags = _bench_record().flags
+    layers = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    base = {m["name"]: 1.0 for m in layers if m["name"] != "host.ref_s"}
+    base["trace.overhead_s"] = -0.002
+    old = _record(0.15, base)
+    # a difference of two medians near zero: a small rise is no slower tracer
+    assert flags(_record(0.15, dict(base, **{"trace.overhead_s": 0.003})), old) == []
+    # a rise of a fifth of the traced wall is
+    assert flags(_record(0.15, dict(base, **{"trace.overhead_s": 0.2})), old) == [
+        "verify-warm trace.overhead_s / trace.wall_s: -0.002 -> 0.2"
+    ]

@@ -41,6 +41,7 @@ from hmskit.matfac import (
 )
 
 from oracle_homs import oracle_hom_dim
+from reference_assembly import reference_boundary_columns
 from reference_audit import reference_validate
 
 
@@ -564,6 +565,11 @@ def _cell_boundaries(q, parity):
     return ((q - 1, "odd") if parity == "even" else (q, "even")), (q, parity)
 
 
+def _target(q, parity):
+    """The cell the boundary out of the cell (q, parity) maps into."""
+    return (q, "odd") if parity == "even" else (q + 1, "even")
+
+
 @pytest.mark.parametrize("name", REDUCTION_COLLECTIONS)
 def test_boundary_out_vanishes_on_boundary_in(name):
     # the premise of ranking a boundary only on the coordinates the boundary
@@ -600,7 +606,7 @@ def test_reduced_boundary_ranks_equal_full_ranks(name, monkeypatch):
                 cols, _, ndst = matfac._boundary_columns(k, h, *b)
                 rows = matfac._int_columns(cols) if gauss else cols
                 full = _speedups_py.int_rank(rows) // (2 if gauss else 1)
-                assert matfac._boundary_rank(k, h, *b, cell) == full
+                assert matfac._boundary_rank(k, h, *b, memo, key, matfac._cell_key(cell, *_target(*b))) == full
                 if cols and ndst:
                     full_rows[key] = len(rows)
     # one rank call per distinct nonempty boundary, on fewer rows in all
@@ -663,7 +669,7 @@ def test_gaussian_source_column_is_skipped_only_when_both_halves_drop(monkeypatc
                 cols = assemble(k, h, *out)[0]
                 full = _speedups_py.int_rank(matfac._int_columns(cols)) // 2
                 memo.pivots[key] = array("l", drop)
-                assert matfac._boundary_rank(k, h, *out, cell) == full
+                assert matfac._boundary_rank(k, h, *out, memo, key, matfac._cell_key(cell, *_target(*out))) == full
                 assert skips.pop() == {s for s in range(len(cols)) if 2 * s in drop and 2 * s + 1 in drop}
                 checked += 1
     assert checked >= 10
@@ -760,7 +766,8 @@ def test_multiplication_maps_place_each_product():
         dst = monomials_of_degree(ctx, target)
         for a, m in enumerate(src):
             assert dst[pos[a]] == tuple(u + v for u, v in zip(m, e))
-    for cache in (memo.maps, memo.rel_ids, memo.slots, memo.cells, memo.ranks, ctx._mono_cache):
+    caches = (memo.maps, memo.rel_ids, memo.slots, memo.plans, memo.cells, memo.shifts, memo.ranks, ctx._mono_cache)
+    for cache in caches:
         assert cache and all(_int_leaves(k) and _int_leaves(v) for k, v in cache.items())
 
 
@@ -1132,6 +1139,56 @@ def test_hom_dims_match_the_oracle_on_random_objects(data):
     k, h = (_twisted(data, m) for m in _random_objects(data))
     for shift in range(-1, 3):
         assert hom_dim(k, h, shift) == oracle_hom_dim(k, h, shift)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_planned_assembly_equals_the_reference_column_by_column(data):
+    k, h = (_twisted(data, m) for m in _random_objects(data))
+    for _ in range(3):
+        q, parity = data.draw(st.integers(-2, 2)), data.draw(st.sampled_from(("even", "odd")))
+        nsrc = reference_boundary_columns(k, h, q, parity)[1]
+        skip = data.draw(st.sets(st.integers(0, nsrc - 1))) if nsrc else set()
+        cols, *dims = matfac._boundary_columns(k, h, q, parity, skip)
+        ref, *ref_dims = reference_boundary_columns(k, h, q, parity, skip)
+        # the same rows in the same order in every column, empty ones too,
+        # over Q(i) before _int_columns
+        assert dims == ref_dims and len(cols) == len(ref)
+        assert [list(c.items()) for c in cols] == [list(c.items()) for c in ref]
+
+
+@pytest.mark.parametrize("name", ["A2+A2+A2", "A2+D4t"])
+def test_plans_are_kept_once_per_pair_of_forms_and_parity(name, monkeypatch):
+    assemble = matfac._boundary_columns
+    assembled = set()
+
+    def recording(k, h, q, parity, skip=()):
+        _, fk, fh, _ = matfac._cell_base(k, h)
+        assembled.add((fk, fh, parity))
+        return assemble(k, h, q, parity, skip)
+
+    monkeypatch.setattr(matfac, "_boundary_columns", recording)
+    col = [m for _, m in generator_collection(_model(name))]
+    ext_table(col, 2)
+    memo = col[0].ctx._hom_memo
+    assert set(memo.plans) == assembled
+    # twisting both objects of a pair keeps both forms: the same plan, the
+    # same columns and no new entry
+    plans = dict(memo.plans)
+    t = _twist(col[0].ctx, 3)
+    for k, h in ((col[0], col[-1]), (col[-1], col[1])):
+        tk, th = shift_mf(k, t), shift_mf(h, t)
+        for q, parity in itertools.product(range(-2, 2), ("even", "odd")):
+            assert assemble(tk, th, q, parity) == assemble(k, h, q, parity)
+    assert memo.plans.keys() == plans.keys()
+    assert all(memo.plans[f] is p for f, p in plans.items())
+    # a model built again starts with an empty memo and shares no plan
+    again = [m for _, m in generator_collection(_model(name))]
+    assert "_hom_memo" not in vars(again[0].ctx)
+    ext_table(again, 2)
+    fresh = again[0].ctx._hom_memo
+    assert fresh is not memo and fresh.plans == plans
+    assert not any(fresh.plans[f] is p for f, p in plans.items())
 
 
 # ------------------------------------------------------------------ the audit

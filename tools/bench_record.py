@@ -52,7 +52,10 @@ def flags(current, previous):
 
     The host's speed drifts between records, so a time is compared in units
     of its record's `host.ref_s` for the workload; counts and ratios are
-    compared as they are.
+    compared as they are.  `trace.overhead_s` is a difference of two
+    medians that sits near zero and can be negative, so it is compared as a
+    share of its record's `trace.wall_s`, and flagged when that share grows
+    by more than 0.10.
     """
     layers = json.loads((HERE / "BENCHMARK.json").read_text())["per_layer"]
     out = []
@@ -65,6 +68,12 @@ def flags(current, previous):
             a = old["trace1"]["metrics"].get(name, {}).get("value")
             b = cur["trace1"]["metrics"].get(name, {}).get("value")
             if not a or b is None:
+                continue
+            if name == "trace.overhead_s":
+                a /= old["trace1"]["metrics"]["trace.wall_s"]["value"]
+                b /= cur["trace1"]["metrics"]["trace.wall_s"]["value"]
+                if b - a > 0.10:
+                    out.append(f"{workload} {name} / trace.wall_s: {a:.4g} -> {b:.4g}")
                 continue
             if m["unit"] == "s":
                 a, b = a / old["host.ref_s"], b / cur["host.ref_s"]
