@@ -539,9 +539,6 @@ class _HomMemo:
         """Torsion part of the code of deg(x^exps)."""
         return sum(sum(map(mul, col, exps)) % m * r for col, m, r in self.tors_x)
 
-    def exps_code(self, exps):
-        return sum(map(mul, self.weights, exps)) * self.T + self.torsion_index(exps)
-
 
 def _hom_memo(ctx):
     memo = ctx.__dict__.get("_hom_memo")
@@ -554,26 +551,26 @@ def monomials_of_degree(ctx, delta):
     """All exponent tuples whose monomial has the given L-degree.
 
     `delta` is an LElement or its int code (see _HomMemo); the cache on the
-    context is keyed by the code.
+    context is keyed by the code.  One enumeration fills it for every
+    torsion class of the free degree.
     """
     cache = ctx.__dict__.get("_mono_cache")
     if cache is None:
         cache = ctx._mono_cache = {}
-    memo = _hom_memo(ctx)
     if not isinstance(delta, int):
-        delta = memo.code(delta)
+        delta = _hom_memo(ctx).code(delta)
     hit = cache.get(delta)
     if hit is not None:
         return hit
+    memo = _hom_memo(ctx)
     weights = memo.weights
     if any(w <= 0 for w in weights):
         raise MFError("unsupported grading: variable degrees must be positive")
-    n = len(weights)
-    target, tors = divmod(delta, memo.T)
-    out = []
-    if target >= 0 and n:
-        # prefixes of the first n - 1 exponents with the free degree they
-        # leave, in lexicographic order; the last exponent is then forced
+    target = delta // memo.T
+    classes = [[] for _ in range(memo.T)]
+    if target >= 0 and weights:
+        # lexicographic prefixes with the free degree they leave, which
+        # forces the last exponent
         heads = [((), target)]
         for w in weights[:-1]:
             heads = [(p + (e,), r - e * w) for p, r in heads for e in range(r // w + 1)]
@@ -581,12 +578,11 @@ def monomials_of_degree(ctx, delta):
             e, rest = divmod(r, weights[-1])
             if not rest:
                 exps = p + (e,)
-                if memo.torsion_index(exps) == tors:
-                    out.append(exps)
-    elif target == tors == 0:
-        out.append(())
-    result = cache[delta] = tuple(out)
-    return result
+                classes[memo.torsion_index(exps)].append(exps)
+    elif target == 0:
+        classes[0].append(())
+    cache.update(enumerate(map(tuple, classes), target * memo.T))
+    return cache[delta]
 
 
 def _hom_precheck(k, h):
@@ -677,7 +673,8 @@ def _cell_offsets(ctx, memo, key):
 
 def _mult_map(ctx, memo, delta, e):
     """Compute and keep memo.maps[(delta, e)] (see _HomMemo)."""
-    dst = monomials_of_degree(ctx, memo.add(delta, memo.exps_code(e)))
+    deg_e = sum(map(mul, memo.weights, e)) * memo.T + memo.torsion_index(e)
+    dst = monomials_of_degree(ctx, memo.add(delta, deg_e))
     index = {m: a for a, m in enumerate(dst)}
     pos = memo.maps[(delta, e)] = tuple(index[tuple(map(add, m, e))] for m in monomials_of_degree(ctx, delta))
     return pos

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import math
 import random
 import time
 from array import array
@@ -722,24 +723,74 @@ def test_monomials_see_torsion_classes():
     assert monomials_of_degree(ctx, ctx.element(2, (1,))) == ((1, 1),)
 
 
-def test_monomials_match_a_brute_force_filter():
-    # every free degree 0..9 and every class of Z/3 x Z/3, against the
-    # degree of each monomial summed in LElement arithmetic
-    ctx = _model("A2+A2+A2").ctx
-    assert ctx.torsion == (3, 3)
-    by_degree = {}
-    for exps in itertools.product(range(10), repeat=3):
-        if sum(exps) <= 9:
+# each context with its torsion moduli: T = 1, Z/2, Z/4, (Z/3)^2, Z/3 with
+# weights (2, 1, 3), Z/2 with weights (3, 2, 6), and no variables at all
+_MONOMIAL_CONTEXTS = {
+    "D4t": (),
+    "A1+A1": (2,),
+    "A3+A3": (4,),
+    "A2+A2+A2": (3, 3),
+    "A2+D4t": (3,),
+    "A3+D4t": (2,),
+    "unit": (),
+}
+
+
+def _fresh_context(name):
+    return unit_mf().ctx if name == "unit" else _model(name).ctx
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_monomials_match_a_brute_force_filter(rnd):
+    # every class of every free degree -1..9, asked in a random order on a
+    # fresh context, against the degree of each monomial summed in LElement
+    # arithmetic; a repeated call returns the same tuple
+    top = 9
+    for name, torsion in _MONOMIAL_CONTEXTS.items():
+        ctx = _fresh_context(name)
+        assert ctx.torsion == torsion
+        by_degree = {}
+        for exps in itertools.product(*(range(top // d.free[0] + 1) for d in ctx.deg_x)):
             d = ctx.zero()
             for e, dx in zip(exps, ctx.deg_x):
                 d = d + e * dx
             by_degree.setdefault(d, []).append(exps)
-    for f in range(10):
-        for t in itertools.product(range(3), range(3)):
-            delta = ctx.element(f, t)
+        asks = [ctx.element(f, t) for f in range(-1, top + 1) for t in itertools.product(*map(range, torsion))]
+        rnd.shuffle(asks)
+        for delta in asks:
             got = monomials_of_degree(ctx, delta)
             assert got == tuple(sorted(by_degree.get(delta, [])))
+            assert monomials_of_degree(ctx, delta) is got
             assert monomials_of_degree(ctx, ctx._hom_memo.code(delta)) is got
+
+
+@pytest.mark.parametrize("name", list(_MONOMIAL_CONTEXTS))
+def test_one_miss_fills_every_torsion_class_of_its_free_degree(name):
+    ctx = _fresh_context(name)
+    T = math.prod(ctx.torsion)
+    for f in (5, -1):
+        monomials_of_degree(ctx, ctx.element(f, tuple(m - 1 for m in ctx.torsion)))
+        assert len(ctx._mono_cache) == T * (1 + (f < 0))
+        assert {code for code in ctx._mono_cache if code // T == f} == set(range(f * T, (f + 1) * T))
+
+
+def test_each_free_degree_is_enumerated_once(monkeypatch):
+    # the period-total workload touches 38 free degrees of (Z/3)^2 codes
+    misses = []
+    monomials = matfac.monomials_of_degree
+
+    def counted(ctx, delta):
+        if delta not in ctx.__dict__.get("_mono_cache", ()):
+            misses.append(delta)
+        return monomials(ctx, delta)
+
+    monkeypatch.setattr(matfac, "monomials_of_degree", counted)
+    gens = generator_E(_model("A2+A2+A2"))
+    assert one_period_end_total(gens, periods=3) == 216
+    assert all(type(d) is int for d in misses)
+    assert len(misses) == len({d // 9 for d in misses}) == 38
+    assert len(gens[0].ctx._mono_cache) == 9 * 38
 
 
 def _int_leaves(value):

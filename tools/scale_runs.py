@@ -1,0 +1,86 @@
+"""Time the larger models, each in a fresh interpreter, from ./src.
+
+    python3 tools/scale_runs.py
+
+Runs cold `hmskit verify A2+A2+A2+A2`, cold `hmskit verify D4t+D4t` (each
+with an empty cache directory) and
+`one_period_end_total(generator_E(A2+A2+A2+A2), periods=4)`, one subprocess
+each.  A verify must exit 0 with the verdict "match"; the period total must
+be 1296.  Prints one JSON line: the wall time of each run in seconds
+(interpreter start to exit), nproc and the Python version.  A failed check
+raises, so the script exits 1.
+"""
+
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# ("verify", model) or ("period", model, periods, expected total)
+SCALE = [
+    ("verify", "A2+A2+A2+A2"),
+    ("verify", "D4t+D4t"),
+    ("period", "A2+A2+A2+A2", 4, 1296),
+]
+
+_VERIFY = "import sys; from hmskit.hmscli import main; sys.exit(main(sys.argv[1:]))"
+_PERIOD = (
+    "import sys; from hmskit.matfac import generator_E, one_period_end_total; "
+    "from hmskit.polyforms import parse_model; "
+    "print(one_period_end_total(generator_E(parse_model(sys.argv[1])), periods=int(sys.argv[2])))"
+)
+
+
+def label(job):
+    kind, model, *rest = job
+    return f"{kind} {model}" + (f" periods={rest[0]}" if rest else "")
+
+
+def _problem(job, out):
+    """What is wrong with a run's output, or None."""
+    if out.returncode != 0:
+        return f"exit code {out.returncode}: {out.stderr.strip()[-500:]}"
+    if job[0] == "verify":
+        try:
+            verdict = json.loads(out.stdout).get("verdict")
+        except ValueError:
+            return "stdout is not a JSON report"
+        return None if verdict == "match" else f"verdict {verdict!r}"
+    total = out.stdout.strip()
+    return None if total == str(job[3]) else f"total {total}, expected {job[3]}"
+
+
+def run(jobs):
+    """{label: wall seconds} of each job, each run in a fresh interpreter;
+    raises RuntimeError when a run's output fails its check."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    walls = {}
+    for job in jobs:
+        with tempfile.TemporaryDirectory() as cache_dir:
+            if job[0] == "verify":
+                argv = ["-c", _VERIFY, "verify", job[1], "--cache-dir", cache_dir, "--quiet"]
+            else:
+                argv = ["-c", _PERIOD, job[1], str(job[2])]
+            t0 = time.perf_counter()
+            out = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True)
+            wall = time.perf_counter() - t0
+        problem = _problem(job, out)
+        if problem is not None:
+            raise RuntimeError(f"{label(job)}: {problem}")
+        walls[label(job)] = round(wall, 3)
+    return walls
+
+
+def main():
+    walls = run(SCALE)
+    print(json.dumps({"wall_s": walls, "nproc": os.cpu_count(), "python": platform.python_version()}))
+
+
+if __name__ == "__main__":
+    main()
