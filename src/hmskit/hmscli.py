@@ -250,13 +250,10 @@ def cmd_verify(args):
 
     def first_difference(payload):
         bdims = {(i, j, k): d for i, j, k, d in payload["entries"]}
-        for i in range(len(col)):
-            for j in range(len(col)):
-                for k in range(window[0], window[1] + 1):
-                    b = bdims.get((i, j, k), 0)
-                    a = adims.get((i, j, k), 0)
-                    if b != a:
-                        return [i, j, k, b, a]
+        for key in sorted(bdims.keys() | adims.keys()):
+            b, a = bdims.get(key, 0), adims.get(key, 0)
+            if b != a:
+                return [*key, b, a]
         return None
 
     payload = cache.load(key)

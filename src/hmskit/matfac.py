@@ -54,8 +54,8 @@ The audit in MatrixFactorization.validate (d1*d0 = d0*d1 = W*Id, every entry
 homogeneous of the degree its slots force) sums product entries as term dicts
 {exps: coeff} and compares (free, tors) degree keys cached per context
 (GradingContext.degree_key).  It reads slot labels only through their
-differences, so the constructor runs it once per form (W, d0, d1 and the
-labels minus the first) per context instance.
+differences, so shift_mf and translate_mf skip it; the objects of a
+collection are twists of forms built, and audited, once (see _sum_objects).
 """
 
 from __future__ import annotations
@@ -144,18 +144,7 @@ class MatrixFactorization:
         self._form = None
         self._field = None
         if check:
-            # a common twist of all slot labels changes nothing validate
-            # reads, so a form is validated once per context instance
-            seen = ctx.__dict__.setdefault("_valid_forms", set())
-            try:
-                key = (w,) + _content(self)[0]
-                fresh = key not in seen
-            except (TypeError, ValueError, AttributeError):  # malformed: validate says how
-                key, fresh = None, True
-            if fresh:
-                self.validate()
-                if key is not None:
-                    seen.add(key)
+            self.validate()
 
     @property
     def rank0(self):
@@ -934,15 +923,17 @@ def _atom_stab(atom, model=None):
 
 
 def atom_collection(atom):
-    """Labeled generator collection of one atom, in vertex order."""
+    """Generator collection of one atom, in vertex order, as (label, form,
+    twist) triples: the object is the form twisted by the group element."""
     model = build(atom.template())
     ctx = model.ctx
+
+    def twist(t):
+        return _as_element(ctx, t)
+
     if atom.kind == "A":
         base = _atom_stab(atom, model)
-        return [
-            (f"R/m({-i})", shift_mf(base, -i) if i else base)
-            for i in range(atom.param)
-        ]
+        return [(f"R/m({-i})", base, twist(-i)) for i in range(atom.param)]
     if atom.kind == "Dt":
         n = atom.param
         y = Poly.variable(2, 1)
@@ -953,40 +944,53 @@ def atom_collection(atom):
         # of the rank-one objects, so that hom spaces between them sit in
         # the translation degree where the quiver expects its arrows.
         stab = translate_mf(residue_mf_D(n, ctx=ctx))
-        out = [
-            ("R/(y)", first),
-            (f"R/({cofactor.format().replace(' ', '')})", second),
-        ]
-        for t in range(n - 2):
-            out.append((f"R/m({-t})", shift_mf(stab, -t) if t else stab))
-        return out
+        return [
+            ("R/(y)", first, twist(0)),
+            (f"R/({cofactor.format().replace(' ', '')})", second, twist(0)),
+        ] + [(f"R/m({-t})", stab, twist(-t)) for t in range(n - 2)]
     raise MFError(
         "generator collections are implemented for the transposed "
         "orientation of two-variable models; transpose the polynomial first"
     )
 
 
+def _sum_objects(p, source, factor):
+    """(label, object) pairs of the sum p in product order, last atom
+    fastest: object t is the tensor of the triples factor(atom r)[t[r]], with
+    `coords` (source, atom names, t).  A tensor of twists is the twist of the
+    tensor (the embeddings are additive), so each pair of forms is tensored
+    once."""
+    if not p.atoms:
+        raise MFError("the zero polynomial has no generator collection")
+    objs = [((n,), label, form, s) for n, (label, form, s) in enumerate(factor(p.atoms[0]))]
+    for atom in p.atoms[1:]:
+        nxt = factor(atom)
+        maps = sum_grading_maps(objs[0][2].ctx, nxt[0][1].ctx)
+        _, emb1, emb2 = maps
+        pairs = dict.fromkeys((k1, k2) for _, _, k1, _ in objs for _, k2, _ in nxt)  # forms hash by identity
+        tensors = {pair: tensor_mf(*pair, maps) for pair in pairs}
+        objs = [
+            (t + (n,), f"{l1}|{l2}", tensors[k1, k2], emb1(s1) + emb2(s2))
+            for t, l1, k1, s1 in objs
+            for n, (l2, k2, s2) in enumerate(nxt)
+        ]
+    kinds = tuple(atom.name for atom in p.atoms)
+    out = []
+    for t, label, form, s in objs:
+        mf = shift_mf(form, s)
+        mf.coords = (source, kinds, t)
+        out.append((label, mf))
+    return out
+
+
 def generator_collection(p):
     """Generator collection of a recognized polynomial; tensor for sums.
 
     Object t of the product, in order, is the tensor of object t[r] of the
-    collection of atom r; its `coords` are ("collection", atom names, t).
+    collection of atom r (see _sum_objects); its `coords` are ("collection",
+    atom names, t).
     """
-    if not p.atoms:
-        raise MFError("the zero polynomial has no generator collection")
-    cols = [((n,), label, mf) for n, (label, mf) in enumerate(atom_collection(p.atoms[0]))]
-    for atom in p.atoms[1:]:
-        nxt = atom_collection(atom)
-        maps = sum_grading_maps(cols[0][2].ctx, nxt[0][1].ctx)
-        cols = [
-            (t + (n,), f"{l1}|{l2}", tensor_mf(k1, k2, maps))
-            for t, l1, k1 in cols
-            for n, (l2, k2) in enumerate(nxt)
-        ]
-    kinds = tuple(atom.name for atom in p.atoms)
-    for t, _, mf in cols:
-        mf.coords = ("collection", kinds, t)
-    return [(label, mf) for _, label, mf in cols]
+    return _sum_objects(p, "collection", atom_collection)
 
 
 def quotient_graded_collection(matrix, group):
@@ -1058,31 +1062,19 @@ def quotient_graded_collection(matrix, group):
 def generator_E(p):
     """Shifted residue-field stabilizations, one per degree class.
 
-    For sums the factor stabilizations are tensored once and the shifts
-    run over the product of the factor transversals (embedded in the sum
-    grading), which is a transversal of the sum's degree classes.  Object t,
-    in order, is shifted by the sum of the embedded representatives
+    For sums the factor stabilizations are tensored once (see _sum_objects)
+    and the shifts run over the product of the factor transversals (embedded
+    in the sum grading), which is a transversal of the sum's degree classes.
+    Object t, in order, is shifted by the sum of the embedded representatives
     lbar_representatives(atom r)[t[r]]; its `coords` are ("E", atom names,
     t).
     """
-    if not p.atoms:
-        raise MFError("the zero polynomial has no generator")
-    stab = _atom_stab(p.atoms[0])
-    shifts = [((n,), s) for n, s in enumerate(lbar_representatives(stab.ctx))]
-    for atom in p.atoms[1:]:
-        nxt = _atom_stab(atom)
-        maps = sum_grading_maps(stab.ctx, nxt.ctx)
-        _, emb1, emb2 = maps
-        reps = list(enumerate(lbar_representatives(nxt.ctx)))
-        shifts = [(t + (n,), emb1(a) + emb2(b)) for t, a in shifts for n, b in reps]
-        stab = tensor_mf(stab, nxt, maps)
-    kinds = tuple(atom.name for atom in p.atoms)
-    gens = []
-    for t, s in shifts:
-        g = shift_mf(stab, s)
-        g.coords = ("E", kinds, t)
-        gens.append(g)
-    return gens
+
+    def factor(atom):
+        stab = _atom_stab(atom)
+        return [(None, stab, s) for s in lbar_representatives(stab.ctx)]
+
+    return [mf for _, mf in _sum_objects(p, "E", factor)]
 
 
 def one_period_end_total(gens, periods=4, max_cells=None):

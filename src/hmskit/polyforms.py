@@ -165,15 +165,19 @@ def transpose(p):
     return build(mat_transpose(p.matrix))
 
 
+def _block_diagonal(matrices):
+    n = sum(map(len, matrices))
+    block, offset = [], 0
+    for m in matrices:
+        for row in m:
+            block.append([0] * offset + list(row) + [0] * (n - offset - len(m)))
+        offset += len(m)
+    return block
+
+
 def st_sum(p1, p2):
     """Direct sum in disjoint variables (block diagonal exponent matrix)."""
-    n1, n2 = p1.nvars, p2.nvars
-    block = []
-    for row in p1.matrix:
-        block.append(list(row) + [0] * n2)
-    for row in p2.matrix:
-        block.append([0] * n1 + list(row))
-    return build(block)
+    return build(_block_diagonal([p1.matrix, p2.matrix]))
 
 
 _ATOM_RE = re.compile(r"^([AD])(\d+)(t?)$")
@@ -201,9 +205,4 @@ def parse_model(text):
     parts = [s.strip() for s in text.split("+")]
     if not parts or any(not s for s in parts):
         raise PolyFormError(f"cannot parse model string: {text!r}")
-    result = None
-    for part in parts:
-        atom = atom_from_name(part)
-        piece = build(atom.template())
-        result = piece if result is None else st_sum(result, piece)
-    return result
+    return build(_block_diagonal([atom_from_name(part).template() for part in parts]))

@@ -432,6 +432,17 @@ def test_verify_recomputes_a_cached_table_that_mismatches(tmp_path, capsys):
     assert path.read_bytes() == stored  # the entry was overwritten
 
 
+@pytest.mark.parametrize("matrix, group", [("[[4,0],[1,2]]", "1/4,3/8"), ("[[6,0],[1,2]]", "1/6,5/12")])
+def test_odd_matrix_mode_reports_its_first_difference(matrix, group, tmp_path, capsys):
+    # the honest mismatch of odd n: the first (i, j, k) where the tables
+    # differ, with the b-side and a-side dimensions there
+    code, out, _ = run_cli(
+        capsys, "verify", "--matrix", matrix, "--group", group, "--cache-dir", str(tmp_path), "--quiet"
+    )
+    assert code == 1
+    assert json.loads(out)["first_difference"] == [0, 2, 0, 1, 0]
+
+
 def test_cached_table_cannot_turn_a_mismatch_into_a_match(tmp_path, capsys):
     # an entry whose entries were replaced by the A side's would replay as
     # a match if it were trusted; its stamp no longer fits, so it is redone

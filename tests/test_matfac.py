@@ -44,6 +44,7 @@ from hmskit.matfac import (
 from oracle_homs import oracle_hom_dim
 from reference_assembly import reference_boundary_columns
 from reference_audit import reference_validate
+from reference_collection import reference_collection
 
 
 def _model(name):
@@ -1006,6 +1007,36 @@ def test_generator_collection_labels():
         generator_collection(_model("D5"))
 
 
+_BENCH_MODELS = ["D4t", "D5t", "D6t", "A1", "A2", "A3", "A4", "A5", "A2+A2", "A3+A3", "A2+D4t", "A2+A2+A2", "A3+D4t"]
+
+
+@pytest.mark.parametrize("name", _BENCH_MODELS + ["D4t+D4t", "A2+A3+D4t"])
+def test_collection_equals_the_per_object_tensor_reference(name):
+    p = _model(name)
+    col, ref = generator_collection(p), reference_collection(p)
+    assert [label for label, _ in col] == [label for label, _ in ref]
+    for (_, mf), (_, want) in zip(col, ref):
+        assert mf.same_data(want)
+        assert mf.coords == want.coords
+        assert mf.field == want.field
+
+
+@pytest.mark.parametrize(
+    "name, tensors",
+    [("A2+A2", 1), ("A3+A3", 1), ("A2+D4t", 3), ("A3+D4t", 3), ("A2+A2+A2", 2), ("D4t+D4t", 9), ("D4t+D4t+A2", 18)],
+)
+def test_each_pair_of_forms_is_tensored_once(name, tensors, monkeypatch):
+    calls = []
+    tensor = matfac.tensor_mf
+    monkeypatch.setattr(matfac, "tensor_mf", lambda *args: calls.append(args) or tensor(*args))
+    p = _model(name)
+    generator_collection(p)
+    assert len(calls) == tensors
+    del calls[:]
+    generator_E(p)
+    assert len(calls) == len(p.atoms) - 1
+
+
 def test_generator_orbit_for_chain_atom():
     p = _model("A2")
     gens = generator_E(p)
@@ -1297,19 +1328,15 @@ def test_each_form_is_validated_once_per_context(monkeypatch):
     k = residue_mf_D(4)
     ctx = k.ctx
     assert len(calls) == 1
-    t = _twist(ctx, 5)
-    MatrixFactorization(ctx, k.w, [l + t for l in k.p0], [l + t for l in k.p1], k.d0, k.d1)
-    assert len(calls) == 1  # a common twist of a validated form
-    # the key holds W and every relative label: neither change is let through
+    # a changed W or a changed relative label is audited and refused
     with pytest.raises(MFError, match="W times the identity"):
         MatrixFactorization(ctx, k.w * 2, k.p0, k.p1, k.d0, k.d1)
     moved = [k.p1[0], k.p1[1] + _twist(ctx, 1)]
     with pytest.raises(MFError, match="degree forced by its slots"):
         MatrixFactorization(ctx, k.w, k.p0, moved, k.d0, k.d1)
     assert len(calls) == 3
-    # a model built again starts with no validated forms
     assert residue_mf_D(4).ctx is not ctx and len(calls) == 4
-    # the four tensors of A2+A2 are twists of one form: one audit, after
+    # the four objects of A2+A2 are twists of one tensor: one audit, after
     # one per atom
     del calls[:]
     generator_collection(_model("A2+A2"))
