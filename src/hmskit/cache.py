@@ -79,7 +79,8 @@ class TableCache:
         try:
             with open(self.path_for(key), "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
+            # no entry, or no directory to hold one: a plain miss
             return None
         except (OSError, ValueError):
             # ValueError covers both bad JSON and bytes that are not UTF-8

@@ -211,11 +211,6 @@ def grading_group(a):
     return ctx
 
 
-def trivial_context():
-    """Grading of the empty polynomial in zero variables: Z with c = 1."""
-    return grading_group([])
-
-
 def lbar_representatives(ctx):
     """Sorted transversal of L modulo the subgroup generated by deg_c.
 
@@ -338,16 +333,3 @@ def m_grading(a, group):
         if ctx.class_of(list(row)) != ctx.deg_c:
             raise GradingError("monomial degrees do not agree in the quotient")
     return ctx
-
-
-def grading_invariants(ctx):
-    """Isomorphism-insensitive fingerprint used to compare constructions."""
-    sign = 1
-    if ctx.free_rank == 1 and ctx.deg_c.free and ctx.deg_c.free[0] < 0:
-        sign = -1
-    return {
-        "free_rank": ctx.free_rank,
-        "torsion": tuple(ctx.torsion),
-        "deg_x_free": tuple(tuple(sign * a for a in d.free) for d in ctx.deg_x),
-        "deg_c_free": tuple(sign * a for a in ctx.deg_c.free),
-    }

@@ -113,8 +113,13 @@ def _emit(report, json_path):
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CLIError(
+                EXIT_UNSUPPORTED, f"cannot write report to {json_path}: {exc.strerror or exc}"
+            ) from None
 
 
 def _diag(args, message):
@@ -215,6 +220,8 @@ def cmd_verify(args):
         quivers = [quiver]
         desc = {"matrix": matrix, "group": [format_element(g) for g in group.elements]}
     else:
+        if args.group is not None:
+            raise CLIError(EXIT_PARSE, "verify --group needs --matrix")
         p, desc = _build_model(args.input)
         col = generator_collection(p)
         quivers = [dynkin_quiver(atom) for atom in p.atoms]
@@ -242,7 +249,11 @@ def cmd_verify(args):
     def cold():
         started = time.perf_counter()
         payload = ext_table_to_json(ext_table(col, window))
-        cache.store(key, payload)
+        try:
+            cache.store(key, payload)
+        except OSError as exc:
+            # the table is still exact; only the next run loses the entry
+            _diag(args, f"cannot write cache entry (key {key[:12]}): {exc.strerror or exc}")
         _diag(args, f"b-side table computed in {time.perf_counter() - started:.2f}s (key {key[:12]})")
         return payload
 

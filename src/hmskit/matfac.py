@@ -65,11 +65,10 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import add, mul
 
-from ._speedups_py import int_rank
-from .exactmat import I, Poly
+from .exactmat import I, Poly, int_rank
 from .exactmat import integer_columns as _int_columns  # traced by perfbench as "intcols"
 from .grading import (
-    GradingError, LElement, grading_group, lbar_representatives, m_grading, sum_grading_maps, trivial_context,
+    LElement, grading_group, lbar_representatives, m_grading, sum_grading_maps,
 )
 from .polyforms import build
 from .quivercat import dynkin_quiver
@@ -112,14 +111,6 @@ def poly_class(ctx, p):
     return None if key is None else LElement(*key, ctx.torsion)
 
 
-@dataclass
-class KoszulData:
-    eta: list
-    gamma: list
-    form_basis: list
-    shift_solution: list
-
-
 class MatrixFactorization:
     """Validated matrix factorization; immutable once constructed.
 
@@ -132,14 +123,13 @@ class MatrixFactorization:
     per-atom indices (see _orbit_key).  Derived objects do not inherit it.
     """
 
-    def __init__(self, ctx, w, p0, p1, d0, d1, check=True, koszul_data=None):
+    def __init__(self, ctx, w, p0, p1, d0, d1, check=True):
         self.ctx = ctx
         self.w = w
         self.p0 = tuple(p0)
         self.p1 = tuple(p1)
         self.d0 = tuple(tuple(row) for row in d0)
         self.d1 = tuple(tuple(row) for row in d1)
-        self.koszul_data = koszul_data
         self.coords = None
         self._form = None
         self._field = None
@@ -334,15 +324,7 @@ def koszul_mf(p, gamma_choice=None, ctx=None):
         for r, entry in apply_differential(odds, odd_index, s).items():
             d1[r][j] = entry
 
-    data = KoszulData(
-        eta=[Poly.variable(n, i) for i in range(n)],
-        gamma=gamma,
-        form_basis=subsets,
-        shift_solution=[(k // 2) * ctx.deg_c for k in range(n + 1)],
-    )
-    return MatrixFactorization(
-        ctx, w, p0_labels, p1_labels, d0, d1, koszul_data=data
-    )
+    return MatrixFactorization(ctx, w, p0_labels, p1_labels, d0, d1)
 
 
 def shift_mf(k, a):
@@ -387,12 +369,6 @@ def _block_slots(blocks, rows, cols):
     """Slots (a, b, i, j) of a layout of Z/2-graded blocks, in order: block
     by block, then i in range(rows[a]), then j in range(cols[b])."""
     return [(a, b, i, j) for a, b in blocks for i in range(rows[a]) for j in range(cols[b])]
-
-
-def unit_mf():
-    """Identity for tensor products: the empty factorization of 0."""
-    ctx = trivial_context()
-    return MatrixFactorization(ctx, Poly.zero(0), [ctx.zero()], [], [], [[]])
 
 
 def tensor_mf(k1, k2, maps=None):
@@ -809,12 +785,6 @@ class ExtTable:
     objects: tuple
     window: tuple  # (k_min, k_max)
     dims: dict  # (i, j, k) -> positive int
-
-    def dim(self, i, j, k):
-        return self.dims.get((i, j, k), 0)
-
-    def total(self):
-        return sum(self.dims.values())
 
     def entries(self):
         return sorted((i, j, k, d) for (i, j, k), d in self.dims.items())

@@ -175,11 +175,6 @@ def _block_diagonal(matrices):
     return block
 
 
-def st_sum(p1, p2):
-    """Direct sum in disjoint variables (block diagonal exponent matrix)."""
-    return build(_block_diagonal([p1.matrix, p2.matrix]))
-
-
 _ATOM_RE = re.compile(r"^([AD])(\d+)(t?)$")
 
 

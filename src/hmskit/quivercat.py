@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .exactmat import charpoly, det_int, identity_matrix, mat_inverse_rat, mat_mul, mat_transpose
+from .exactmat import charpoly, identity_matrix, mat_inverse_rat, mat_mul, mat_transpose
 
 
 class QuiverError(ValueError):
@@ -86,12 +86,6 @@ class BigradedTable:
 
     objects: list
     dims: dict = field(default_factory=dict)  # (i, j, k) -> positive int
-
-    def dim(self, i, j, k):
-        return self.dims.get((i, j, k), 0)
-
-    def total(self):
-        return sum(self.dims.values())
 
     def entries(self):
         """Sorted nonzero entries as (i, j, k, dim) index tuples."""
@@ -228,11 +222,3 @@ def mutate_collection(e, position, direction):
         f[q][p] = 1
         f[q][q] = -a
     return mat_mul(mat_mul(f, e), mat_transpose(f))
-
-
-def quiver_to_json(q):
-    return {
-        "name": q.name,
-        "vertices": list(q.vertices),
-        "arrows": [[q.vertices[a], q.vertices[b]] for a, b in q.arrows],
-    }

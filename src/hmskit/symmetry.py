@@ -72,26 +72,6 @@ class DiagonalGroup:
     def __hash__(self):
         return hash((self.n, self.elements))
 
-    def is_subgroup_of(self, other):
-        return self.n == other.n and set(self.elements) <= set(other.elements)
-
-    def subgroups(self):
-        """All subgroups, as closures of generating sets of size <= 2.
-
-        Valid whenever the group needs at most two generators, which covers
-        every diagonal symmetry group of a one or two variable polynomial.
-        """
-        found = {}
-        elems = self.elements
-        for a in elems:
-            g = DiagonalGroup.generated(self.n, [a])
-            found[g.elements] = g
-        for i, a in enumerate(elems):
-            for b in elems[i + 1 :]:
-                g = DiagonalGroup.generated(self.n, [a, b])
-                found[g.elements] = g
-        return sorted(found.values(), key=lambda g: (len(g), g.elements))
-
     def __repr__(self):
         return f"DiagonalGroup(order {len(self)} in (Q/Z)^{self.n})"
 

@@ -253,6 +253,9 @@ def test_verify_exit_codes(tmp_path, capsys):
         capsys, "verify", "--matrix", "[[3,0],[1,2]]", "--cache-dir", str(tmp_path)
     )
     assert code == 2  # matrix without group
+    code, _, err = run_cli(capsys, "verify", "A2", "--group", "1/3", "--cache-dir", str(tmp_path))
+    assert code == 2  # group without matrix: it would be ignored
+    assert "verify --group needs --matrix" in err and "Traceback" not in err
     with pytest.raises(SystemExit) as exc:  # argparse usage error, the option is gone
         main(["verify", "D5t", "--threads", "4", "--cache-dir", str(tmp_path)])
     assert exc.value.code == 2
@@ -471,6 +474,30 @@ def test_verify_json_flag_writes_same_bytes(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_verify_json_to_an_unwritable_path_is_unsupported(tmp_path, capsys):
+    # exit 1 would read as a mismatch; the report still goes to stdout
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache_dir = str(tmp_path / "c")
+    _, report, _ = run_cli(capsys, "verify", "A1", "--cache-dir", cache_dir)
+    code, out, err = run_cli(capsys, "verify", "A1", "--json", str(blocker / "r.json"), "--cache-dir", cache_dir)
+    assert code == 3
+    assert out == report
+    assert f"cannot write report to {blocker / 'r.json'}" in err and "Traceback" not in err
+
+
+def test_verify_with_an_unusable_cache_dir_reports_as_with_a_cache(tmp_path, capsys):
+    # a cache directory under a regular file can neither hold nor give an
+    # entry: a plain miss, and a store that fails without touching the verdict
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, _ = run_cli(capsys, "verify", "A2+A2", "--cache-dir", str(tmp_path / "c"))
+    bad_code, bad_out, err = run_cli(capsys, "verify", "A2+A2", "--cache-dir", str(blocker / "c"))
+    assert (bad_code, bad_out) == (code, out) == (0, out)
+    assert "cannot write cache entry" in err and "Traceback" not in err
+    assert "malformed" not in err
+
+
 # -------------------------------------------------------------- transpose
 
 
@@ -599,7 +626,13 @@ def _argv(draw):
         # honest mismatch), or random ones
         matrix, group = draw(st.one_of(st.sampled_from(_PAIRS), st.tuples(_MATRIX, _GROUP)))
         argv = [command, "--matrix", matrix, "--group", group, "--window", draw(_WINDOW)]
-    return argv + draw(st.sampled_from([[], [], [], ["--quiet"], ["--bogus"], ["--group"]]))
+    argv += draw(st.sampled_from([[], [], [], ["--quiet"], ["--bogus"], ["--group"]]))
+    # report paths and cache directories stand in as names until the test
+    # places them: a writable one, or one under a regular file
+    argv += draw(st.sampled_from([[], [], ["--json", "REPORT"], ["--json", "UNDER_FILE"]]))
+    if command == "verify":
+        argv += ["--cache-dir", draw(st.sampled_from(["CACHE", "CACHE", "UNDER_FILE"]))]
+    return argv
 
 
 def _exit_code(call):
@@ -632,7 +665,13 @@ def test_parsers_fail_only_with_cli_errors(text, group, n):
 @settings(max_examples=150, deadline=None)
 @given(_argv())
 def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, argv):
-    cache_dir = str(tmp_path_factory.getbasetemp() / "fuzz-cache")
-    if argv[0] == "verify":
-        argv = argv + ["--cache-dir", cache_dir]
+    base = tmp_path_factory.getbasetemp()
+    blocker = base / "fuzz-file"
+    blocker.write_text("")
+    places = {
+        "REPORT": str(base / "fuzz-report.json"),
+        "CACHE": str(base / "fuzz-cache"),
+        "UNDER_FILE": str(blocker / "x"),
+    }
+    argv = [places.get(a, a) for a in argv]
     assert _exit_code(lambda: main(argv)) in range(5), argv

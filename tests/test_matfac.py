@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmskit import _speedups_py, matfac
-from hmskit.exactmat import I, Poly, parse_poly_string
-from hmskit.grading import GradingContext, lbar_representatives, m_grading, sum_grading_maps
+from hmskit import matfac
+from hmskit.exactmat import I, Poly, int_rank
+from hmskit.grading import GradingContext, grading_group, lbar_representatives, m_grading, sum_grading_maps
 from hmskit.polyforms import parse_model
 from hmskit.quivercat import dynkin_quiver, simple_hom_dims, tensor_model
 from hmskit.symmetry import parse_group_string
@@ -38,13 +38,13 @@ from hmskit.matfac import (
     shift_mf,
     tensor_mf,
     translate_mf,
-    unit_mf,
 )
 
 from oracle_homs import oracle_hom_dim
 from reference_assembly import reference_boundary_columns
 from reference_audit import reference_validate
 from reference_collection import reference_collection
+from reference_exact import parse_poly_string
 
 
 def _model(name):
@@ -195,28 +195,20 @@ def test_koszul_of_chain_atom_is_a_shifted_pair():
 def test_koszul_canonical_splitting():
     p = _model("D4t")
     k = koszul_mf(p)
-    data = k.koszul_data
-    assert [e.format() for e in data.eta] == ["x", "y"]
-    assert [g.format() for g in data.gamma] == ["x^2*y", "y"]
-    assert data.form_basis == [(), (0,), (1,), (0, 1)]
-    assert [s.key() for s in data.shift_solution] == [((0,), ()), ((0,), ()), ((6,), ())]
+    # gamma is the first column of d1
+    assert [row[0].format() for row in k.d1] == ["x^2*y", "y"]
     assert [e.key() for e in k.p0] == [((-1,), ()), ((-3,), ())]
     assert [e.key() for e in k.p1] == [((0,), ()), ((2,), ())]
     assert [[q.format() for q in row] for row in k.d0] == [["x", "y"], ["-y", "x^2*y"]]
     assert [[q.format() for q in row] for row in k.d1] == [["x^2*y", "-y"], ["y", "x"]]
-    # eta.gamma recovers the potential
-    acc = Poly.zero(2)
-    for e, g in zip(data.eta, data.gamma):
-        acc = acc + e * g
-    assert acc == p.poly
 
 
 def test_koszul_splitting_can_be_steered():
     p = _model("D4t")
     k = koszul_mf(p, gamma_choice={(3, 1): 1})
-    gamma = k.koszul_data.gamma
-    assert gamma[0].is_zero()
-    assert gamma[1] == parse_poly_string("x^3 + y", 2)
+    # gamma is the first column of d1
+    assert k.d1[0][0].is_zero()
+    assert k.d1[1][0] == parse_poly_string("x^3 + y", 2)
     k.validate()
 
     with pytest.raises(MFError, match="not in W"):
@@ -278,8 +270,14 @@ def test_shifts_compose_additively(a, b):
 # ---------------------------------------------------------------- tensor
 
 
+def _unit_mf():
+    """Identity for tensor products: the empty factorization of 0."""
+    ctx = grading_group([])
+    return MatrixFactorization(ctx, Poly.zero(0), [ctx.zero()], [], [], [[]])
+
+
 def test_unit_object_is_a_tensor_identity():
-    u = unit_mf()
+    u = _unit_mf()
     p = _model("A2")
     k = koszul_mf(p)
     right = tensor_mf(k, u)
@@ -607,7 +605,7 @@ def test_reduced_boundary_ranks_equal_full_ranks(name, monkeypatch):
                 assert key in memo.ranks
                 cols, _, ndst = matfac._boundary_columns(k, h, *b)
                 rows = matfac._int_columns(cols) if gauss else cols
-                full = _speedups_py.int_rank(rows) // (2 if gauss else 1)
+                full = int_rank(rows) // (2 if gauss else 1)
                 assert matfac._boundary_rank(k, h, *b, memo, key, matfac._cell_key(cell, *_target(*b))) == full
                 if cols and ndst:
                     full_rows[key] = len(rows)
@@ -664,12 +662,12 @@ def test_gaussian_source_column_is_skipped_only_when_both_halves_drop(monkeypatc
                 if key in memo.ranks:
                     continue
                 pivots = []
-                _speedups_py.int_rank(matfac._int_columns(assemble(k, h, *into)[0]), pivots)
+                int_rank(matfac._int_columns(assemble(k, h, *into)[0]), pivots)
                 drop = sorted(c for c in pivots if c % 2 == 0 or c % 4 == 1)
                 if not drop:
                     continue
                 cols = assemble(k, h, *out)[0]
-                full = _speedups_py.int_rank(matfac._int_columns(cols)) // 2
+                full = int_rank(matfac._int_columns(cols)) // 2
                 memo.pivots[key] = array("l", drop)
                 assert matfac._boundary_rank(k, h, *out, memo, key, matfac._cell_key(cell, *_target(*out))) == full
                 assert skips.pop() == {s for s in range(len(cols)) if 2 * s in drop and 2 * s + 1 in drop}
@@ -738,7 +736,7 @@ _MONOMIAL_CONTEXTS = {
 
 
 def _fresh_context(name):
-    return unit_mf().ctx if name == "unit" else _model(name).ctx
+    return _unit_mf().ctx if name == "unit" else _model(name).ctx
 
 
 @settings(max_examples=10, deadline=None)
@@ -832,7 +830,7 @@ def test_ext_table_of_a_single_pair():
     tab = ext_table([mf_from_pair(a1.ctx, a1.poly, x, x)], 0)
     assert tab.objects == ("O1",)
     assert tab.dims == {(0, 0, 0): 1}
-    assert tab.total() == 1
+    assert sum(tab.dims.values()) == 1
 
     empty = ext_table([], 2)
     assert empty.entries() == []
@@ -846,7 +844,7 @@ def _table_matches_quiver(name, window=4):
     for i in range(len(col)):
         for j in range(len(col)):
             for k in range(-window, window + 1):
-                if tab.dim(i, j, k) != simple_hom_dims(q, i, j, k):
+                if tab.dims.get((i, j, k), 0) != simple_hom_dims(q, i, j, k):
                     return False
     return True
 
@@ -870,7 +868,7 @@ def test_sum_collections_match_the_tensor_table():
         for i in range(len(col)):
             for j in range(len(col)):
                 for k in range(-4, 5):
-                    assert tab.dim(i, j, k) == model.dim(i, j, k)
+                    assert tab.dims.get((i, j, k), 0) == model.dims.get((i, j, k), 0)
 
 
 def test_ext_table_repeats_on_a_warm_memo():
@@ -1149,12 +1147,12 @@ def test_every_koszul_splitting_factorizes(data):
     name = data.draw(st.sampled_from(_GAMMA_POOL))
     p = _model(name)
     choice = {}
-    for exps, coeff in p.poly.sorted_terms():
+    for exps, coeff in sorted(p.poly.terms.items()):
         divisors = [i for i, e in enumerate(exps) if e > 0]
         choice[exps] = data.draw(st.sampled_from(divisors))
     k = koszul_mf(p, gamma_choice=choice)
     k.validate()
-    assert k.rank0 == k.rank1 == 2 ** (len(k.koszul_data.eta) - 1)
+    assert k.rank0 == k.rank1 == 2 ** (p.poly.nvars - 1)
 
 
 # ---------------------------------------------------------------- the oracle
@@ -1181,7 +1179,7 @@ def _random_atom_object(data, name):
         return mf_from_pair(p.ctx, p.poly, a, b)
     if kind == "residue":
         return residue_mf_D(p.atoms[0].param, ctx=p.ctx)
-    choice = {exps: data.draw(st.sampled_from([i for i, e in enumerate(exps) if e])) for exps, _ in p.poly.sorted_terms()}
+    choice = {exps: data.draw(st.sampled_from([i for i, e in enumerate(exps) if e])) for exps, _ in sorted(p.poly.terms.items())}
     return koszul_mf(p, gamma_choice=choice)
 
 

@@ -1,0 +1,167 @@
+"""The package ships only code that runs: every top-level function, class and
+method of src/hmskit must be reachable from the CLI or from the API that the
+benchmark and the tools call.  Code that only tests reach belongs under
+tests/ (as in reference_exact.py).
+
+The walk is static and over-approximates reachability:
+- roots are `hmscli.main`, every dunder method, every module-level statement,
+  the tracer targets of perfbench/layers.py and the hmskit names that
+  perfbench/run.py and tools/*.py use;
+- a bare name resolves to a definition of its own module, or through the
+  module's imports (following `import ... as` aliases) to another module's;
+- `module.name` resolves in that hmskit module; any other `.name` reaches
+  every method called `name`, whatever its class.
+An attribute that the package stores on `self` must likewise be read
+somewhere outside the tests.
+"""
+
+import ast
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hmskit"
+CALLERS = [ROOT / "perfbench" / "run.py", *sorted((ROOT / "tools").glob("*.py"))]
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+class _Module:
+    """Definitions, hmskit imports and module-level statements of a file."""
+
+    def __init__(self, path):
+        self.name = path.stem
+        self.tree = ast.parse(path.read_text(), str(path))
+        self.defs = {}  # qualname -> node
+        self.top = []  # module-level statements other than definitions
+        for node in self.tree.body:
+            if isinstance(node, _FUNCTIONS):
+                self.defs[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                self.defs[node.name] = node
+                for item in node.body:
+                    if isinstance(item, _FUNCTIONS):
+                        self.defs[f"{node.name}.{item.name}"] = item
+            else:
+                self.top.append(node)
+        # local name -> (hmskit module, name), or (module, None) for a module
+        self.imports = {}
+        for node in ast.walk(self.tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module == "hmskit" or (node.level == 1 and node.module is None):
+                    self.imports[local] = (alias.name, None)
+                elif node.level == 1:
+                    self.imports[local] = (node.module, alias.name)
+                elif node.module and node.module.startswith("hmskit."):
+                    self.imports[local] = (node.module.split(".", 1)[1], alias.name)
+
+    def references(self, nodes):
+        """What nodes use: ("", name) for a bare name, (module, name) for a
+        name of an imported hmskit module, (".", attr) for any other
+        attribute."""
+        refs = set()
+        for n in nodes:
+            if isinstance(n, ast.Name):
+                refs.add(("", n.id))
+            elif isinstance(n, ast.Attribute):
+                base = getattr(n.value, "id", None)
+                if base in self.imports and self.imports[base][1] is None:
+                    refs.add((self.imports[base][0], n.attr))
+                else:
+                    refs.add((".", n.attr))
+        return refs
+
+
+def _own_nodes(node):
+    """The nodes of a definition, without the bodies of its methods (each
+    method is a definition of its own)."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        for child in ast.iter_child_nodes(n):
+            if n is node and isinstance(node, ast.ClassDef) and isinstance(child, _FUNCTIONS):
+                stack.extend(child.decorator_list)  # they run with the class body
+            else:
+                stack.append(child)
+
+
+def _tracer_targets(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return [(module, attr) for module, attr, _, _ in layers.TARGETS]
+
+
+def unreached(monkeypatch):
+    """Sorted 'module.qualname' of every definition no root reaches."""
+    modules = {path.stem: _Module(path) for path in sorted(PACKAGE.glob("*.py"))}
+    methods = {}  # method name -> keys
+    for mod in modules.values():
+        for qual in mod.defs:
+            if "." in qual:
+                methods.setdefault(qual.split(".")[1], []).append((mod.name, qual))
+
+    def resolve(mod, name):
+        """Keys of the definitions that a name used in mod stands for."""
+        if mod is None:
+            return []
+        if mod.name in modules and name in mod.defs:
+            return [(mod.name, name)]
+        head, _, rest = name.partition(".")
+        if head not in mod.imports:
+            return []
+        target, orig = mod.imports[head]
+        if orig is None:
+            return resolve(modules.get(target), rest) if rest else []
+        return resolve(modules.get(target), f"{orig}.{rest}" if rest else orig)
+
+    def keys(mod, refs):
+        out = []
+        for where, name in refs:
+            if where == ".":
+                out.extend(methods.get(name, []))
+            else:
+                out.extend(resolve(modules.get(where) if where else mod, name))
+        return out
+
+    roots = [("hmscli", "main")]
+    for mod in modules.values():
+        roots.extend((mod.name, q) for q in mod.defs if q.rsplit(".", 1)[-1].startswith("__"))
+        roots.extend(keys(mod, mod.references(n for stmt in mod.top for n in ast.walk(stmt))))
+    for module, attr in _tracer_targets(monkeypatch):
+        roots.extend(resolve(modules[module], attr))
+    for path in CALLERS:
+        caller = _Module(path)
+        roots.extend(keys(caller, caller.references(ast.walk(caller.tree))))
+
+    seen = set()
+    while roots:
+        key = roots.pop()
+        if key not in seen:
+            seen.add(key)
+            mod = modules[key[0]]
+            roots.extend(keys(mod, mod.references(_own_nodes(mod.defs[key[1]]))))
+    return sorted(f"{m}.{q}" for m, mod in modules.items() for q in mod.defs if (m, q) not in seen)
+
+
+def test_every_package_definition_is_reached_outside_tests(monkeypatch):
+    assert unreached(monkeypatch) == []
+
+
+def test_every_attribute_the_package_sets_is_read_outside_tests():
+    # a value stored on self that nothing but tests reads is test-only too
+    written, read = set(), set()
+    for path in [*sorted(PACKAGE.glob("*.py")), *CALLERS]:
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(n, ast.Attribute):
+                continue
+            if isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif path.parent == PACKAGE and getattr(n.value, "id", None) == "self":
+                written.add((path.stem, n.attr))
+    assert sorted(f"{m}.{attr}" for m, attr in written if attr not in read) == []

@@ -9,7 +9,6 @@ from hmskit.polyforms import (
     atom_from_name,
     build,
     parse_model,
-    st_sum,
     transpose,
 )
 
@@ -44,7 +43,7 @@ def test_transpose_chain_is_self():
 
 
 def test_sum_and_ordering():
-    s = st_sum(build([[3]]), build([[3, 1], [0, 2]]))
+    s = parse_model("A2+D4t")
     assert s.name == "A2+D4t"
     assert s.nvars == 3
     assert s.matrix == [[3, 0, 0], [0, 3, 1], [0, 0, 2]]
