@@ -16,6 +16,7 @@ from . import __version__
 from .cache import TableCache, request_key, resolve_cache_dir
 from .grading import GradingError, m_grading
 from .matfac import (
+    CollectionPlan,
     MFError,
     ResourceLimitError,
     element_to_json,
@@ -217,19 +218,23 @@ def cmd_verify(args):
         except SymmetryError as exc:
             raise CLIError(EXIT_PARSE, str(exc)) from None
         col, quiver = quotient_graded_collection(matrix, group)
+        labels = [label for label, _ in col]
+        field = "Q(i)" if any(mf.field != "Q" for _, mf in col) else "Q"
         quivers = [quiver]
         desc = {"matrix": matrix, "group": [format_element(g) for g in group.elements]}
     else:
         if args.group is not None:
             raise CLIError(EXIT_PARSE, "verify --group needs --matrix")
         p, desc = _build_model(args.input)
-        col = generator_collection(p)
+        # named now, built only if the table is computed in this run
+        plan = CollectionPlan(p)
+        col, labels, field = None, plan.labels, plan.field
         quivers = [dynkin_quiver(atom) for atom in p.atoms]
 
-    desc["field"] = "Q(i)" if any(mf.field != "Q" for _, mf in col) else "Q"
+    desc["field"] = field
     model = tensor_model(quivers).restrict_window(args.window)
     aside_objects = ["|".join(obj) for obj in model.objects]
-    if len(aside_objects) != len(col):
+    if len(aside_objects) != len(labels):
         raise CLIError(EXIT_UNSUPPORTED, "generator and vertex counts disagree")
     aside = {
         "objects": aside_objects,
@@ -248,7 +253,8 @@ def cmd_verify(args):
 
     def cold():
         started = time.perf_counter()
-        payload = ext_table_to_json(ext_table(col, window))
+        objects = col if col is not None else generator_collection(p, plan)
+        payload = ext_table_to_json(ext_table(objects, window))
         try:
             cache.store(key, payload)
         except OSError as exc:
@@ -269,9 +275,7 @@ def cmd_verify(args):
 
     payload = cache.load(key)
     rejected = cache.rejected
-    if payload is not None and not _table_payload_ok(
-        payload, [label for label, _ in col], window
-    ):
+    if payload is not None and not _table_payload_ok(payload, labels, window):
         rejected, payload = "malformed", None
     if rejected == "malformed":
         _diag(args, f"ignoring malformed cache entry (key {key[:12]}), recomputing")
@@ -298,7 +302,7 @@ def cmd_verify(args):
         "bside": payload,
         "aside": aside,
         "object_assignment": {
-            label: aside_objects[idx] for idx, (label, _) in enumerate(col)
+            label: aside_objects[idx] for idx, label in enumerate(labels)
         },
         "verdict": "match" if first is None else "mismatch",
         "first_difference": first,

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, product
 from operator import add, mul
 
 from .exactmat import I, Poly, int_rank
@@ -877,8 +877,8 @@ def ext_table(collection, window, max_cells=None):
 # ------------------------------------------------------ generator collections
 
 
-def _atom_stab(atom, model=None):
-    model = model or build(atom.template())
+def _atom_stab(atom):
+    model = build(atom.template())
     if atom.kind == "A":
         x = Poly.variable(1, 0)
         return mf_from_pair(
@@ -893,31 +893,29 @@ def _atom_stab(atom, model=None):
 
 
 def atom_collection(atom):
-    """Generator collection of one atom, in vertex order, as (label, form,
-    twist) triples: the object is the form twisted by the group element."""
-    model = build(atom.template())
-    ctx = model.ctx
-
-    def twist(t):
-        return _as_element(ctx, t)
-
+    """Generator collection of one atom, in vertex order, unbuilt: (label,
+    form index, integer twist) triples, and a function that builds the
+    forms.  Object n is its form twisted by its twist."""
     if atom.kind == "A":
-        base = _atom_stab(atom, model)
-        return [(f"R/m({-i})", base, twist(-i)) for i in range(atom.param)]
+        return [(f"R/m({-i})", 0, -i) for i in range(atom.param)], lambda: [_atom_stab(atom)]
     if atom.kind == "Dt":
         n = atom.param
         y = Poly.variable(2, 1)
         cofactor = Poly.monomial(2, (n - 1, 0)) + y
-        first = mf_from_pair(ctx, model.poly, y, cofactor)
-        second = mf_from_pair(ctx, model.poly, cofactor, y)
-        # The translate aligns the residue-field objects with the parity
-        # of the rank-one objects, so that hom spaces between them sit in
-        # the translation degree where the quiver expects its arrows.
-        stab = translate_mf(residue_mf_D(n, ctx=ctx))
-        return [
-            ("R/(y)", first, twist(0)),
-            (f"R/({cofactor.format().replace(' ', '')})", second, twist(0)),
-        ] + [(f"R/m({-t})", stab, twist(-t)) for t in range(n - 2)]
+
+        def forms():
+            model = build(atom.template())
+            # The translate aligns the residue-field objects with the parity
+            # of the rank-one objects, so that hom spaces between them sit in
+            # the translation degree where the quiver expects its arrows.
+            return [
+                mf_from_pair(model.ctx, model.poly, y, cofactor),
+                mf_from_pair(model.ctx, model.poly, cofactor, y),
+                translate_mf(residue_mf_D(n, ctx=model.ctx)),
+            ]
+
+        entries = [("R/(y)", 0, 0), (f"R/({cofactor.format().replace(' ', '')})", 1, 0)]
+        return entries + [(f"R/m({-t})", 2, -t) for t in range(n - 2)], forms
     raise MFError(
         "generator collections are implemented for the transposed "
         "orientation of two-variable models; transpose the polynomial first"
@@ -925,42 +923,59 @@ def atom_collection(atom):
 
 
 def _sum_objects(p, source, factor):
-    """(label, object) pairs of the sum p in product order, last atom
-    fastest: object t is the tensor of the triples factor(atom r)[t[r]], with
-    `coords` (source, atom names, t).  A tensor of twists is the twist of the
-    tensor (the embeddings are additive), so each pair of forms is tensored
-    once."""
+    """Labels of the sum p in product order, last atom fastest, and a
+    function that builds its (label, object) pairs: object t is the tensor
+    of the twisted forms of factor(atom r)[t[r]] (shaped as atom_collection),
+    with `coords` (source, atom names, t).  A tensor of twists is the twist
+    of the tensor (the embeddings are additive), so each pair of forms is
+    tensored once."""
     if not p.atoms:
         raise MFError("the zero polynomial has no generator collection")
-    objs = [((n,), label, form, s) for n, (label, form, s) in enumerate(factor(p.atoms[0]))]
-    for atom in p.atoms[1:]:
-        nxt = factor(atom)
-        maps = sum_grading_maps(objs[0][2].ctx, nxt[0][1].ctx)
-        _, emb1, emb2 = maps
-        pairs = dict.fromkeys((k1, k2) for _, _, k1, _ in objs for _, k2, _ in nxt)  # forms hash by identity
-        tensors = {pair: tensor_mf(*pair, maps) for pair in pairs}
-        objs = [
-            (t + (n,), f"{l1}|{l2}", tensors[k1, k2], emb1(s1) + emb2(s2))
-            for t, l1, k1, s1 in objs
-            for n, (l2, k2, s2) in enumerate(nxt)
-        ]
-    kinds = tuple(atom.name for atom in p.atoms)
-    out = []
-    for t, label, form, s in objs:
-        mf = shift_mf(form, s)
-        mf.coords = (source, kinds, t)
-        out.append((label, mf))
-    return out
+    factors = [factor(atom) for atom in p.atoms]
+    index = list(product(*(range(len(entries)) for entries, _ in factors)))
+    labels = ["|".join(entries[n][0] for (entries, _), n in zip(factors, t)) for t in index]
+
+    def objects():
+        rows = []
+        for entries, forms in factors:
+            built = forms()
+            rows.append([(built[k], _as_element(built[k].ctx, s)) for _, k, s in entries])
+        objs = rows[0]
+        for nxt in rows[1:]:
+            maps = sum_grading_maps(objs[0][0].ctx, nxt[0][0].ctx)
+            _, emb1, emb2 = maps
+            pairs = dict.fromkeys((k1, k2) for k1, _ in objs for k2, _ in nxt)  # forms hash by identity
+            tensors = {pair: tensor_mf(*pair, maps) for pair in pairs}
+            objs = [(tensors[k1, k2], emb1(s1) + emb2(s2)) for k1, s1 in objs for k2, s2 in nxt]
+        kinds = tuple(atom.name for atom in p.atoms)
+        out = []
+        for label, t, (form, s) in zip(labels, index, objs):
+            mf = shift_mf(form, s)
+            mf.coords = (source, kinds, t)
+            out.append((label, mf))
+        return out
+
+    return labels, objects
 
 
-def generator_collection(p):
+class CollectionPlan:
+    """generator_collection(p) named but not built: its labels, its field
+    (Q, as atom forms have integer coefficients) and build()."""
+
+    field = "Q"
+
+    def __init__(self, p):
+        self.labels, self.build = _sum_objects(p, "collection", atom_collection)
+
+
+def generator_collection(p, plan=None):
     """Generator collection of a recognized polynomial; tensor for sums.
 
     Object t of the product, in order, is the tensor of object t[r] of the
     collection of atom r (see _sum_objects); its `coords` are ("collection",
-    atom names, t).
+    atom names, t).  `plan` is CollectionPlan(p) if the caller made it.
     """
-    return _sum_objects(p, "collection", atom_collection)
+    return (plan or CollectionPlan(p)).build()
 
 
 def quotient_graded_collection(matrix, group):
@@ -1042,9 +1057,9 @@ def generator_E(p):
 
     def factor(atom):
         stab = _atom_stab(atom)
-        return [(None, stab, s) for s in lbar_representatives(stab.ctx)]
+        return [("", 0, s) for s in lbar_representatives(stab.ctx)], lambda: [stab]
 
-    return [mf for _, mf in _sum_objects(p, "E", factor)]
+    return [mf for _, mf in _sum_objects(p, "E", factor)[1]()]
 
 
 def one_period_end_total(gens, periods=4, max_cells=None):

@@ -11,7 +11,9 @@ from hmskit.matfac import atom_collection, shift_mf, tensor_mf
 
 
 def _objects(atom):
-    return [(label, shift_mf(form, s)) for label, form, s in atom_collection(atom)]
+    entries, forms = atom_collection(atom)
+    built = forms()
+    return [(label, shift_mf(built[k], s)) for label, k, s in entries]
 
 
 def reference_collection(p):

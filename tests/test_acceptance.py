@@ -12,19 +12,15 @@ import random
 import sys
 import time
 
-import pytest
-
 from hmskit.exactmat import (
     Poly,
     det_int,
     int_kernel,
     mat_mul,
-    mat_shape,
     mat_transpose,
     smith_normal_form,
     snf_diagonal,
 )
-from hmskit.grading import lbar_representatives
 from hmskit.hmscli import main as cli_main
 from hmskit.matfac import (
     ext_table,

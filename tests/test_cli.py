@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmskit import cache as cache_module
-from hmskit import hmscli
+from hmskit import hmscli, matfac
 from hmskit.cache import TableCache, canonical_json, request_key, resolve_cache_dir
 from hmskit.hmscli import CLIError, _build_model, _parse_matrix, main
 from hmskit.matfac import ext_table, ext_table_to_json, generator_collection, shift_mf
@@ -433,6 +433,91 @@ def test_verify_recomputes_a_cached_table_that_mismatches(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "match"
     assert "disagrees" in err and "computed" in err
     assert path.read_bytes() == stored  # the entry was overwritten
+
+
+_BENCH_MODELS = ["D4t", "D5t", "D6t", "A1", "A2", "A3", "A4", "A5", "A2+A2", "A3+A3", "A2+D4t", "A2+A2+A2", "A3+D4t"]
+
+
+@pytest.fixture(scope="module")
+def bench_cache(tmp_path_factory):
+    """A cache filled by a cold verify of each bench model, and its reports."""
+    cache_dir = str(tmp_path_factory.mktemp("bench-cache"))
+    reports = {}
+    for name in _BENCH_MODELS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", name, "--cache-dir", cache_dir, "--quiet"]) == 0
+        reports[name] = out.getvalue()
+    return cache_dir, reports
+
+
+def _count_builds(monkeypatch):
+    """Count factorizations constructed and tensor_mf calls from now on."""
+    counts = {"objects": 0, "tensors": 0}
+    init, tensor = matfac.MatrixFactorization.__init__, matfac.tensor_mf
+
+    def counted_init(self, *args, **kwargs):
+        counts["objects"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_tensor(*args):
+        counts["tensors"] += 1
+        return tensor(*args)
+
+    monkeypatch.setattr(matfac.MatrixFactorization, "__init__", counted_init)
+    monkeypatch.setattr(matfac, "tensor_mf", counted_tensor)
+    return counts
+
+
+@pytest.mark.parametrize("name", _BENCH_MODELS)
+def test_warm_verify_builds_no_factorization(name, bench_cache, capsys, monkeypatch):
+    cache_dir, cold = bench_cache
+    counts = _count_builds(monkeypatch)
+    code, warm, err = run_cli(capsys, "verify", name, "--cache-dir", cache_dir)
+    assert code == 0 and warm == cold[name]
+    assert "from cache" in err
+    assert counts == {"objects": 0, "tensors": 0}
+
+
+@pytest.mark.parametrize("damage", ["absent", "unreadable", "other-labels", "stale", "disagrees"])
+def test_a_table_computed_in_the_run_builds_the_collection_once(damage, tmp_path, capsys, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    code, cold, _ = run_cli(capsys, "verify", "A2+D4t", "--cache-dir", str(cache_dir), "--quiet")
+    assert code == 0
+    (path,) = cache_dir.iterdir()
+    cache = TableCache(str(cache_dir))
+    table = cache.load(path.stem)
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    if damage == "absent":
+        path.unlink()
+    elif damage == "unreadable":
+        path.write_bytes(b"{not json")
+    elif damage == "other-labels":  # stamped, but not this request's objects
+        cache.store(path.stem, {**table, "objects": table["objects"][::-1]})
+    elif damage == "stale":
+        path.write_text(json.dumps({**entry, "stamp": {**entry["stamp"], "sha256": "0" * 64}}), encoding="utf-8")
+    else:  # stamped and well shaped, but not the a side's table
+        entries = [list(e) for e in table["entries"]]
+        entries[0][3] += 1
+        cache.store(path.stem, {**table, "entries": entries})
+    builds, namings = [], []
+    build, name_atom = hmscli.generator_collection, matfac.atom_collection
+    monkeypatch.setattr(hmscli, "generator_collection", lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(matfac, "atom_collection", lambda atom: namings.append(atom) or name_atom(atom))
+
+    code, out, err = run_cli(capsys, "verify", "A2+D4t", "--cache-dir", str(cache_dir))
+    assert code == 0 and out == cold
+    assert "computed" in err
+    assert {
+        "absent": "cache entry" not in err,
+        "unreadable": "malformed cache entry" in err,
+        "other-labels": "malformed cache entry" in err,
+        "stale": "disagrees with its stamp" in err,
+        "disagrees": "disagrees with the a side" in err,
+    }[damage]
+    # built once, and its objects named once: two atoms, one naming each
+    assert len(builds) == 1 and len(namings) == 2
+    assert json.loads(path.read_text(encoding="utf-8")) == entry  # the entry was rewritten
 
 
 @pytest.mark.parametrize("matrix, group", [("[[4,0],[1,2]]", "1/4,3/8"), ("[[6,0],[1,2]]", "1/6,5/12")])

@@ -19,7 +19,6 @@ from hmskit.exactmat import (
     int_rank,
     mat_inverse_rat,
     mat_mul,
-    mat_transpose,
     smith_normal_form,
     snf_diagonal,
 )

@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import random
-import time
 from array import array
 
 import pytest
@@ -15,11 +14,10 @@ from hypothesis import strategies as st
 from hmskit import matfac
 from hmskit.exactmat import I, Poly, int_rank
 from hmskit.grading import GradingContext, grading_group, lbar_representatives, m_grading, sum_grading_maps
-from hmskit.polyforms import parse_model
+from hmskit.polyforms import build, parse_model
 from hmskit.quivercat import dynkin_quiver, simple_hom_dims, tensor_model
 from hmskit.symmetry import parse_group_string
 from hmskit.matfac import (
-    ExtTable,
     MatrixFactorization,
     MFError,
     ResourceLimitError,
@@ -1017,6 +1015,26 @@ def test_collection_equals_the_per_object_tensor_reference(name):
         assert mf.same_data(want)
         assert mf.coords == want.coords
         assert mf.field == want.field
+
+
+# the bench models, sums with more tensor pairs, and the further models of
+# the acceptance suite
+@pytest.mark.parametrize(
+    "name", _BENCH_MODELS + ["D4t+D4t", "A2+A3+D4t", "D4t+D4t+A2", "D3t", "A6", "A1+A1", "A2+A3"]
+)
+def test_plan_names_the_objects_it_builds(name):
+    p = _model(name)
+    plan = matfac.CollectionPlan(p)
+    col = plan.build()
+    assert plan.labels == [label for label, _ in col] == [label for label, _ in generator_collection(p)]
+    assert {mf.field for _, mf in col} == {plan.field}
+
+
+def test_plan_refuses_what_the_collection_refuses():
+    for p, message in [(build([]), "the zero polynomial has no generator collection"), (_model("D5"), "transpose")]:
+        for make in (matfac.CollectionPlan, generator_collection):
+            with pytest.raises(MFError, match=message):
+                make(p)
 
 
 @pytest.mark.parametrize(

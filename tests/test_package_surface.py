@@ -12,7 +12,8 @@ The walk is static and over-approximates reachability:
 - `module.name` resolves in that hmskit module; any other `.name` reaches
   every method called `name`, whatever its class.
 An attribute that the package stores on `self` must likewise be read
-somewhere outside the tests.
+somewhere outside the tests.  And no module of src/hmskit or tests/ imports
+a name it never uses.
 """
 
 import ast
@@ -165,3 +166,20 @@ def test_every_attribute_the_package_sets_is_read_outside_tests():
             elif path.parent == PACKAGE and getattr(n.value, "id", None) == "self":
                 written.add((path.stem, n.attr))
     assert sorted(f"{m}.{attr}" for m, attr in written if attr not in read) == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # `import a.b` binds `a`; a use is any occurrence of the bound name
+    unused = []
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]:
+        tree = ast.parse(path.read_text(), str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused.extend(f"{path.relative_to(ROOT)}:{node.lineno} {name}" for name in names if name not in used)
+    assert unused == []

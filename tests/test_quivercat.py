@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hmskit.exactmat import det_int
 from hmskit.polyforms import atom_from_name
 from hmskit.quivercat import (
-    BigradedTable,
     QuiverError,
     coxeter_polynomial,
     dynkin_quiver,
