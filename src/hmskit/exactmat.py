@@ -603,11 +603,10 @@ class Poly:
 
     # ---- display
 
-    def format(self, names=None):
+    def format(self):
         if not self.terms:
             return "0"
-        if names is None:
-            names = default_var_names(self.nvars)
+        names = default_var_names(self.nvars)
         pieces = []
         for exps, coeff in sorted(self.terms.items(), reverse=True):
             factors = []

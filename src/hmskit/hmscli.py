@@ -423,12 +423,10 @@ def _build_parser():
     g = sub.add_parser("grade", help="grading group of a model")
     g.add_argument("input", help="atom expression (e.g. D4t, A2+A2) or JSON exponent matrix")
     _add_common(g)
-    g.set_defaults(func=cmd_grade)
 
     gen = sub.add_parser("generators", help="serialized generator collection")
     gen.add_argument("input", help="atom expression or JSON exponent matrix")
     _add_common(gen)
-    gen.set_defaults(func=cmd_generators)
 
     v = sub.add_parser("verify", help="compare both hom tables over a shift window")
     v.add_argument("input", nargs="?", default=None, help="atom expression")
@@ -437,25 +435,21 @@ def _build_parser():
     v.add_argument("--window", type=int, default=4, help="compare |k| <= WINDOW (default 4)")
     v.add_argument("--cache-dir", metavar="DIR", default=None, help="table cache directory")
     _add_common(v)
-    v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("transpose", help="transposed polynomial and dual group")
     t.add_argument("matrix", help="JSON exponent matrix")
     t.add_argument("--group", metavar="GENS", required=True, help="symmetry group generators")
     _add_common(t)
-    t.set_defaults(func=cmd_transpose)
 
     gm = sub.add_parser("gmax", help="full diagonal symmetry group")
     gm.add_argument("input", help="atom expression or JSON exponent matrix")
     _add_common(gm)
-    gm.set_defaults(func=cmd_gmax)
 
     m = sub.add_parser("mutate", help="braid mutations of an Euler matrix")
     m.add_argument("input", help="single-atom expression, e.g. A5 or D5")
     m.add_argument("positions", nargs="+", type=int, help="1-based adjacent slot positions")
     m.add_argument("--direction", choices=("left", "right"), default="right")
     _add_common(m)
-    m.set_defaults(func=cmd_mutate)
 
     return ap
 
@@ -465,8 +459,13 @@ def main(argv=None):
     if extra:
         # reported with the usage of the subcommand, not the top-level one
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    # looked up at each call, so that a rebound cmd_* is the one that runs
+    commands = {
+        "grade": cmd_grade, "generators": cmd_generators, "verify": cmd_verify,
+        "transpose": cmd_transpose, "gmax": cmd_gmax, "mutate": cmd_mutate,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except CLIError as exc:
         print(f"hmskit: error: {exc}", file=sys.stderr)
         return exc.code

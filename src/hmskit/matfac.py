@@ -83,6 +83,13 @@ class ResourceLimitError(RuntimeError):
     pass
 
 
+# The largest hom cell, in monomial-basis dimension, that is laid out (see
+# _cell_offsets); a larger one raises ResourceLimitError before it is
+# assembled or ranked.  The smallest power of two above the largest cell of
+# any model measured to completion (162,048 in D4t+D4t+D4t).
+MAX_CELL_DIM = 1 << 18
+
+
 def _as_element(ctx, a):
     if isinstance(a, LElement):
         if a.moduli != ctx.torsion or len(a.free) != ctx.free_rank:
@@ -437,11 +444,12 @@ class _HomMemo:
 
     `forms` interns an object's (d0, d1, slot labels minus its first label)
     as a small int id; `labels[id]` holds the codes of those labels.  A cell
-    of Hom(k, h) has the key (form(k), form(h), shift, parity), shift the
-    code of h's first label - k's first label + q*c, cached in `shifts` per
-    (that base, q).  Per (form(k), form(h), parity), `slots` holds the id of
-    the cell's relative slot degrees (see _slot_degrees), a tuple in `rels`
-    interned by `rel_ids`, and `plans` the plan of its boundary (see _plan).
+    of Hom(k, h) has the key (form(k), form(h), shift, parity), parity 0
+    (even) or 1 (odd) and shift the code of h's first label - k's first
+    label + q*c, cached in `shifts` per (that base, q).  Per (form(k),
+    form(h), parity), `slots` holds the id of the cell's relative slot
+    degrees (see _slot_degrees), a tuple in `rels` interned by `rel_ids`,
+    and `plans` the plan of its boundary (see _plan).
     `cells[(rel id, shift)]` holds the slot degree codes shift + rel and the
     slot offsets in the monomial basis (the last is the dimension).  `ranks`
     maps a cell key to the rank of its boundary: equal keys give literally
@@ -450,9 +458,9 @@ class _HomMemo:
     module docstring).  `maps[(delta, e)]` holds, for each monomial m of
     degree delta, the position of m*x^e among the monomials of degree
     delta + deg(x^e).  But for the keys of `forms`, the memo holds only
-    ints, exponent tuples, Z[i] coefficients and parity tags, so no
-    reference cycle.  Ids are only comparable within one memo, so both
-    objects of a pair are interned in the memo of k's context.
+    ints, exponent tuples and Z[i] coefficients, so no reference cycle.
+    Ids are only comparable within one memo, so both objects of a pair are
+    interned in the memo of k's context.
     """
 
     __slots__ = (
@@ -612,7 +620,7 @@ def _slot_degrees(memo, fk, fh, parity):
     if rid is None:
         k, h = memo.labels[fk], memo.labels[fh]
         add = memo.add
-        slots = _block_slots(_BLOCKS[parity == "odd"], tuple(map(len, h)), tuple(map(len, k)))
+        slots = _block_slots(_BLOCKS[parity], tuple(map(len, h)), tuple(map(len, k)))
         rel = tuple(add(add(h[a][i], memo.c) if (a, b) == (0, 1) else h[a][i], k[b][j], -1) for a, b, i, j in slots)
         rid = memo.slots[(fk, fh, parity)] = memo.rel_ids.setdefault(rel, len(memo.rels))
         if rid == len(memo.rels):
@@ -623,7 +631,8 @@ def _slot_degrees(memo, fk, fh, parity):
 def _cell_offsets(ctx, memo, key):
     """(codes, offsets) of the cell `key`: each slot's degree code, added and
     counted once per distinct relative degree, and the slots' offsets in the
-    monomial basis (the last is the dimension)."""
+    monomial basis (the last is the dimension).  A cell larger than
+    MAX_CELL_DIM raises ResourceLimitError and is not kept."""
     fk, fh, shift, parity = key
     rid = _slot_degrees(memo, fk, fh, parity)
     hit = memo.cells.get((rid, shift))
@@ -632,7 +641,10 @@ def _cell_offsets(ctx, memo, key):
         code = {rel: memo.add(shift, rel) for rel in set(rels)}
         size = {c: len(monomials_of_degree(ctx, c)) for c in code.values()}
         codes = tuple(map(code.get, rels))
-        hit = memo.cells[(rid, shift)] = codes, (0, *accumulate(map(size.get, codes)))
+        offsets = (0, *accumulate(map(size.get, codes)))
+        if offsets[-1] > MAX_CELL_DIM:
+            raise ResourceLimitError(f"hom cell has dimension {offsets[-1]}, above the limit {MAX_CELL_DIM}")
+        hit = memo.cells[(rid, shift)] = codes, offsets
     return hit
 
 
@@ -652,15 +664,14 @@ def _plan(memo, k, h, key):
     fk, fh, _, parity = key
     plan = memo.plans.get((fk, fh, parity))
     if plan is None:
-        odd = parity == "odd"
         kr, hr = (k.rank0, k.rank1), (h.rank0, h.rank1)
         kd, hd = (k.d0, k.d1), (h.d0, h.d1)
         # the target cell's first block and its slot count
-        first = _BLOCKS[not odd][0]
+        first = _BLOCKS[1 - parity][0]
         first_len = hr[first[0]] * kr[first[1]]
-        sign = 1 if odd else -1
+        sign = 1 if parity else -1
         plan = []
-        for a, b, i, j in _block_slots(_BLOCKS[odd], hr, kr):
+        for a, b, i, j in _block_slots(_BLOCKS[parity], hr, kr):
             # d_H f fills the slots (i2, j) of block (1 - a, b), f d_K the
             # slots (i, j2) of block (a, 1 - b); with b = 1 f d_K comes first
             at = (0 if (1 - a, b) == first else first_len) + j
@@ -673,20 +684,19 @@ def _plan(memo, k, h, key):
     return plan
 
 
-def _boundary_columns(k, h, q, parity, skip=()):
-    """Columns of the hom-complex differential in the monomial bases.
+def _boundary_columns(k, h, memo, key, target, skip):
+    """Columns of the hom-complex differential out of the cell `key` of
+    Hom(k, h) into the cell `target`, in the monomial bases.
 
-    parity 'even': cell at twist q maps to the odd cell at twist q.
-    parity 'odd': cell at twist q maps to the even cell at twist q + 1.
-    Column order is slot order, then monomial order within a slot; one
-    step of the plan (see _plan) fills one block of columns.  The columns
-    whose positions are in `skip` are left empty.
+    The even cell at twist q maps to the odd cell at twist q, the odd cell
+    at twist q to the even cell at twist q + 1.  Column order is slot
+    order, then monomial order within a slot; one step of the plan (see
+    _plan) fills one block of columns.  The columns whose positions are in
+    `skip` are left empty.
     """
-    ctx, odd = k.ctx, parity == "odd"
-    cell = _cell_base(k, h)
-    memo, key = cell[0], _cell_key(cell, q, parity)
+    ctx = k.ctx
     codes, src_off = _cell_offsets(ctx, memo, key)
-    dst_off = _cell_offsets(ctx, memo, _cell_key(cell, q + odd, ("odd", "even")[odd]))[1]
+    dst_off = _cell_offsets(ctx, memo, target)[1]
     # keep[c] is 0 for a column that is left empty
     keep = bytearray(b"\x01") * src_off[-1]
     for c in skip:
@@ -712,21 +722,14 @@ def _boundary_columns(k, h, q, parity, skip=()):
     return cols, src_off[-1], dst_off[-1]
 
 
-def _cell_dim(ctx, memo, key, max_cells=None):
-    dim = _cell_offsets(ctx, memo, key)[1][-1]
-    if max_cells is not None and dim > max_cells:
-        raise ResourceLimitError(f"hom cell has dimension {dim}, above the limit {max_cells}")
-    return dim
-
-
-def _boundary_rank(k, h, q, parity, memo, key, target, max_cells=None):
-    """Rank of the boundary out of the cell (q, parity) of Hom(k, h), of key
-    `key`, into the cell of key `target`."""
+def _boundary_rank(k, h, memo, key, target):
+    """Rank of the boundary out of the cell `key` of Hom(k, h) into the
+    cell `target`."""
     rank = memo.ranks.get(key)
     if rank is not None:
         return rank
-    src = _cell_dim(k.ctx, memo, key, max_cells)
-    dst = _cell_dim(k.ctx, memo, target, max_cells)
+    src = _cell_offsets(k.ctx, memo, key)[1][-1]
+    dst = _cell_offsets(k.ctx, memo, target)[1][-1]
     # the boundary out of this cell is ranked on the rows other than the
     # pivot rows of the boundary into it (see the module docstring)
     drop = set(memo.pivots.pop(key, ()))
@@ -736,7 +739,7 @@ def _boundary_rank(k, h, q, parity, memo, key, target, max_cells=None):
         # source column s is integer column s, or 2s and 2s + 1 over Q(i);
         # it is not assembled when all of those are dropped
         skip = {c >> 1 for c in drop if c ^ 1 in drop} if gauss else drop
-        cols, _, _ = _boundary_columns(k, h, q, parity, skip)
+        cols, _, _ = _boundary_columns(k, h, memo, key, target, skip)
         if gauss:
             cols = _int_columns(cols)
         piv = []
@@ -751,7 +754,7 @@ def _boundary_rank(k, h, q, parity, memo, key, target, max_cells=None):
     return rank
 
 
-def hom_dim(k, h, shift, max_cells=None):
+def hom_dim(k, h, shift):
     """Dimension of the stable hom space from k to h translated `shift` times.
 
     The degree-zero piece of the hom complex is finite-dimensional and is
@@ -761,16 +764,15 @@ def hom_dim(k, h, shift, max_cells=None):
     cell = _cell_base(k, h)
     memo = cell[0]
     q, p = divmod(shift, 2)
-    parity, before = ("even", "odd") if p == 0 else ("odd", "even")
     # the cell, less the boundaries into it (from odd at q - 1, or even at
     # q) and out of it (into odd at q, or even at q + 1); the boundary in is
     # ranked first, so that the boundary out can use its pivot rows
-    key = _cell_key(cell, q, parity)
-    into, out = _cell_key(cell, q - 1 + p, before), _cell_key(cell, q + p, before)
+    key = _cell_key(cell, q, p)
+    into, out = _cell_key(cell, q - 1 + p, 1 - p), _cell_key(cell, q + p, 1 - p)
     dim = (
-        _cell_dim(k.ctx, memo, key, max_cells)
-        - _boundary_rank(k, h, q - 1 + p, before, memo, into, key, max_cells)
-        - _boundary_rank(k, h, q, parity, memo, key, out, max_cells)
+        _cell_offsets(k.ctx, memo, key)[1][-1]
+        - _boundary_rank(k, h, memo, into, key)
+        - _boundary_rank(k, h, memo, key, out)
     )
     if dim < 0:
         raise MFError("internal error: negative cohomology dimension")
@@ -832,46 +834,37 @@ def _orbit_key(objects):
     return key
 
 
-def ext_table(collection, window, max_cells=None):
+def ext_table(collection, window):
     """Full hom-dimension table of a collection over a shift window.
 
-    `collection` is a list of (label, MatrixFactorization) pairs, or bare
-    factorizations (labels are then positional).  When every object carries
-    coordinates of one sum (generator_collection records them), hom_dim runs
-    for one pair (i, j) per orbit under the permutations of identical atoms
-    and the rest of the orbit is filled from it, at the caller's positions;
-    otherwise, as for matrix-mode and hand-built collections, it runs for
-    every pair.
+    `collection` is a list of (label, MatrixFactorization) pairs.  When
+    every object carries coordinates of one sum (generator_collection
+    records them), hom_dim runs for one pair (i, j) per orbit under the
+    permutations of identical atoms and the rest of the orbit is filled from
+    it, at the caller's positions; otherwise, as for matrix-mode and
+    hand-built collections, it runs for every pair.
     """
-    items = []
-    for n, entry in enumerate(collection):
-        if isinstance(entry, MatrixFactorization):
-            items.append((f"O{n + 1}", entry))
-        else:
-            label, mf = entry
-            items.append((str(label), mf))
     lo, hi = _normalize_window(window)
-    labels = [label for label, _ in items]
-    if not items:
-        return ExtTable((), (lo, hi), {})
-    for _, mf in items[1:]:
-        if mf.ctx != items[0][1].ctx or mf.w != items[0][1].w:
+    labels = tuple(str(label) for label, _ in collection)
+    objects = [mf for _, mf in collection]
+    for mf in objects[1:]:
+        if mf.ctx != objects[0].ctx or mf.w != objects[0].w:
             raise MFError("collection objects disagree on potential or grading")
 
-    orbit = _orbit_key([mf for _, mf in items])
+    orbit = _orbit_key(objects)
     shifts = range(lo, hi + 1)
     done = {}
     dims = {}
-    for i, (_, a) in enumerate(items):
-        for j, (_, b) in enumerate(items):
+    for i, a in enumerate(objects):
+        for j, b in enumerate(objects):
             key = orbit(i, j)
             row = done.get(key)
             if row is None:
-                row = done[key] = [hom_dim(a, b, k, max_cells=max_cells) for k in shifts]
+                row = done[key] = [hom_dim(a, b, k) for k in shifts]
             for k, d in zip(shifts, row):
                 if d:
                     dims[(i, j, k)] = d
-    return ExtTable(tuple(labels), (lo, hi), dims)
+    return ExtTable(labels, (lo, hi), dims)
 
 
 # ------------------------------------------------------ generator collections
@@ -1062,7 +1055,7 @@ def generator_E(p):
     return [mf for _, mf in _sum_objects(p, "E", factor)[1]()]
 
 
-def one_period_end_total(gens, periods=4, max_cells=None):
+def one_period_end_total(gens, periods=4):
     """Total dimension of End of a generator over one translation period.
 
     The translation square equals the twist by deg_c, so hom spaces are
@@ -1108,7 +1101,7 @@ def one_period_end_total(gens, periods=4, max_cells=None):
 
     def folded(delta):
         h = shift_mf(base, delta)
-        per_k = [hom_dim(base, h, k, max_cells=max_cells) for k in range(lo, hi + 1)]
+        per_k = [hom_dim(base, h, k) for k in range(lo, hi + 1)]
         if any(per_k[:2]) or any(per_k[-2:]):
             raise MFError(
                 "nonzero hom dimensions at the edge of the folding window; "

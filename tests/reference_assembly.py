@@ -4,7 +4,7 @@ per-form-pair plans replaced.
 For every source slot of every boundary it lays out the d_H f and f d_K
 terms again, walks each polynomial's terms and multiplies in the Koszul
 sign; the slot degree is shift + rel, added per slot, and the target cell
-is found from (q, parity) on its own.  It reads the same cell layout (slot
+is found from (q, parity) on its own (cell_keys).  It reads the same cell layout (slot
 degrees, offsets, multiplication maps) from the memo but keeps no plan.
 Used to cross-check the plan-based assembly column by column.
 """
@@ -16,15 +16,21 @@ from hmskit.matfac import (
 )
 
 
+def cell_keys(k, h, q, parity):
+    """(memo, key, target) of the boundary out of the cell (q, parity) of
+    Hom(k, h), parity 0 (even) or 1 (odd): the even cell at q maps to the
+    odd cell at q, the odd cell at q to the even cell at q + 1."""
+    cell = _cell_base(k, h)
+    return cell[0], _cell_key(cell, q, parity), _cell_key(cell, q + parity, 1 - parity)
+
+
 def reference_boundary_columns(k, h, q, parity, skip=()):
     ctx = k.ctx
-    cell = _cell_base(k, h)
-    memo, key = cell[0], _cell_key(cell, q, parity)
-    shift, odd = key[2], parity == "odd"
+    memo, key, target = cell_keys(k, h, q, parity)
+    shift, odd = key[2], parity
     rels = memo.rels[_slot_degrees(memo, key[0], key[1], parity)]
     src_off = _cell_offsets(ctx, memo, key)[1]
-    target = (q, "odd") if parity == "even" else (q + 1, "even")
-    dst_off = _cell_offsets(ctx, memo, _cell_key(cell, *target))[1]
+    dst_off = _cell_offsets(ctx, memo, target)[1]
     kr, hr = (k.rank0, k.rank1), (h.rank0, h.rank1)
     kd, hd = (k.d0, k.d1), (h.d0, h.d1)
     # the target cell's first block and its slot count

@@ -293,6 +293,17 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert shared == fresh
 
 
+def test_main_runs_a_rebound_subcommand(capsys, monkeypatch):
+    # the parser is built, and cached, before the rebinding; main still
+    # calls the function that hmscli.cmd_grade names when it is called
+    hmscli._build_parser()
+    calls = []
+    monkeypatch.setattr(hmscli, "cmd_grade", lambda args: calls.append(args.input) or 0)
+    assert main(["grade", "A2"]) == 0
+    assert calls == ["A2"]
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_quotient_graded_matrix_mode(tmp_path, capsys):
     # same polynomial the intrinsic route refuses, graded by an explicit
     # symmetry group; for even n the cofactor splits over the Gaussian
@@ -423,16 +434,36 @@ def test_verify_recomputes_a_cached_table_that_mismatches(tmp_path, capsys):
     assert code == 0
     (path,) = cache_dir.iterdir()
     stored = path.read_bytes()
-    payload = json.loads(stored)
+    cache, key = TableCache(str(cache_dir)), path.stem
+    payload = cache.load(key)
     payload["entries"][0][3] = 5  # well shaped, wrong value
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    cache.store(key, payload)  # restamped, so the entry is loaded
+    assert cache.load(key) == payload
 
     code, out, err = run_cli(capsys, "verify", "A2", "--cache-dir", str(cache_dir))
     assert code == 0
     assert out == cold
     assert json.loads(out)["verdict"] == "match"
-    assert "disagrees" in err and "computed" in err
+    lines = err.splitlines()
+    assert f"hmskit: cached table disagrees with the a side (key {key[:12]}), recomputing" in lines
+    assert not any("stamp" in line or "malformed" in line for line in lines)
+    assert "computed" in err
     assert path.read_bytes() == stored  # the entry was overwritten
+
+
+def test_verify_of_an_oversized_cell_exits_with_the_resource_code(tmp_path, capsys, monkeypatch):
+    # with the bound lowered below D4t's largest cell, the table stops
+    # before that cell is assembled: exit 4, one line on stderr, no report
+    # and no cache entry
+    monkeypatch.setattr(matfac, "MAX_CELL_DIM", 8)
+    cache_dir = tmp_path / "cache"
+    code, out, err = run_cli(capsys, "verify", "D4t", "--cache-dir", str(cache_dir))
+    assert code == 4
+    assert out == ""
+    assert "Traceback" not in err
+    (line,) = [l for l in err.splitlines() if l.startswith("hmskit: error:")]
+    assert "above the limit 8" in line
+    assert not cache_dir.exists() or not list(cache_dir.iterdir())
 
 
 _BENCH_MODELS = ["D4t", "D5t", "D6t", "A1", "A2", "A3", "A4", "A5", "A2+A2", "A3+A3", "A2+D4t", "A2+A2+A2", "A3+D4t"]

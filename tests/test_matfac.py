@@ -39,7 +39,7 @@ from hmskit.matfac import (
 )
 
 from oracle_homs import oracle_hom_dim
-from reference_assembly import reference_boundary_columns
+from reference_assembly import cell_keys, reference_boundary_columns
 from reference_audit import reference_validate
 from reference_collection import reference_collection
 from reference_exact import parse_poly_string
@@ -505,6 +505,16 @@ def test_hom_rejects_mismatched_potentials():
         hom_dim(d, a, 0)
 
 
+def _columns(k, h, q, parity, skip=()):
+    """matfac._boundary_columns out of the cell (q, parity) of Hom(k, h)."""
+    return matfac._boundary_columns(k, h, *cell_keys(k, h, q, parity), skip)
+
+
+def _labelled(objs):
+    """(label, object) pairs of bare objects, as ext_table takes them."""
+    return [(f"O{n + 1}", m) for n, m in enumerate(objs)]
+
+
 def _compose(first, second):
     """Exact sparse columns of second * first."""
     out = []
@@ -531,9 +541,9 @@ def test_assembled_boundaries_compose_to_zero():
     nontrivial = 0
     for k, h in pairs:
         for q in range(-2, 2):
-            even, ns, nd = matfac._boundary_columns(k, h, q, "even")
-            odd, os_, od = matfac._boundary_columns(k, h, q, "odd")
-            even_next, _, _ = matfac._boundary_columns(k, h, q + 1, "even")
+            even, ns, nd = _columns(k, h, q, 0)
+            odd, os_, od = _columns(k, h, q, 1)
+            even_next, _, _ = _columns(k, h, q + 1, 0)
             assert (len(even), len(odd)) == (ns, os_) and nd == os_
             assert all(r < nd for c in even for r in c)
             assert all(r < od for c in odd for r in c)
@@ -559,13 +569,9 @@ def _objects(name):
 
 
 def _cell_boundaries(q, parity):
-    """The boundary into the cell (q, parity) and the boundary out of it."""
-    return ((q - 1, "odd") if parity == "even" else (q, "even")), (q, parity)
-
-
-def _target(q, parity):
-    """The cell the boundary out of the cell (q, parity) maps into."""
-    return (q, "odd") if parity == "even" else (q + 1, "even")
+    """The boundary into the cell (q, parity), parity 0 (even) or 1 (odd),
+    and the boundary out of it, each named by its source cell."""
+    return (q - 1 + parity, 1 - parity), (q, parity)
 
 
 @pytest.mark.parametrize("name", REDUCTION_COLLECTIONS)
@@ -576,8 +582,8 @@ def test_boundary_out_vanishes_on_boundary_in(name):
     nontrivial = 0
     for k, h in itertools.product(objs, repeat=2):
         for q in range(-2, 3):
-            for parity in ("even", "odd"):
-                d_in, d_out = (matfac._boundary_columns(k, h, *b)[0] for b in _cell_boundaries(q, parity))
+            for parity in (0, 1):
+                d_in, d_out = (_columns(k, h, *b)[0] for b in _cell_boundaries(q, parity))
                 assert not any(_compose(d_in, d_out))
                 nontrivial += any(d_in) and any(d_out)
     assert nontrivial >= 40
@@ -593,18 +599,15 @@ def test_reduced_boundary_ranks_equal_full_ranks(name, monkeypatch):
             hom_dim(k, h, shift)
     full_rows = {}
     for k, h in itertools.product(objs, repeat=2):
-        cell = matfac._cell_base(k, h)
-        memo = cell[0]
         gauss = k.field != "Q" or h.field != "Q"
         for shift in range(-2, 3):
-            q, p = divmod(shift, 2)
-            for b in _cell_boundaries(q, ("even", "odd")[p]):
-                key = matfac._cell_key(cell, *b)
+            for b in _cell_boundaries(*divmod(shift, 2)):
+                memo, key, target = cell_keys(k, h, *b)
                 assert key in memo.ranks
-                cols, _, ndst = matfac._boundary_columns(k, h, *b)
+                cols, _, ndst = matfac._boundary_columns(k, h, memo, key, target, ())
                 rows = matfac._int_columns(cols) if gauss else cols
                 full = int_rank(rows) // (2 if gauss else 1)
-                assert matfac._boundary_rank(k, h, *b, memo, key, matfac._cell_key(cell, *_target(*b))) == full
+                assert matfac._boundary_rank(k, h, memo, key, target) == full
                 if cols and ndst:
                     full_rows[key] = len(rows)
     # one rank call per distinct nonempty boundary, on fewer rows in all
@@ -617,16 +620,16 @@ def test_assembly_leaves_exactly_the_skipped_columns_empty(name, monkeypatch):
     assemble = matfac._boundary_columns
     seen = []
 
-    def recording(k, h, q, parity, skip=()):
-        out = assemble(k, h, q, parity, skip)
-        seen.append(((k, h, q, parity), set(skip), out))
+    def recording(k, h, memo, key, target, skip):
+        out = assemble(k, h, memo, key, target, skip)
+        seen.append(((k, h, memo, key, target), set(skip), out))
         return out
 
     monkeypatch.setattr(matfac, "_boundary_columns", recording)
-    ext_table(_objects(name), 2)
+    ext_table(_labelled(_objects(name)), 2)
     skipped = 0
     for args, skip, (cols, nsrc, ndst) in seen:
-        full, fsrc, fdst = assemble(*args)
+        full, fsrc, fdst = assemble(*args, ())
         assert (len(cols), nsrc, ndst) == (len(full), fsrc, fdst)
         for s, (col, ref) in enumerate(zip(cols, full)):
             # same rows in the same order, or nothing at all when skipped
@@ -641,9 +644,9 @@ def test_gaussian_source_column_is_skipped_only_when_both_halves_drop(monkeypatc
     assemble = matfac._boundary_columns
     skips = []
 
-    def recording(k, h, q, parity, skip=()):
+    def recording(k, h, memo, key, target, skip):
         skips.append(set(skip))
-        return assemble(k, h, q, parity, skip)
+        return assemble(k, h, memo, key, target, skip)
 
     monkeypatch.setattr(matfac, "_boundary_columns", recording)
     objs = _objects(REDUCTION_COLLECTIONS[-1])
@@ -651,23 +654,21 @@ def test_gaussian_source_column_is_skipped_only_when_both_halves_drop(monkeypatc
     for k, h in itertools.product(objs, repeat=2):
         if k.field == h.field == "Q":
             continue
-        cell = matfac._cell_base(k, h)
-        memo = cell[0]
         for q in range(-2, 2):
-            for parity in ("even", "odd"):
+            for parity in (0, 1):
                 into, out = _cell_boundaries(q, parity)
-                key = matfac._cell_key(cell, *out)
+                memo, key, target = cell_keys(k, h, *out)
                 if key in memo.ranks:
                     continue
                 pivots = []
-                int_rank(matfac._int_columns(assemble(k, h, *into)[0]), pivots)
+                int_rank(matfac._int_columns(assemble(k, h, *cell_keys(k, h, *into), ())[0]), pivots)
                 drop = sorted(c for c in pivots if c % 2 == 0 or c % 4 == 1)
                 if not drop:
                     continue
-                cols = assemble(k, h, *out)[0]
+                cols = assemble(k, h, memo, key, target, ())[0]
                 full = int_rank(matfac._int_columns(cols)) // 2
                 memo.pivots[key] = array("l", drop)
-                assert matfac._boundary_rank(k, h, *out, memo, key, matfac._cell_key(cell, *_target(*out))) == full
+                assert matfac._boundary_rank(k, h, memo, key, target) == full
                 assert skips.pop() == {s for s in range(len(cols)) if 2 * s in drop and 2 * s + 1 in drop}
                 checked += 1
     assert checked >= 10
@@ -791,10 +792,10 @@ def test_each_free_degree_is_enumerated_once(monkeypatch):
 
 
 def _int_leaves(value):
-    # ints and the parity tag of a cell key; no LElement, Poly or coefficient
+    # ints only, parities too; no LElement, Poly or coefficient
     if isinstance(value, tuple):
         return all(_int_leaves(v) for v in value)
-    return type(value) is int or value in ("even", "odd")
+    return type(value) is int
 
 
 def test_multiplication_maps_place_each_product():
@@ -825,8 +826,8 @@ def test_multiplication_maps_place_each_product():
 def test_ext_table_of_a_single_pair():
     a1 = _model("A1")
     x = Poly.variable(1, 0)
-    tab = ext_table([mf_from_pair(a1.ctx, a1.poly, x, x)], 0)
-    assert tab.objects == ("O1",)
+    tab = ext_table([("R/(x)", mf_from_pair(a1.ctx, a1.poly, x, x))], 0)
+    assert tab.objects == ("R/(x)",)
     assert tab.dims == {(0, 0, 0): 1}
     assert sum(tab.dims.values()) == 1
 
@@ -887,9 +888,9 @@ def _counting_homs(monkeypatch):
     calls = []
     hom = matfac.hom_dim
 
-    def counted(k, h, shift, max_cells=None):
+    def counted(k, h, shift):
         calls.append(shift)
-        return hom(k, h, shift, max_cells=max_cells)
+        return hom(k, h, shift)
 
     monkeypatch.setattr(matfac, "hom_dim", counted)
     return calls
@@ -969,7 +970,7 @@ def test_objects_without_coordinates_are_tabled_pair_by_pair(monkeypatch):
     bare = [shift_mf(mf, 0) for _, mf in col]
     assert all(m.coords is None and m.same_data(mf) for m, (_, mf) in zip(bare, col))
     calls = _counting_homs(monkeypatch)
-    assert ext_table(bare, 1).dims == ext_table(col, 1).dims
+    assert ext_table(_labelled(bare), 1).dims == ext_table(col, 1).dims
     assert len(calls) == 16 * 3 + 10 * 3
 
 
@@ -977,13 +978,31 @@ def test_ext_table_rejects_mixed_potentials():
     a = koszul_mf(_model("A2"))
     b = koszul_mf(_model("A3"))
     with pytest.raises(MFError):
-        ext_table([a, b], 1)
+        ext_table(_labelled([a, b]), 1)
 
 
-def test_cell_limit_raises_resource_error():
-    _, col, _ = _rank_one_objects("D4t")
-    with pytest.raises(ResourceLimitError, match="above the limit"):
-        ext_table(col, 3, max_cells=2)
+def test_cell_limit_raises_resource_error(monkeypatch):
+    # the largest cell is 40 for the D4t table over the window 3 and 66 for
+    # the D4t period total at periods=2; a bound of exactly that admits it.
+    # Each model is built fresh, so that no cell layout is in a memo yet.
+    assert matfac.MAX_CELL_DIM == 1 << 18
+    for limit, run in [
+        (40, lambda: ext_table(generator_collection(_model("D4t")), 3)),
+        (66, lambda: one_period_end_total(generator_E(_model("D4t")), periods=2)),
+    ]:
+        monkeypatch.setattr(matfac, "MAX_CELL_DIM", limit - 1)
+        with pytest.raises(ResourceLimitError, match=f"hom cell has dimension {limit}, above the limit {limit - 1}"):
+            run()
+        monkeypatch.setattr(matfac, "MAX_CELL_DIM", limit)
+        run()
+    # an oversized cell is not kept: it raises again on a warm memo
+    monkeypatch.setattr(matfac, "MAX_CELL_DIM", 8)
+    col = generator_collection(_model("D4t"))
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError, match="above the limit 8"):
+            ext_table(col, 3)
+    monkeypatch.setattr(matfac, "MAX_CELL_DIM", 40)
+    assert ext_table(col, 3).dims == ext_table(generator_collection(_model("D4t")), 3).dims
     assert issubclass(ResourceLimitError, RuntimeError)
 
 
@@ -1244,10 +1263,10 @@ def test_hom_dims_match_the_oracle_on_random_objects(data):
 def test_planned_assembly_equals_the_reference_column_by_column(data):
     k, h = (_twisted(data, m) for m in _random_objects(data))
     for _ in range(3):
-        q, parity = data.draw(st.integers(-2, 2)), data.draw(st.sampled_from(("even", "odd")))
+        q, parity = data.draw(st.integers(-2, 2)), data.draw(st.sampled_from((0, 1)))
         nsrc = reference_boundary_columns(k, h, q, parity)[1]
         skip = data.draw(st.sets(st.integers(0, nsrc - 1))) if nsrc else set()
-        cols, *dims = matfac._boundary_columns(k, h, q, parity, skip)
+        cols, *dims = _columns(k, h, q, parity, skip)
         ref, *ref_dims = reference_boundary_columns(k, h, q, parity, skip)
         # the same rows in the same order in every column, empty ones too,
         # over Q(i) before _int_columns
@@ -1260,14 +1279,14 @@ def test_plans_are_kept_once_per_pair_of_forms_and_parity(name, monkeypatch):
     assemble = matfac._boundary_columns
     assembled = set()
 
-    def recording(k, h, q, parity, skip=()):
-        _, fk, fh, _ = matfac._cell_base(k, h)
+    def recording(k, h, memo, key, target, skip):
+        fk, fh, _, parity = key
         assembled.add((fk, fh, parity))
-        return assemble(k, h, q, parity, skip)
+        return assemble(k, h, memo, key, target, skip)
 
     monkeypatch.setattr(matfac, "_boundary_columns", recording)
     col = [m for _, m in generator_collection(_model(name))]
-    ext_table(col, 2)
+    ext_table(_labelled(col), 2)
     memo = col[0].ctx._hom_memo
     assert set(memo.plans) == assembled
     # twisting both objects of a pair keeps both forms: the same plan, the
@@ -1276,14 +1295,14 @@ def test_plans_are_kept_once_per_pair_of_forms_and_parity(name, monkeypatch):
     t = _twist(col[0].ctx, 3)
     for k, h in ((col[0], col[-1]), (col[-1], col[1])):
         tk, th = shift_mf(k, t), shift_mf(h, t)
-        for q, parity in itertools.product(range(-2, 2), ("even", "odd")):
-            assert assemble(tk, th, q, parity) == assemble(k, h, q, parity)
+        for q, parity in itertools.product(range(-2, 2), (0, 1)):
+            assert _columns(tk, th, q, parity) == _columns(k, h, q, parity)
     assert memo.plans.keys() == plans.keys()
     assert all(memo.plans[f] is p for f, p in plans.items())
     # a model built again starts with an empty memo and shares no plan
     again = [m for _, m in generator_collection(_model(name))]
     assert "_hom_memo" not in vars(again[0].ctx)
-    ext_table(again, 2)
+    ext_table(_labelled(again), 2)
     fresh = again[0].ctx._hom_memo
     assert fresh is not memo and fresh.plans == plans
     assert not any(fresh.plans[f] is p for f, p in plans.items())
