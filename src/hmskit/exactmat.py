@@ -10,8 +10,6 @@ Nothing in this module (or in anything built on top of it) touches floating
 point or complex.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd

@@ -7,9 +7,6 @@ polynomial.  Elements are kept in normal-form coordinates, so equality,
 hashing and sorting are structural.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -27,18 +24,37 @@ class GradingError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
 class LElement:
-    """Element of a grading group in (free, torsion) coordinates."""
+    """Element of a grading group in (free, torsion) coordinates.
 
-    free: tuple
-    tors: tuple
-    moduli: tuple
+    Immutable, with tors reduced modulo moduli; equality, hashing and order
+    are those of the tuple (free, tors, moduli).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "tors", tuple(t % m for t, m in zip(self.tors, self.moduli))
-        )
+    __slots__ = ("free", "tors", "moduli")
+
+    def __init__(self, free, tors, moduli):
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "tors", tuple(t % m for t, m in zip(tors, moduli)))
+        object.__setattr__(self, "moduli", moduli)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.free, self.tors, self.moduli) == (other.free, other.tors, other.moduli)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.free, self.tors, self.moduli) < (other.free, other.tors, other.moduli)
+
+    def __hash__(self):
+        return hash((self.free, self.tors, self.moduli))
 
     def _check(self, other):
         if self.moduli != other.moduli or len(self.free) != len(other.free):

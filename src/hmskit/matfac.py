@@ -58,11 +58,9 @@ differences, so shift_mf and translate_mf skip it; the objects of a
 collection are twists of forms built, and audited, once (see _sum_objects).
 """
 
-from __future__ import annotations
-
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, compress, product
+from math import prod
 from operator import add, mul
 
 from .exactmat import I, Poly, int_rank
@@ -88,6 +86,13 @@ class ResourceLimitError(RuntimeError):
 # assembled or ranked.  The smallest power of two above the largest cell of
 # any model measured to completion (162,048 in D4t+D4t+D4t).
 MAX_CELL_DIM = 1 << 18
+
+# The largest number of objects of a collection or of generator_E (see
+# _sum_objects); a larger product of the atoms' sizes raises
+# ResourceLimitError before any label is joined.  The smallest power of two
+# above the largest count of any model measured to completion (255 in a
+# verify of A255; the largest sum, D4t+D4t+D4t, has 64 objects and 216 in E).
+MAX_OBJECTS = 1 << 8
 
 
 def _as_element(ctx, a):
@@ -719,7 +724,7 @@ def _boundary_columns(k, h, memo, key, target, skip):
                 pos = _mult_map(ctx, memo, delta, e)
             for col, p in zip(live, compress(pos, sel)):
                 col[base + p] = v
-    return cols, src_off[-1], dst_off[-1]
+    return cols
 
 
 def _boundary_rank(k, h, memo, key, target):
@@ -739,7 +744,7 @@ def _boundary_rank(k, h, memo, key, target):
         # source column s is integer column s, or 2s and 2s + 1 over Q(i);
         # it is not assembled when all of those are dropped
         skip = {c >> 1 for c in drop if c ^ 1 in drop} if gauss else drop
-        cols, _, _ = _boundary_columns(k, h, memo, key, target, skip)
+        cols = _boundary_columns(k, h, memo, key, target, skip)
         if gauss:
             cols = _int_columns(cols)
         piv = []
@@ -782,11 +787,15 @@ def hom_dim(k, h, shift):
 # --------------------------------------------------------------- Ext tables
 
 
-@dataclass
 class ExtTable:
-    objects: tuple
-    window: tuple  # (k_min, k_max)
-    dims: dict  # (i, j, k) -> positive int
+    """Hom dimensions between labelled objects over a shift window."""
+
+    __slots__ = ("objects", "window", "dims")
+
+    def __init__(self, objects, window, dims):
+        self.objects = objects
+        self.window = window  # (k_min, k_max)
+        self.dims = dims  # (i, j, k) -> positive int
 
     def entries(self):
         return sorted((i, j, k, d) for (i, j, k), d in self.dims.items())
@@ -925,6 +934,9 @@ def _sum_objects(p, source, factor):
     if not p.atoms:
         raise MFError("the zero polynomial has no generator collection")
     factors = [factor(atom) for atom in p.atoms]
+    count = prod(len(entries) for entries, _ in factors)
+    if count > MAX_OBJECTS:
+        raise ResourceLimitError(f"collection has {count} objects, above the limit {MAX_OBJECTS}")
     index = list(product(*(range(len(entries)) for entries, _ in factors)))
     labels = ["|".join(entries[n][0] for (entries, _), n in zip(factors, t)) for t in index]
 

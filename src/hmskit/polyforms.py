@@ -11,10 +11,7 @@ direct sums of the one and two variable atoms
 up to renumbering of rows and variables.  Everything else is rejected.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
 
 from .exactmat import Poly, det_int, mat_transpose
 from .grading import grading_group
@@ -24,17 +21,36 @@ class PolyFormError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Atom:
     """One indecomposable summand: kind 'A', 'D' or 'Dt' with its rank.
 
     `variables` lists the global variable indices in template order, so
-    for the two variable kinds the first entry plays the x role.
+    for the two variable kinds the first entry plays the x role.  Immutable;
+    equal and hashed by (kind, param, variables).
     """
 
-    kind: str
-    param: int
-    variables: tuple
+    __slots__ = ("kind", "param", "variables")
+
+    def __init__(self, kind, param, variables):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "variables", variables)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.param, self.variables) == (other.kind, other.param, other.variables)
+
+    def __hash__(self):
+        return hash((self.kind, self.param, self.variables))
+
+    def __repr__(self):
+        return f"Atom(kind={self.kind!r}, param={self.param!r}, variables={self.variables!r})"
 
     @property
     def name(self):

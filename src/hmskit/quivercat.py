@@ -5,10 +5,7 @@ path algebra, tensor products for several factors, and the mutation action
 on Euler matrices.  Everything here is small and exact.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass, field
 
 from .exactmat import charpoly, identity_matrix, mat_inverse_rat, mat_mul, mat_transpose
 
@@ -17,11 +14,32 @@ class QuiverError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Quiver:
-    name: str
-    vertices: tuple
-    arrows: tuple  # (source, target) pairs, 0-based
+    """Named quiver with its vertices and (source, target) arrows, 0-based.
+    Immutable; equal and hashed by (name, vertices, arrows)."""
+
+    __slots__ = ("name", "vertices", "arrows")
+
+    def __init__(self, name, vertices, arrows):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arrows", arrows)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.vertices, self.arrows) == (other.name, other.vertices, other.arrows)
+
+    def __hash__(self):
+        return hash((self.name, self.vertices, self.arrows))
+
+    def __repr__(self):
+        return f"Quiver(name={self.name!r}, vertices={self.vertices!r}, arrows={self.arrows!r})"
 
     @property
     def rank(self):
@@ -80,12 +98,17 @@ def simple_hom_dims(q, i, j, k):
     return 0
 
 
-@dataclass
 class BigradedTable:
     """Hom dimensions between tuple-indexed objects, graded by shift."""
 
-    objects: list
-    dims: dict = field(default_factory=dict)  # (i, j, k) -> positive int
+    __slots__ = ("objects", "dims")
+
+    def __init__(self, objects, dims=None):
+        self.objects = objects
+        self.dims = {} if dims is None else dims  # (i, j, k) -> positive int
+
+    def __repr__(self):
+        return f"BigradedTable(objects={self.objects!r}, dims={self.dims!r})"
 
     def entries(self):
         """Sorted nonzero entries as (i, j, k, dim) index tuples."""

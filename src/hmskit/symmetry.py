@@ -5,8 +5,6 @@ by x_i -> exp(2 pi i g_i) x_i.  A vector g is a symmetry of the polynomial
 with exponent matrix A exactly when A g is integral.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import lcm
 

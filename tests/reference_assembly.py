@@ -63,4 +63,4 @@ def reference_boundary_columns(k, h, q, parity, skip=()):
                 pos = memo.maps.get((delta, e)) or _mult_map(ctx, memo, delta, e)
                 for col, p in zip(live, compress(pos, sel)):
                     col[base + p] = v
-    return cols, src_off[-1], dst_off[-1]
+    return cols

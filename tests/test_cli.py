@@ -7,7 +7,7 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmskit import cache as cache_module
@@ -466,6 +466,32 @@ def test_verify_of_an_oversized_cell_exits_with_the_resource_code(tmp_path, caps
     assert not cache_dir.exists() or not list(cache_dir.iterdir())
 
 
+def test_verify_of_too_many_objects_exits_before_the_a_side(tmp_path, capsys, monkeypatch):
+    # A99999 is refused from its atom's collection size: exit 4, one line on
+    # stderr, no report and no cache entry, and no A side is built
+    def refuse(quivers):
+        raise AssertionError("the A side was built")
+
+    monkeypatch.setattr(hmscli, "tensor_model", refuse)
+    cache_dir = tmp_path / "cache"
+    code, out, err = run_cli(capsys, "verify", "A99999", "--cache-dir", str(cache_dir))
+    assert (code, out) == (4, "")
+    assert err.splitlines() == ["hmskit: error: collection has 99999 objects, above the limit 256"]
+    assert not cache_dir.exists() or not list(cache_dir.iterdir())
+
+
+@pytest.mark.parametrize("limit, code", [(8, 0), (7, 4)])
+def test_generators_of_too_many_objects_exits_with_the_resource_code(limit, code, capsys, monkeypatch):
+    # A2+D4t has 2 * 4 = 8 objects
+    monkeypatch.setattr(matfac, "MAX_OBJECTS", limit)
+    got, out, err = run_cli(capsys, "generators", "A2+D4t")
+    assert got == code
+    if code:
+        assert out == "" and err == "hmskit: error: collection has 8 objects, above the limit 7\n"
+    else:
+        assert json.loads(out)["count"] == 8
+
+
 _BENCH_MODELS = ["D4t", "D5t", "D6t", "A1", "A2", "A3", "A4", "A5", "A2+A2", "A3+A3", "A2+D4t", "A2+A2+A2", "A3+D4t"]
 
 
@@ -709,7 +735,8 @@ def test_reports_are_deterministic(tmp_path, capsys):
 # ------------------------------------------------------------------- fuzz
 
 # junk without digits can never be a well-formed model, so the verify runs
-# below stay tiny; the digit alphabets stay short, so no group is huge
+# below stay tiny; the digit alphabets stay short, so no group is huge.
+# Lowered bounds on objects and cells make the tiny runs reach exit 4.
 _JUNK = st.text(alphabet="ADt+[]{},;:/ -xy\"\\\u00e9\x00", max_size=10)
 _ATOM = st.builds("{}{}{}".format, st.sampled_from("AD"), st.integers(0, 4), st.sampled_from(["", "t"]))
 _SUM = st.lists(_ATOM, min_size=1, max_size=2).map("+".join)
@@ -726,12 +753,13 @@ _GROUP = st.one_of(
 )
 _WINDOW = st.sampled_from(["-1", "0", "1", "2", "x"])
 _PAIRS = [("[[3,0],[1,2]]", "1/3,1/3"), ("[[4,0],[1,2]]", "1/4,3/8")]
+_LIMITS = st.sampled_from([{}, {}, {"MAX_OBJECTS": 1}, {"MAX_CELL_DIM": 2}, {"MAX_OBJECTS": 3, "MAX_CELL_DIM": 12}])
 
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(["grade", "gmax", "transpose", "verify"]))
-    if command in ("grade", "gmax"):
+    command = draw(st.sampled_from(["grade", "gmax", "generators", "transpose", "verify"]))
+    if command in ("grade", "gmax", "generators"):
         argv = [command, draw(st.one_of(_MODEL, _MATRIX))]
     elif command == "transpose":
         argv = [command, draw(_MATRIX), "--group", draw(_GROUP)]
@@ -779,8 +807,11 @@ def test_parsers_fail_only_with_cli_errors(text, group, n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_argv())
-def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, argv):
+@given(_argv(), _LIMITS)
+# one refusal of each kind on every run: too many objects, an oversized cell
+@example(["generators", "A2+A2"], {"MAX_OBJECTS": 3})
+@example(["verify", "D4t", "--window", "1", "--cache-dir", "CACHE"], {"MAX_CELL_DIM": 2})
+def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, argv, limits):
     base = tmp_path_factory.getbasetemp()
     blocker = base / "fuzz-file"
     blocker.write_text("")
@@ -790,4 +821,10 @@ def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, argv):
         "UNDER_FILE": str(blocker / "x"),
     }
     argv = [places.get(a, a) for a in argv]
-    assert _exit_code(lambda: main(argv)) in range(5), argv
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in limits.items():
+            mp.setattr(matfac, name, value)
+        code = _exit_code(lambda: main(argv))
+    assert code in range(5), argv
+    # the models drawn here are far below the package's own bounds
+    assert code != 4 or limits, argv

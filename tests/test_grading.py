@@ -183,6 +183,29 @@ def test_element_torsion_reduction():
     assert f.tors == (2,)
 
 
+def test_element_equality_hash_and_order_follow_its_fields():
+    a = LElement((1,), (4,), (3,))
+    assert a == LElement((1,), (1,), (3,)) and hash(a) == hash(LElement((1,), (1,), (3,)))
+    assert a != LElement((1,), (1,), (5,)) and a != LElement((2,), (1,), (3,))
+    assert a != ((1,), (1,), (3,))
+    elems = [LElement((f,), (t,), (m,)) for f in (1, 0) for t in (4, 0, 2) for m in (5, 3)]
+    assert sorted(elems) == sorted(elems, key=lambda e: (e.free, e.tors, e.moduli))
+    assert LElement((0,), (2,), (3,)) < LElement((1,), (0,), (3,))
+    assert LElement((0,), (1,), (3,)) < LElement((0,), (1,), (5,))
+    assert not a < LElement((1,), (1,), (3,))
+    assert len({a, LElement((1,), (1,), (3,)), LElement((1,), (7,), (3,))}) == 1
+
+
+@pytest.mark.parametrize("field", ["free", "tors", "moduli", "other"])
+def test_element_is_immutable(field):
+    e = LElement((1,), (2,), (3,))
+    with pytest.raises(AttributeError):
+        setattr(e, field, (0,))
+    with pytest.raises(AttributeError):
+        delattr(e, field)
+    assert e == LElement((1,), (2,), (3,))
+
+
 def test_mixed_group_arithmetic_rejected():
     a = grading_group(A2).element(1)
     b = sum_grading_maps(grading_group(A2), grading_group(A2))[0].element(1, (0,))

@@ -510,6 +510,12 @@ def _columns(k, h, q, parity, skip=()):
     return matfac._boundary_columns(k, h, *cell_keys(k, h, q, parity), skip)
 
 
+def _cell_dim(k, h, q, parity):
+    """Dimension of the cell (q, parity) of Hom(k, h), read from its layout."""
+    memo, key, _ = cell_keys(k, h, q, parity)
+    return matfac._cell_offsets(k.ctx, memo, key)[1][-1]
+
+
 def _labelled(objs):
     """(label, object) pairs of bare objects, as ext_table takes them."""
     return [(f"O{n + 1}", m) for n, m in enumerate(objs)]
@@ -541,11 +547,10 @@ def test_assembled_boundaries_compose_to_zero():
     nontrivial = 0
     for k, h in pairs:
         for q in range(-2, 2):
-            even, ns, nd = _columns(k, h, q, 0)
-            odd, os_, od = _columns(k, h, q, 1)
-            even_next, _, _ = _columns(k, h, q + 1, 0)
-            assert (len(even), len(odd)) == (ns, os_) and nd == os_
-            assert all(r < nd for c in even for r in c)
+            even, odd, even_next = _columns(k, h, q, 0), _columns(k, h, q, 1), _columns(k, h, q + 1, 0)
+            ns, os_, od = _cell_dim(k, h, q, 0), _cell_dim(k, h, q, 1), _cell_dim(k, h, q + 1, 0)
+            assert (len(even), len(odd)) == (ns, os_)
+            assert all(r < os_ for c in even for r in c)
             assert all(r < od for c in odd for r in c)
             assert not any(_compose(even, odd))
             assert not any(_compose(odd, even_next))
@@ -583,7 +588,7 @@ def test_boundary_out_vanishes_on_boundary_in(name):
     for k, h in itertools.product(objs, repeat=2):
         for q in range(-2, 3):
             for parity in (0, 1):
-                d_in, d_out = (_columns(k, h, *b)[0] for b in _cell_boundaries(q, parity))
+                d_in, d_out = (_columns(k, h, *b) for b in _cell_boundaries(q, parity))
                 assert not any(_compose(d_in, d_out))
                 nontrivial += any(d_in) and any(d_out)
     assert nontrivial >= 40
@@ -604,7 +609,8 @@ def test_reduced_boundary_ranks_equal_full_ranks(name, monkeypatch):
             for b in _cell_boundaries(*divmod(shift, 2)):
                 memo, key, target = cell_keys(k, h, *b)
                 assert key in memo.ranks
-                cols, _, ndst = matfac._boundary_columns(k, h, memo, key, target, ())
+                cols = matfac._boundary_columns(k, h, memo, key, target, ())
+                ndst = matfac._cell_offsets(k.ctx, memo, target)[1][-1]
                 rows = matfac._int_columns(cols) if gauss else cols
                 full = int_rank(rows) // (2 if gauss else 1)
                 assert matfac._boundary_rank(k, h, memo, key, target) == full
@@ -628,9 +634,10 @@ def test_assembly_leaves_exactly_the_skipped_columns_empty(name, monkeypatch):
     monkeypatch.setattr(matfac, "_boundary_columns", recording)
     ext_table(_labelled(_objects(name)), 2)
     skipped = 0
-    for args, skip, (cols, nsrc, ndst) in seen:
-        full, fsrc, fdst = assemble(*args, ())
-        assert (len(cols), nsrc, ndst) == (len(full), fsrc, fdst)
+    for args, skip, cols in seen:
+        full = assemble(*args, ())
+        k, _, memo, key, _ = args
+        assert len(cols) == len(full) == matfac._cell_offsets(k.ctx, memo, key)[1][-1]
         for s, (col, ref) in enumerate(zip(cols, full)):
             # same rows in the same order, or nothing at all when skipped
             assert list(col.items()) == ([] if s in skip else list(ref.items()))
@@ -661,11 +668,11 @@ def test_gaussian_source_column_is_skipped_only_when_both_halves_drop(monkeypatc
                 if key in memo.ranks:
                     continue
                 pivots = []
-                int_rank(matfac._int_columns(assemble(k, h, *cell_keys(k, h, *into), ())[0]), pivots)
+                int_rank(matfac._int_columns(assemble(k, h, *cell_keys(k, h, *into), ())), pivots)
                 drop = sorted(c for c in pivots if c % 2 == 0 or c % 4 == 1)
                 if not drop:
                     continue
-                cols = assemble(k, h, memo, key, target, ())[0]
+                cols = assemble(k, h, memo, key, target, ())
                 full = int_rank(matfac._int_columns(cols)) // 2
                 memo.pivots[key] = array("l", drop)
                 assert matfac._boundary_rank(k, h, memo, key, target) == full
@@ -1006,6 +1013,25 @@ def test_cell_limit_raises_resource_error(monkeypatch):
     assert issubclass(ResourceLimitError, RuntimeError)
 
 
+def test_object_limit_raises_resource_error(monkeypatch):
+    # the bound is on the product of the atoms' collection sizes, checked
+    # before any label is joined; a bound of exactly the count admits it,
+    # for collections and for E alike
+    assert matfac.MAX_OBJECTS == 1 << 8
+    assert len(matfac.CollectionPlan(_model("D4t+D4t+D4t")).labels) == 64
+    assert len(generator_E(_model("D4t+D4t+D4t"))) == 216
+    assert len(matfac.CollectionPlan(_model("A256")).labels) == 256
+    with pytest.raises(ResourceLimitError, match="collection has 257 objects, above the limit 256"):
+        matfac.CollectionPlan(_model("A257"))
+    p = _model("A2+D4t")
+    for run, count in [(generator_collection, 8), (generator_E, len(generator_E(p)))]:
+        monkeypatch.setattr(matfac, "MAX_OBJECTS", count - 1)
+        with pytest.raises(ResourceLimitError, match=f"collection has {count} objects, above the limit {count - 1}"):
+            run(p)
+        monkeypatch.setattr(matfac, "MAX_OBJECTS", count)
+        assert len(run(p)) == count
+
+
 # ---------------------------------------------------------------- generators
 
 
@@ -1264,13 +1290,14 @@ def test_planned_assembly_equals_the_reference_column_by_column(data):
     k, h = (_twisted(data, m) for m in _random_objects(data))
     for _ in range(3):
         q, parity = data.draw(st.integers(-2, 2)), data.draw(st.sampled_from((0, 1)))
-        nsrc = reference_boundary_columns(k, h, q, parity)[1]
+        nsrc, ndst = _cell_dim(k, h, q, parity), _cell_dim(k, h, q + parity, 1 - parity)
         skip = data.draw(st.sets(st.integers(0, nsrc - 1))) if nsrc else set()
-        cols, *dims = _columns(k, h, q, parity, skip)
-        ref, *ref_dims = reference_boundary_columns(k, h, q, parity, skip)
+        cols = _columns(k, h, q, parity, skip)
+        ref = reference_boundary_columns(k, h, q, parity, skip)
         # the same rows in the same order in every column, empty ones too,
         # over Q(i) before _int_columns
-        assert dims == ref_dims and len(cols) == len(ref)
+        assert len(cols) == len(ref) == nsrc
+        assert all(r < ndst for c in cols for r in c)
         assert [list(c.items()) for c in cols] == [list(c.items()) for c in ref]
 
 

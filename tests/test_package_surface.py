@@ -13,11 +13,13 @@ The walk is static and over-approximates reachability:
   every method called `name`, whatever its class.
 An attribute that the package stores on `self` must likewise be read
 somewhere outside the tests.  And no module of src/hmskit or tests/ imports
-a name it never uses.
+a name it never uses, and importing the CLI loads none of the standard
+library modules that only dataclasses needs.
 """
 
 import ast
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -183,3 +185,17 @@ def test_no_module_imports_a_name_it_never_uses():
                 continue
             unused.extend(f"{path.relative_to(ROOT)}:{node.lineno} {name}" for name in names if name not in used)
     assert unused == []
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # a fresh process pays for every module it imports before it computes
+    # anything; dataclasses alone pulls in inspect, ast, dis, tokenize and
+    # more.  -I -S: no site hooks and no environment, so only hmskit imports
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import hmskit.hmscli, hmskit.matfac; print(*sorted(sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert {"hmskit.hmscli", "hmskit.matfac"} <= loaded
+    assert sorted(loaded & {"dataclasses", "inspect", "ast", "__future__"}) == []

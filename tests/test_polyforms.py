@@ -5,6 +5,7 @@ import pytest
 from hmskit.exactmat import Poly
 from hmskit.grading import lbar_representatives
 from hmskit.polyforms import (
+    Atom,
     PolyFormError,
     atom_from_name,
     build,
@@ -27,6 +28,27 @@ def test_dihedral_atoms():
     q = build([[4, 0], [1, 2]])
     assert q.name == "D5"
     assert q.format() == "x^4 + x*y^2"
+
+
+def test_atoms_compare_and_hash_by_their_fields():
+    a = Atom("Dt", 5, (0, 1))
+    assert build([[4, 1], [0, 2]]).atoms == [a]
+    assert a == Atom("Dt", 5, (0, 1)) and hash(a) == hash(Atom("Dt", 5, (0, 1)))
+    others = [Atom("D", 5, (0, 1)), Atom("Dt", 4, (0, 1)), Atom("Dt", 5, (1, 0))]
+    assert all(a != b for b in others)
+    assert len({a, Atom("Dt", 5, (0, 1)), *others}) == 4
+    assert a != ("Dt", 5, (0, 1))
+    assert repr(a) == "Atom(kind='Dt', param=5, variables=(0, 1))"
+
+
+@pytest.mark.parametrize("field", ["kind", "param", "variables", "other"])
+def test_atom_is_immutable(field):
+    a = Atom("A", 2, (0,))
+    with pytest.raises(AttributeError):
+        setattr(a, field, 3)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == Atom("A", 2, (0,))
 
 
 def test_transpose_swaps_orientation():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hmskit.exactmat import det_int
 from hmskit.polyforms import atom_from_name
 from hmskit.quivercat import (
+    BigradedTable,
+    Quiver,
     QuiverError,
     coxeter_polynomial,
     dynkin_quiver,
@@ -106,6 +108,30 @@ def test_dynkin_from_atom():
     assert dynkin_quiver(atom_from_name("D5")).name == "D5"
 
 
+def test_quivers_compare_and_hash_by_their_fields():
+    q = Quiver("D4", ("v1", "v2", "v3", "v4"), ((2, 0), (2, 1), (3, 2)))
+    assert dynkin_quiver("D4") == q and hash(dynkin_quiver("D4")) == hash(q)
+    assert dynkin_quiver(atom_from_name("D4t")) == q
+    others = [
+        Quiver("A4", q.vertices, q.arrows),
+        Quiver("D4", ("v1", "v2", "v3"), q.arrows),
+        Quiver("D4", q.vertices, ((2, 0), (2, 1))),
+    ]
+    assert all(q != other for other in others)
+    assert len({q, dynkin_quiver("D4"), *others}) == 4
+    assert repr(dynkin_quiver("A2")) == "Quiver(name='A2', vertices=('v1', 'v2'), arrows=((1, 0),))"
+
+
+@pytest.mark.parametrize("field", ["name", "vertices", "arrows", "other"])
+def test_quiver_is_immutable(field):
+    q = dynkin_quiver("A3")
+    with pytest.raises(AttributeError):
+        setattr(q, field, ())
+    with pytest.raises(AttributeError):
+        delattr(q, field)
+    assert q == dynkin_quiver("A3") and q.rank == 3
+
+
 def test_simple_hom_dims_basics():
     q = dynkin_quiver("D4")
     for i in range(4):
@@ -175,6 +201,14 @@ def test_tensor_factor_order_is_relabeling():
         swap[n] = t2.objects.index((obj[1], obj[0]))
     for (i, j, k), d in t1.dims.items():
         assert t2.dims.get((swap[i], swap[j], k), 0) == d
+
+
+def test_table_without_dims_gets_a_fresh_dict():
+    a, b = BigradedTable(["x"]), BigradedTable(["x"])
+    assert a.dims == {} and a.dims is not b.dims
+    a.dims[(0, 0, 0)] = 1
+    assert b.dims == {} and a != b
+    assert BigradedTable(["x"], {(0, 0, 0): 1}) == a
 
 
 def test_table_window_and_entries():
