@@ -8,6 +8,7 @@ same input always produces byte-identical report text.
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -111,16 +112,29 @@ def _build_model(text):
 
 
 def _emit(report, json_path):
+    """Write the report to stdout and, if asked, to json_path.  Either write
+    failing is exit 3, after both are tried: a closed stdout still gets its
+    --json file."""
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
+    failed = None
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader has gone; as the Python docs advise for SIGPIPE, point
+        # stdout at devnull so that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        failed = f"cannot write report to stdout: {exc.strerror}"
     if json_path:
         try:
             with open(json_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise CLIError(
-                EXIT_UNSUPPORTED, f"cannot write report to {json_path}: {exc.strerror or exc}"
-            ) from None
+            failed = f"cannot write report to {json_path}: {exc.strerror or exc}"
+    if failed:
+        raise CLIError(EXIT_UNSUPPORTED, failed)
 
 
 def _diag(args, message):
@@ -217,21 +231,19 @@ def cmd_verify(args):
             group = parse_group_string(args.group, len(matrix))
         except SymmetryError as exc:
             raise CLIError(EXIT_PARSE, str(exc)) from None
-        col, quiver = quotient_graded_collection(matrix, group)
-        labels = [label for label, _ in col]
-        field = "Q(i)" if any(mf.field != "Q" for _, mf in col) else "Q"
+        plan, quiver = quotient_graded_collection(matrix, group)
         quivers = [quiver]
         desc = {"matrix": matrix, "group": [format_element(g) for g in group.elements]}
     else:
         if args.group is not None:
             raise CLIError(EXIT_PARSE, "verify --group needs --matrix")
         p, desc = _build_model(args.input)
-        # named now, built only if the table is computed in this run
         plan = CollectionPlan(p)
-        col, labels, field = None, plan.labels, plan.field
         quivers = [dynkin_quiver(atom) for atom in p.atoms]
 
-    desc["field"] = field
+    # named now, built only if the table is computed in this run
+    labels = plan.labels
+    desc["field"] = plan.field
     model = tensor_model(quivers).restrict_window(args.window)
     aside_objects = ["|".join(obj) for obj in model.objects]
     if len(aside_objects) != len(labels):
@@ -253,8 +265,7 @@ def cmd_verify(args):
 
     def cold():
         started = time.perf_counter()
-        objects = col if col is not None else generator_collection(p, plan)
-        payload = ext_table_to_json(ext_table(objects, window))
+        payload = ext_table_to_json(ext_table(generator_collection(None, plan), window))
         try:
             cache.store(key, payload)
         except OSError as exc:

@@ -924,6 +924,12 @@ def atom_collection(atom):
     )
 
 
+def _check_objects(count):
+    """Refuse a collection, or E, of more than MAX_OBJECTS objects."""
+    if count > MAX_OBJECTS:
+        raise ResourceLimitError(f"collection has {count} objects, above the limit {MAX_OBJECTS}")
+
+
 def _sum_objects(p, source, factor):
     """Labels of the sum p in product order, last atom fastest, and a
     function that builds its (label, object) pairs: object t is the tensor
@@ -934,9 +940,7 @@ def _sum_objects(p, source, factor):
     if not p.atoms:
         raise MFError("the zero polynomial has no generator collection")
     factors = [factor(atom) for atom in p.atoms]
-    count = prod(len(entries) for entries, _ in factors)
-    if count > MAX_OBJECTS:
-        raise ResourceLimitError(f"collection has {count} objects, above the limit {MAX_OBJECTS}")
+    _check_objects(prod(len(entries) for entries, _ in factors))
     index = list(product(*(range(len(entries)) for entries, _ in factors)))
     labels = ["|".join(entries[n][0] for (entries, _), n in zip(factors, t)) for t in index]
 
@@ -964,13 +968,15 @@ def _sum_objects(p, source, factor):
 
 
 class CollectionPlan:
-    """generator_collection(p) named but not built: its labels, its field
-    (Q, as atom forms have integer coefficients) and build()."""
+    """A collection named but not built: its labels, the field of its hom
+    dimensions and build() of its (label, object) pairs.  CollectionPlan(p)
+    names generator_collection(p), over Q as atom forms have integer
+    coefficients; quotient_graded_collection passes the three instead."""
 
-    field = "Q"
-
-    def __init__(self, p):
-        self.labels, self.build = _sum_objects(p, "collection", atom_collection)
+    def __init__(self, p=None, labels=None, build=None, field="Q"):
+        if p is not None:
+            labels, build = _sum_objects(p, "collection", atom_collection)
+        self.labels, self.build, self.field = labels, build, field
 
 
 def generator_collection(p, plan=None):
@@ -978,14 +984,14 @@ def generator_collection(p, plan=None):
 
     Object t of the product, in order, is the tensor of object t[r] of the
     collection of atom r (see _sum_objects); its `coords` are ("collection",
-    atom names, t).  `plan` is CollectionPlan(p) if the caller made it.
+    atom names, t).  `plan`, if the caller made one, is built; p is not read.
     """
     return (plan or CollectionPlan(p)).build()
 
 
 def quotient_graded_collection(matrix, group):
     """Generator collection of a two-variable model in a quotient grading,
-    and the quiver it predicts.
+    named by a CollectionPlan, and the quiver it predicts.
 
     The intrinsic route refuses the orientation W = x^(n-1) + x*y^2; this
     route grades it by the characters of an explicit symmetry group (a
@@ -995,11 +1001,14 @@ def quotient_graded_collection(matrix, group):
     the cofactor splits over the Gaussian integers as
     x^(n-2) + y^2 = (x^m + i*y)(x^m - i*y), and the collection is made of
     rank-one objects only, in vertex order: R/(x^m+i*y), R/(x^m-i*y), then
-    for s = 0..m-1 the pair R/(x)(-1-s) and R/(x^(n-2)+y^2)(-n/2-s).  Its
-    hom dimensions are over Q(i).  For odd n the cofactor is irreducible
-    even over C; no collection is known to be sound there, so the route
-    keeps the two rank-one cuts plus translated residue-field objects over
-    Q, an honest mismatch.  The objects carry no coordinates.
+    for s = 0..m-1 the pair R/(x)(-1-s) and R/(x^(n-2)+y^2)(-n/2-s) (J acts
+    on x^m and y by one character, so the cuts are homogeneous).  Its hom
+    dimensions are over Q(i).  For odd n the cofactor is irreducible even
+    over C; no collection is known to be sound there, so the route keeps the
+    two rank-one cuts plus translated residue-field objects over Q, an
+    honest mismatch.  The n labels and the field follow from n alone, so n
+    meets MAX_OBJECTS before any grading; the grading (m_grading) and the
+    objects, which carry no coordinates, are made only by the plan's build().
     """
     n = len(matrix)
     p = build(matrix)
@@ -1008,45 +1017,44 @@ def quotient_graded_collection(matrix, group):
             "matrix-mode verification supports a single two-variable model "
             "of the form x^(n-1) + x*y^2"
         )
+    rank = p.atoms[0].param
+    _check_objects(rank)
     j = j_element(matrix)[2]
     if group != DiagonalGroup.generated(n, [j]):
         raise MFError(
             f"no A side is known for the group {format_group(group)}: matrix-mode "
             f"verification predicts a D quiver only for the group generated by J = {format_element(j)}"
         )
-    rank = p.atoms[0].param
-    ctx = m_grading(matrix, group)
-    w = p.poly
     x = Poly.variable(2, 0)
     cof = Poly.monomial(2, (rank - 2, 0)) + Poly.monomial(2, (0, 2))
 
     def label(f):
         return f"R/({f.format().replace(' ', '')})"
 
-    def twist(t):
-        return ctx.element(t, (0,) * len(ctx.torsion))
-
-    xm = Poly.variable(2, 0, (rank - 2) // 2)
-    y = Poly.variable(2, 1)
-    if rank % 2 == 0 and poly_class(ctx, xm) == poly_class(ctx, y):
-        iy = I * y
-        col = [
-            (label(f), mf_from_pair(ctx, w, f, x * g))
-            for f, g in ((xm + iy, xm - iy), (xm - iy, xm + iy))
-        ]
+    # (label, a, b, twist): the rank-one object R/(a) of W = a*b, or with a
+    # None the translated residue-field object, twisted by twist
+    even = rank % 2 == 0
+    if even:
+        xm, iy = Poly.variable(2, 0, (rank - 2) // 2), I * Poly.variable(2, 1)
+        entries = [(label(f), f, x * g, 0) for f, g in ((xm + iy, xm - iy), (xm - iy, xm + iy))]
         for s in range((rank - 2) // 2):
             a, b = -1 - s, -(rank // 2) - s
-            col.append((f"{label(x)}({a})", mf_from_pair(ctx, w, x, cof, twist(a))))
-            col.append((f"{label(cof)}({b})", mf_from_pair(ctx, w, cof, x, twist(b))))
+            entries += [(f"{label(x)}({a})", x, cof, a), (f"{label(cof)}({b})", cof, x, b)]
     else:
-        stab = translate_mf(koszul_mf(p, ctx=ctx))
-        col = [
-            (label(x), mf_from_pair(ctx, w, x, cof)),
-            (label(cof), mf_from_pair(ctx, w, cof, x)),
-        ]
-        for t in range(rank - 2):
-            col.append((f"R/m({-t})", shift_mf(stab, twist(-t))))
-    return col, dynkin_quiver(f"D{rank}")
+        entries = [(label(x), x, cof, 0), (label(cof), cof, x, 0)]
+        entries += [(f"R/m({-t})", None, None, -t) for t in range(rank - 2)]
+
+    def objects():
+        ctx = m_grading(matrix, group)
+        stab = None if even else translate_mf(koszul_mf(p, ctx=ctx))
+        out = []
+        for name, a, b, t in entries:
+            twist = ctx.element(t, (0,) * len(ctx.torsion))
+            out.append((name, shift_mf(stab, twist) if a is None else mf_from_pair(ctx, p.poly, a, b, twist)))
+        return out
+
+    plan = CollectionPlan(labels=[name for name, *_ in entries], build=objects, field="Q(i)" if even else "Q")
+    return plan, dynkin_quiver(f"D{rank}")
 
 
 def generator_E(p):

@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -480,6 +483,22 @@ def test_verify_of_too_many_objects_exits_before_the_a_side(tmp_path, capsys, mo
     assert not cache_dir.exists() or not list(cache_dir.iterdir())
 
 
+def test_matrix_mode_of_too_many_objects_exits_before_grading(tmp_path, capsys, monkeypatch):
+    # D301 has 301 objects, a count known from the matrix alone: exit 4,
+    # one line on stderr, no report and no cache entry, and no grading
+    def refuse(*args):
+        raise AssertionError("m_grading was called")
+
+    monkeypatch.setattr(matfac, "m_grading", refuse)
+    cache_dir = tmp_path / "cache"
+    code, out, err = run_cli(
+        capsys, "verify", "--matrix", "[[300,0],[1,2]]", "--group", "1/300,299/600", "--cache-dir", str(cache_dir)
+    )
+    assert (code, out) == (4, "")
+    assert err.splitlines() == ["hmskit: error: collection has 301 objects, above the limit 256"]
+    assert not cache_dir.exists() or not list(cache_dir.iterdir())
+
+
 @pytest.mark.parametrize("limit, code", [(8, 0), (7, 4)])
 def test_generators_of_too_many_objects_exits_with_the_resource_code(limit, code, capsys, monkeypatch):
     # A2+D4t has 2 * 4 = 8 objects
@@ -534,6 +553,21 @@ def test_warm_verify_builds_no_factorization(name, bench_cache, capsys, monkeypa
     assert code == 0 and warm == cold[name]
     assert "from cache" in err
     assert counts == {"objects": 0, "tensors": 0}
+
+
+# even n only: an odd n is an honest mismatch, which is never served from cache
+@pytest.mark.parametrize("matrix, group", [("[[3,0],[1,2]]", "1/3,1/3"), ("[[5,0],[1,2]]", "1/5,2/5")])
+def test_warm_matrix_mode_verify_builds_no_factorization(matrix, group, tmp_path, capsys, monkeypatch):
+    argv = ["verify", "--matrix", matrix, "--group", group, "--cache-dir", str(tmp_path)]
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == 0
+    counts, gradings = _count_builds(monkeypatch), []
+    grade = matfac.m_grading
+    monkeypatch.setattr(matfac, "m_grading", lambda *args: gradings.append(args) or grade(*args))
+    code, warm, err = run_cli(capsys, *argv)
+    assert code == 0 and warm == cold
+    assert "from cache" in err
+    assert counts == {"objects": 0, "tensors": 0} and gradings == []
 
 
 @pytest.mark.parametrize("damage", ["absent", "unreadable", "other-labels", "stale", "disagrees"])
@@ -626,6 +660,28 @@ def test_verify_json_to_an_unwritable_path_is_unsupported(tmp_path, capsys):
     assert code == 3
     assert out == report
     assert f"cannot write report to {blocker / 'r.json'}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("with_json", [False, True])
+def test_verify_to_a_closed_stdout_is_unsupported(with_json, tmp_path):
+    # the reader closes the pipe before the report is written, as `| head
+    # -c 0` can: exit 3, not 1 (a mismatch) or 120 (a failed flush at exit),
+    # one error line and no traceback; a --json report is still written
+    src = Path(hmscli.__file__).resolve().parents[1]
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); from hmskit.hmscli import main; sys.exit(main(sys.argv[1:]))"
+    report = tmp_path / "report.json"
+    argv = ["verify", "D4t", "--cache-dir", str(tmp_path / "c"), "--quiet"] + (["--json", str(report)] if with_json else [])
+    proc = subprocess.Popen(
+        [sys.executable, "-I", "-c", code, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 3
+    assert err == "hmskit: error: cannot write report to stdout: Broken pipe\n"
+    assert report.exists() == with_json
+    if with_json:
+        assert json.loads(report.read_text(encoding="utf-8"))["verdict"] == "match"
 
 
 def test_verify_with_an_unusable_cache_dir_reports_as_with_a_cache(tmp_path, capsys):
@@ -808,8 +864,10 @@ def test_parsers_fail_only_with_cli_errors(text, group, n):
 
 @settings(max_examples=150, deadline=None)
 @given(_argv(), _LIMITS)
-# one refusal of each kind on every run: too many objects, an oversized cell
+# one refusal of each kind on every run: too many objects (of a model and
+# of matrix mode), an oversized cell
 @example(["generators", "A2+A2"], {"MAX_OBJECTS": 3})
+@example(["verify", "--matrix", "[[3,0],[1,2]]", "--group", "1/3,1/3", "--cache-dir", "CACHE"], {"MAX_OBJECTS": 3})
 @example(["verify", "D4t", "--window", "1", "--cache-dir", "CACHE"], {"MAX_CELL_DIM": 2})
 def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, argv, limits):
     base = tmp_path_factory.getbasetemp()

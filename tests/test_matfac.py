@@ -16,7 +16,7 @@ from hmskit.exactmat import I, Poly, int_rank
 from hmskit.grading import GradingContext, grading_group, lbar_representatives, m_grading, sum_grading_maps
 from hmskit.polyforms import build, parse_model
 from hmskit.quivercat import dynkin_quiver, simple_hom_dims, tensor_model
-from hmskit.symmetry import parse_group_string
+from hmskit.symmetry import DiagonalGroup, j_element, parse_group_string
 from hmskit.matfac import (
     MatrixFactorization,
     MFError,
@@ -31,6 +31,7 @@ from hmskit.matfac import (
     mf_to_json,
     monomials_of_degree,
     one_period_end_total,
+    poly_class,
     quotient_graded_collection,
     residue_mf_D,
     shift_mf,
@@ -540,7 +541,7 @@ def test_assembled_boundaries_compose_to_zero():
     for name in ("D4t", "A2+A2"):
         objs = [m for _, m in generator_collection(_model(name))]
         pairs += [(a, b) for a in objs for b in objs]
-    col, _ = quotient_graded_collection([[3, 0], [1, 2]], parse_group_string("1/3,1/3", 2))
+    col = quotient_graded_collection([[3, 0], [1, 2]], parse_group_string("1/3,1/3", 2))[0].build()
     x, y = col[0][1], col[1][1]
     assert x.field == y.field == "Q(i)"
     pairs += [(x, y), (y, x)]
@@ -567,7 +568,7 @@ def _objects(name):
     if name.startswith("["):
         matrix, group = name.split()
         matrix = json.loads(matrix)
-        col, _ = quotient_graded_collection(matrix, parse_group_string(group, len(matrix)))
+        col = quotient_graded_collection(matrix, parse_group_string(group, len(matrix)))[0].build()
     else:
         col = generator_collection(_model(name))
     return [m for _, m in col]
@@ -1082,6 +1083,43 @@ def test_plan_refuses_what_the_collection_refuses():
                 make(p)
 
 
+def _j_model(n):
+    """The exponent matrix of x^(n-1) + x*y^2 and the group its J generates."""
+    matrix = [[n - 1, 0], [1, 2]]
+    return matrix, DiagonalGroup.generated(2, [j_element(matrix)[2]])
+
+
+def test_j_gives_x_to_the_m_the_degree_of_y():
+    # the even-n cuts x^m +- i*y (m = (n-2)/2) are homogeneous only when x^m
+    # and y have one degree; under <J> they do, so the quotient route picks
+    # its objects and its field by the parity of n alone
+    for n in range(4, 41, 2):
+        ctx = m_grading(*_j_model(n))
+        assert poly_class(ctx, Poly.variable(2, 0, (n - 2) // 2)) == poly_class(ctx, Poly.variable(2, 1)), n
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_quotient_plan_names_the_objects_it_builds(n):
+    plan, quiver = quotient_graded_collection(*_j_model(n))
+    col = plan.build()
+    assert plan.labels == [label for label, _ in col] and len(col) == n == len(quiver.vertices)
+    # the field as verify read it off the built objects before the plan named it
+    assert plan.field == ("Q(i)" if any(mf.field != "Q" for _, mf in col) else "Q")
+    assert plan.field == ("Q(i)" if n % 2 == 0 else "Q")
+
+
+def test_quotient_plan_meets_the_object_bound_before_grading(monkeypatch):
+    # the count is n, known from the matrix, so the refusal needs no grading
+    def refuse(*args):
+        raise AssertionError("m_grading was called")
+
+    monkeypatch.setattr(matfac, "m_grading", refuse)
+    monkeypatch.setattr(matfac, "MAX_OBJECTS", 5)
+    assert len(quotient_graded_collection(*_j_model(5))[0].labels) == 5
+    with pytest.raises(ResourceLimitError, match="collection has 6 objects, above the limit 5"):
+        quotient_graded_collection(*_j_model(6))
+
+
 @pytest.mark.parametrize(
     "name, tensors",
     [("A2+A2", 1), ("A3+A3", 1), ("A2+D4t", 3), ("A3+D4t", 3), ("A2+A2+A2", 2), ("D4t+D4t", 9), ("D4t+D4t+A2", 18)],
@@ -1271,7 +1309,7 @@ def _random_objects(data):
             tensor_mf(_random_atom_object(data, first), _random_atom_object(data, second), maps) for _ in range(2)
         ]
     else:
-        col, _ = quotient_graded_collection([[3, 0], [1, 2]], parse_group_string("1/3,1/3", 2))
+        col = quotient_graded_collection([[3, 0], [1, 2]], parse_group_string("1/3,1/3", 2))[0].build()
         objs = [col[0][1], col[data.draw(st.integers(0, 3))][1]]
     return objs
 

@@ -23,3 +23,12 @@ def test_runs_and_checks_a_small_model():
     assert list(scale_runs.run([("period", "A2+A2", 3, 36)])) == ["period A2+A2 periods=3"]
     with pytest.raises(RuntimeError, match="total 36, expected 35"):
         scale_runs.run([("period", "A2+A2", 3, 35)])
+
+
+def test_runs_and_checks_matrix_mode():
+    scale_runs = _scale_runs()
+    walls = scale_runs.run([("matrix", "[[3,0],[1,2]]", "1/3,1/3")])
+    assert list(walls) == ["verify --matrix [[3,0],[1,2]] --group 1/3,1/3"]
+    # D5 is an honest mismatch: exit 1 fails the run's check
+    with pytest.raises(RuntimeError, match="exit code 1"):
+        scale_runs.run([("matrix", "[[4,0],[1,2]]", "1/4,3/8")])

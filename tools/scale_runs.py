@@ -2,8 +2,9 @@
 
     python3 tools/scale_runs.py
 
-Runs cold `hmskit verify A2+A2+A2+A2`, cold `hmskit verify D4t+D4t` (each
-with an empty cache directory) and
+Runs cold `hmskit verify A2+A2+A2+A2`, cold `hmskit verify D4t+D4t`, cold
+`hmskit verify --matrix '[[159,0],[1,2]]' --group '1/159,79/159'` (matrix
+mode, D160; each verify with an empty cache directory) and
 `one_period_end_total(generator_E(A2+A2+A2+A2), periods=4)`, one subprocess
 each.  A verify must exit 0 with the verdict "match"; the period total must
 be 1296.  Prints one JSON line: the wall time of each run in seconds
@@ -22,10 +23,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# ("verify", model) or ("period", model, periods, expected total)
+# ("verify", model), ("matrix", exponent matrix, group) for verify --matrix,
+# or ("period", model, periods, expected total)
 SCALE = [
     ("verify", "A2+A2+A2+A2"),
     ("verify", "D4t+D4t"),
+    ("matrix", "[[159,0],[1,2]]", "1/159,79/159"),
     ("period", "A2+A2+A2+A2", 4, 1296),
 ]
 
@@ -39,6 +42,8 @@ _PERIOD = (
 
 def label(job):
     kind, model, *rest = job
+    if kind == "matrix":
+        return f"verify --matrix {model} --group {rest[0]}"
     return f"{kind} {model}" + (f" periods={rest[0]}" if rest else "")
 
 
@@ -46,7 +51,7 @@ def _problem(job, out):
     """What is wrong with a run's output, or None."""
     if out.returncode != 0:
         return f"exit code {out.returncode}: {out.stderr.strip()[-500:]}"
-    if job[0] == "verify":
+    if job[0] != "period":
         try:
             verdict = json.loads(out.stdout).get("verdict")
         except ValueError:
@@ -63,10 +68,11 @@ def run(jobs):
     walls = {}
     for job in jobs:
         with tempfile.TemporaryDirectory() as cache_dir:
-            if job[0] == "verify":
-                argv = ["-c", _VERIFY, "verify", job[1], "--cache-dir", cache_dir, "--quiet"]
-            else:
+            if job[0] == "period":
                 argv = ["-c", _PERIOD, job[1], str(job[2])]
+            else:
+                target = [job[1]] if job[0] == "verify" else ["--matrix", job[1], "--group", job[2]]
+                argv = ["-c", _VERIFY, "verify", *target, "--cache-dir", cache_dir, "--quiet"]
             t0 = time.perf_counter()
             out = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True)
             wall = time.perf_counter() - t0
