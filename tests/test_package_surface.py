@@ -14,7 +14,7 @@ The walk is static and over-approximates reachability:
 An attribute that the package stores on `self` must likewise be read
 somewhere outside the tests.  And no module of src/hmskit or tests/ imports
 a name it never uses, and importing the CLI loads none of the standard
-library modules that only dataclasses needs.
+library modules that only dataclasses needs, nor hashlib's OpenSSL.
 """
 
 import ast
@@ -22,6 +22,8 @@ import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hmskit"
@@ -187,10 +189,10 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
-def test_importing_the_cli_loads_no_dataclass_machinery():
+def _modules_the_cli_loads():
     # a fresh process pays for every module it imports before it computes
-    # anything; dataclasses alone pulls in inspect, ast, dis, tokenize and
-    # more.  -I -S: no site hooks and no environment, so only hmskit imports
+    # anything.  -I -S: no site hooks and no environment, so only hmskit
+    # imports
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
         "import hmskit.hmscli, hmskit.matfac; print(*sorted(sys.modules))"
@@ -198,4 +200,18 @@ def test_importing_the_cli_loads_no_dataclass_machinery():
     out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
     loaded = set(out.stdout.split())
     assert {"hmskit.hmscli", "hmskit.matfac"} <= loaded
+    return loaded
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # dataclasses alone pulls in inspect, ast, dis, tokenize and more
+    loaded = _modules_the_cli_loads()
     assert sorted(loaded & {"dataclasses", "inspect", "ast", "__future__"}) == []
+
+
+def test_importing_the_cli_loads_no_openssl():
+    # hashlib loads OpenSSL's libcrypto through _hashlib, about 3.5 MB of
+    # resident memory, where the cache needs only SHA-256
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has SHA-256 only through hashlib")
+    assert sorted(_modules_the_cli_loads() & {"hashlib", "_hashlib", "_blake2"}) == []

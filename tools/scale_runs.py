@@ -8,8 +8,9 @@ mode, D160; each verify with an empty cache directory) and
 `one_period_end_total(generator_E(A2+A2+A2+A2), periods=4)`, one subprocess
 each.  A verify must exit 0 with the verdict "match"; the period total must
 be 1296.  Prints one JSON line: the wall time of each run in seconds
-(interpreter start to exit), nproc and the Python version.  A failed check
-raises, so the script exits 1.
+(interpreter start to exit), the peak resident memory of each run in MB (the
+child's own `ru_maxrss`, read from `os.wait4` as it is reaped), nproc and the
+Python version.  A failed check raises, so the script exits 1.
 """
 
 import json
@@ -62,30 +63,41 @@ def _problem(job, out):
 
 
 def run(jobs):
-    """{label: wall seconds} of each job, each run in a fresh interpreter;
-    raises RuntimeError when a run's output fails its check."""
+    """{"wall_s": {label: seconds}, "peak_rss_mb": {label: MB}} of each job,
+    each run in a fresh interpreter; raises RuntimeError when a run's output
+    fails its check."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    walls = {}
+    walls, peaks = {}, {}
     for job in jobs:
-        with tempfile.TemporaryDirectory() as cache_dir:
+        with tempfile.TemporaryDirectory() as scratch:
+            cache_dir = os.path.join(scratch, "cache")
             if job[0] == "period":
                 argv = ["-c", _PERIOD, job[1], str(job[2])]
             else:
                 target = [job[1]] if job[0] == "verify" else ["--matrix", job[1], "--group", job[2]]
                 argv = ["-c", _VERIFY, "verify", *target, "--cache-dir", cache_dir, "--quiet"]
-            t0 = time.perf_counter()
-            out = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True)
-            wall = time.perf_counter() - t0
-        problem = _problem(job, out)
+            # output goes to files, not pipes, so that no reader has to reap
+            # the child before os.wait4 reads its rusage
+            with open(os.path.join(scratch, "out"), "w+") as out, open(os.path.join(scratch, "err"), "w+") as err:
+                t0 = time.perf_counter()
+                proc = subprocess.Popen([sys.executable, *argv], cwd=ROOT, env=env, stdout=out, stderr=err)
+                _, status, usage = os.wait4(proc.pid, 0)
+                wall = time.perf_counter() - t0
+                proc.returncode = os.waitstatus_to_exitcode(status)
+                out.seek(0)
+                err.seek(0)
+                result = subprocess.CompletedProcess(proc.args, proc.returncode, out.read(), err.read())
+        problem = _problem(job, result)
         if problem is not None:
             raise RuntimeError(f"{label(job)}: {problem}")
         walls[label(job)] = round(wall, 3)
-    return walls
+        # ru_maxrss is in KiB on Linux
+        peaks[label(job)] = round(usage.ru_maxrss / 1024.0, 1)
+    return {"wall_s": walls, "peak_rss_mb": peaks}
 
 
 def main():
-    walls = run(SCALE)
-    print(json.dumps({"wall_s": walls, "nproc": os.cpu_count(), "python": platform.python_version()}))
+    print(json.dumps({**run(SCALE), "nproc": os.cpu_count(), "python": platform.python_version()}))
 
 
 if __name__ == "__main__":
