@@ -90,7 +90,7 @@ def test_request_key_pins_the_bside_revision(monkeypatch):
     assert request_key(request) != before
 
 
-# request_key({"x": 1}) of every release so far: a change of hash module
+# request_key({"x": 1}) under BSIDE_REVISION 1: the choice of SHA-256 module
 # must not move a key
 _KEY_X1 = "0c4320e9542862c422309eb0f129668e1d6ef094b8b0d46a095c755fda0c691e"
 
@@ -117,7 +117,8 @@ def test_the_hashlib_fallback_keys_and_stamps_as_the_built_in_module(tmp_path):
     out = subprocess.run([sys.executable, "-I", "-S", "-c", _FALLBACK, src, str(builtin), str(fallback)],
                          capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == {"fallback": True, "key": _KEY_X1, "table": table}
-    # the fallback's entry is the same file, and a hit here
+    # loading left the entry as it was; the fallback's entry is the same
+    # file, and a hit here
     assert (builtin / f"{key}.json").read_bytes() == stored
     assert sorted(p.name for p in fallback.iterdir()) == [f"{key}.json"]
     assert (fallback / f"{key}.json").read_bytes() == stored

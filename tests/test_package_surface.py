@@ -210,7 +210,7 @@ def test_importing_the_cli_loads_no_dataclass_machinery():
 
 
 def test_importing_the_cli_loads_no_openssl():
-    # hashlib loads OpenSSL's libcrypto through _hashlib, about 3.5 MB of
+    # hashlib loads OpenSSL's libcrypto through _hashlib, about 3.6 MB of
     # resident memory, where the cache needs only SHA-256
     if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
         pytest.skip("this interpreter has SHA-256 only through hashlib")
