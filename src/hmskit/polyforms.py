@@ -72,11 +72,17 @@ class InvertiblePolynomial:
         self.matrix = [list(r) for r in matrix]
         self.nvars = len(matrix)
         self.atoms = list(atoms)
-        p = Poly.zero(self.nvars)
-        for row in self.matrix:
-            p = p + Poly.monomial(self.nvars, tuple(row))
-        self.poly = p
+        self._poly = None
         self._ctx = None
+
+    @property
+    def poly(self):
+        if self._poly is None:
+            p = Poly.zero(self.nvars)
+            for row in self.matrix:
+                p = p + Poly.monomial(self.nvars, tuple(row))
+            self._poly = p
+        return self._poly
 
     @property
     def ctx(self):

@@ -5,6 +5,7 @@ path algebra, tensor products for several factors, and the mutation action
 on Euler matrices.  Everything here is small and exact.
 """
 
+import itertools
 import re
 
 from .exactmat import charpoly, identity_matrix, mat_inverse_rat, mat_mul, mat_transpose
@@ -135,57 +136,34 @@ def tensor_model(types):
 
     Objects are tuples of vertices, one per factor, in product order with
     the last factor varying fastest; dimensions convolve over the shift.
+    The factors are folded one at a time over their nonzero entries, so the
+    cost follows the entries of the product, not the square of its objects.
     """
     quivers = [_as_quiver(t) for t in types]
     if not quivers:
         raise QuiverError("tensor model needs at least one factor")
-
-    def tuples(qs):
-        if not qs:
-            yield ()
-            return
-        for head in range(qs[0].rank):
-            for tail in tuples(qs[1:]):
-                yield (head,) + tail
-
-    objects = list(tuples(quivers))
-    index = {obj: n for n, obj in enumerate(objects)}
-    # per-factor sparse tables: (i, j) -> {k: dim}
-    factor = []
+    # (source index, target index) -> {k: dim}, indices in mixed radix
+    folded = {(0, 0): {0: 1}}
     for q in quivers:
-        tbl = {}
-        for i in range(q.rank):
-            for j in range(q.rank):
-                ks = {}
-                for k in (0, 1):
-                    d = simple_hom_dims(q, i, j, k)
-                    if d:
-                        ks[k] = d
-                if ks:
-                    tbl[(i, j)] = ks
-        factor.append(tbl)
-
-    dims = {}
-    for src in objects:
-        for dst in objects:
-            conv = {0: 1}
-            dead = False
-            for t, tbl in enumerate(factor):
-                ks = tbl.get((src[t], dst[t]))
-                if not ks:
-                    dead = True
-                    break
-                nxt = {}
+        # an entry can be nonzero only at (i, i, 0) and at (b, a, 1) for an arrow a -> b
+        factor = {}
+        for i, j, k in [(i, i, 0) for i in range(q.rank)] + [(b, a, 1) for a, b in q.arrows]:
+            d = simple_hom_dims(q, i, j, k)
+            if d:
+                factor.setdefault((i, j), {})[k] = d
+        n = q.rank
+        nxt = {}
+        for (si, di), conv in folded.items():
+            si, di = si * n, di * n
+            for (i, j), ks in factor.items():
+                out = {}
                 for k1, d1 in conv.items():
                     for k2, d2 in ks.items():
-                        nxt[k1 + k2] = nxt.get(k1 + k2, 0) + d1 * d2
-                conv = nxt
-            if dead:
-                continue
-            si, di = index[src], index[dst]
-            for k, d in conv.items():
-                dims[(si, di, k)] = d
-    labels = [tuple(quivers[t].vertices[v] for t, v in enumerate(obj)) for obj in objects]
+                        out[k1 + k2] = out.get(k1 + k2, 0) + d1 * d2
+                nxt[(si + i, di + j)] = out
+        folded = nxt
+    dims = {(si, di, k): d for (si, di), conv in folded.items() for k, d in conv.items()}
+    labels = list(itertools.product(*(q.vertices for q in quivers)))
     return BigradedTable(labels, dims)
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmskit import cache as cache_module
-from hmskit import hmscli, matfac
+from hmskit import hmscli, matfac, polyforms
 from hmskit.cache import TableCache, canonical_json, request_key, resolve_cache_dir
 from hmskit.hmscli import CLIError, _build_model, _parse_matrix, main
 from hmskit.matfac import ext_table, ext_table_to_json, generator_collection, shift_mf
@@ -563,9 +563,18 @@ def bench_cache(tmp_path_factory):
 
 
 def _count_builds(monkeypatch):
-    """Count factorizations constructed and tensor_mf calls from now on."""
-    counts = {"objects": 0, "tensors": 0}
+    """Count factorizations constructed, tensor_mf calls and model
+    polynomials computed from now on.  A model polynomial starts from the
+    zero polynomial that polyforms builds."""
+    counts = {"objects": 0, "tensors": 0, "polys": 0}
     init, tensor = matfac.MatrixFactorization.__init__, matfac.tensor_mf
+    poly = polyforms.Poly
+
+    class CountedPoly(poly):
+        @classmethod
+        def zero(cls, nvars):
+            counts["polys"] += 1
+            return poly.zero(nvars)
 
     def counted_init(self, *args, **kwargs):
         counts["objects"] += 1
@@ -577,6 +586,7 @@ def _count_builds(monkeypatch):
 
     monkeypatch.setattr(matfac.MatrixFactorization, "__init__", counted_init)
     monkeypatch.setattr(matfac, "tensor_mf", counted_tensor)
+    monkeypatch.setattr(polyforms, "Poly", CountedPoly)
     return counts
 
 
@@ -587,7 +597,7 @@ def test_warm_verify_builds_no_factorization(name, bench_cache, capsys, monkeypa
     code, warm, err = run_cli(capsys, "verify", name, "--cache-dir", cache_dir)
     assert code == 0 and warm == cold[name]
     assert "from cache" in err
-    assert counts == {"objects": 0, "tensors": 0}
+    assert counts == {"objects": 0, "tensors": 0, "polys": 0}
 
 
 # even n only: an odd n is an honest mismatch, which is never served from cache
@@ -602,7 +612,7 @@ def test_warm_matrix_mode_verify_builds_no_factorization(matrix, group, tmp_path
     code, warm, err = run_cli(capsys, *argv)
     assert code == 0 and warm == cold
     assert "from cache" in err
-    assert counts == {"objects": 0, "tensors": 0} and gradings == []
+    assert counts == {"objects": 0, "tensors": 0, "polys": 0} and gradings == []
 
 
 @pytest.mark.parametrize("damage", ["absent", "unreadable", "other-labels", "stale", "disagrees"])
@@ -821,6 +831,67 @@ def test_reports_are_deterministic(tmp_path, capsys):
         )
         outs.add(out)
     assert len(outs) == 1
+
+
+_SCALAR = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.text(),
+)
+_INT_ROW = st.lists(st.integers(-(10**20), 10**20), min_size=1, max_size=4)
+
+
+@st.composite
+def _table(draw):
+    """Equal-length int rows, as lists or tuples, sometimes with a bool."""
+    width = draw(st.integers(0, 4))
+    row = st.lists(st.integers(-(10**20), 10**20), min_size=width, max_size=width)
+    rows = draw(st.lists(st.one_of(row, row.map(tuple)), max_size=5))
+    if rows and width and draw(st.booleans()):
+        at = draw(st.integers(0, len(rows) - 1))
+        rows[at] = [draw(st.booleans()), *rows[at][1:]]
+    return rows
+
+
+_VALUE = st.recursive(
+    st.one_of(_SCALAR, _table(), _INT_ROW),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUE)
+@example({"entries": [[0, 0, 0, 1], [0, 1, 1, 2]], "": {}, "\u00e9\x00": [[], ()], "t": [[True, 1], [2, 3]]})
+def test_indented_report_text_is_jsons(value):
+    assert hmscli._dumps_indented(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grade", "A2+D4t"],
+        ["generators", "D4t"],
+        ["verify", "A2+A2", "--quiet"],
+        ["verify", "--matrix", "[[4,0],[1,2]]", "--group", "1/4,3/8", "--quiet"],
+        ["transpose", "[[3,0],[1,2]]", "--group", "1/3,1/3"],
+        ["gmax", "A2+A3"],
+        ["mutate", "D5", "1", "2"],
+    ],
+)
+def test_every_report_is_jsons_indented_text(argv, tmp_path, capsys):
+    if argv[0] == "verify":
+        argv = [*argv, "--cache-dir", str(tmp_path)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in (0, 1)
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 # ------------------------------------------------------------------- fuzz

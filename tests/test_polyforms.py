@@ -94,6 +94,17 @@ def test_empty_polynomial():
     assert p.atoms == []
 
 
+@pytest.mark.parametrize(
+    "name", ["D4t", "D5t", "D6t", "A1", "A2", "A3", "A4", "A5", "A2+A2", "A3+A3", "A2+D4t", "A2+A2+A2", "A3+D4t"]
+)
+def test_lazy_polynomial_is_the_sum_of_the_row_monomials(name):
+    p = parse_model(name)
+    eager = Poly.zero(p.nvars)
+    for row in p.matrix:
+        eager = eager + Poly.monomial(p.nvars, tuple(row))
+    assert p.poly == eager and p.poly is p.poly
+
+
 def test_rejections():
     with pytest.raises(PolyFormError):
         build([[1, 2], [2, 4]])  # singular

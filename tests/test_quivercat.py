@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmskit import quivercat
 from hmskit.exactmat import det_int
-from hmskit.polyforms import atom_from_name
+from hmskit.polyforms import atom_from_name, parse_model
 from hmskit.quivercat import (
     BigradedTable,
     Quiver,
@@ -18,6 +19,7 @@ from hmskit.quivercat import (
     tensor_model,
 )
 
+from reference_aside import dense_tensor_model
 from reference_exact import rat_rank
 
 
@@ -201,6 +203,34 @@ def test_tensor_factor_order_is_relabeling():
         swap[n] = t2.objects.index((obj[1], obj[0]))
     for (i, j, k), d in t1.dims.items():
         assert t2.dims.get((swap[i], swap[j], k), 0) == d
+
+
+_BENCH_MODELS = ["D4t", "D5t", "D6t", "A1", "A2", "A3", "A4", "A5", "A2+A2", "A3+A3", "A2+D4t", "A2+A2+A2", "A3+D4t"]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [f"A{m}" for m in range(1, 41)]
+    + [f"D{n}" for n in range(4, 21)]
+    + _BENCH_MODELS
+    + ["D4t+D4t+A2", "A2+A3+D4t", "A2+A2+A2+A2"],
+)
+def test_folded_tensor_model_equals_the_dense_loop(model):
+    quivers = [dynkin_quiver(a) for a in parse_model(model).atoms]
+    folded, dense = tensor_model(quivers), dense_tensor_model(quivers)
+    assert folded.objects == dense.objects
+    assert folded.dims == dense.dims
+    assert folded.entries() == dense.entries()
+
+
+def test_tensor_model_tests_only_the_entries_that_can_be_nonzero(monkeypatch):
+    calls = []
+    hom = quivercat.simple_hom_dims
+    monkeypatch.setattr(quivercat, "simple_hom_dims", lambda *args: calls.append(args) or hom(*args))
+    model = tensor_model(["A128"])
+    assert len(model.objects) == 128 and sum(model.dims.values()) == 2 * 128 - 1
+    # at most the diagonal and one pair per arrow, each at k = 0 and k = 1
+    assert len(calls) <= 2 * (2 * 128 - 1)
 
 
 def test_table_without_dims_gets_a_fresh_dict():

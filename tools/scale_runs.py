@@ -3,6 +3,8 @@
     python3 tools/scale_runs.py
 
 Runs cold `hmskit verify A2+A2+A2+A2`, cold `hmskit verify D4t+D4t`, cold
+`hmskit verify A128` (one large atom: per-call overhead in the hom layer and
+the A-side table of 128 objects), cold
 `hmskit verify --matrix '[[159,0],[1,2]]' --group '1/159,79/159'` (matrix
 mode, D160; each verify with an empty cache directory) and
 `one_period_end_total(generator_E(A2+A2+A2+A2), periods=4)`, one subprocess
@@ -29,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCALE = [
     ("verify", "A2+A2+A2+A2"),
     ("verify", "D4t+D4t"),
+    ("verify", "A128"),
     ("matrix", "[[159,0],[1,2]]", "1/159,79/159"),
     ("period", "A2+A2+A2+A2", 4, 1296),
 ]
