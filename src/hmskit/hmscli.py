@@ -17,18 +17,9 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .cache import TableCache, request_key, resolve_cache_dir
+from .factorization import MFError, ResourceLimitError, element_to_json, mf_to_json, quotient_graded_collection
 from .grading import GradingError, m_grading
-from .matfac import (
-    CollectionPlan,
-    MFError,
-    ResourceLimitError,
-    element_to_json,
-    ext_table,
-    ext_table_to_json,
-    generator_collection,
-    mf_to_json,
-    quotient_graded_collection,
-)
+from .matfac import collection_plan, ext_table, ext_table_to_json, generator_collection
 from .polyforms import PolyFormError, build, parse_model
 from .polyforms import transpose as transpose_model
 from .quivercat import (
@@ -267,7 +258,7 @@ def cmd_verify(args):
         if args.group is not None:
             raise CLIError(EXIT_PARSE, "verify --group needs --matrix")
         p, desc = _build_model(args.input)
-        plan = CollectionPlan(p)
+        plan = collection_plan(p)
         quivers = [dynkin_quiver(atom) for atom in p.atoms]
 
     # named now, built only if the table is computed in this run

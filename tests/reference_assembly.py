@@ -11,9 +11,8 @@ Used to cross-check the plan-based assembly column by column.
 
 from itertools import compress
 
-from hmskit.matfac import (
-    _BLOCKS, _block_slots, _cell_base, _cell_key, _cell_offsets, _mult_map, _slot_degrees,
-)
+from hmskit.factorization import _block_slots
+from hmskit.matfac import _BLOCKS, _cell_base, _cell_key, _cell_offsets, _mult_map, _slot_degrees
 
 
 def cell_keys(k, h, q, parity):

@@ -7,7 +7,7 @@ caches nothing.  Used to cross-check the audit on term dicts.
 """
 
 from hmskit.exactmat import Poly
-from hmskit.matfac import MFError
+from hmskit.factorization import MFError
 
 
 def _degree(ctx, p):

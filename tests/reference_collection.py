@@ -6,8 +6,9 @@ objects, one tensor_mf per object.  Used to check that tensoring each pair
 of forms once and then twisting gives the same objects.
 """
 
+from hmskit.factorization import shift_mf, tensor_mf
 from hmskit.grading import sum_grading_maps
-from hmskit.matfac import atom_collection, shift_mf, tensor_mf
+from hmskit.matfac import atom_collection
 
 
 def _objects(atom):

@@ -21,13 +21,12 @@ from hmskit.exactmat import (
     smith_normal_form,
     snf_diagonal,
 )
+from hmskit.factorization import koszul_mf, mf_from_pair
 from hmskit.hmscli import main as cli_main
 from hmskit.matfac import (
     ext_table,
     generator_E,
     generator_collection,
-    koszul_mf,
-    mf_from_pair,
     one_period_end_total,
     residue_mf_D,
 )

@@ -14,10 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmskit import cache as cache_module
-from hmskit import hmscli, matfac, polyforms
+from hmskit import factorization, hmscli, matfac, polyforms
 from hmskit.cache import TableCache, canonical_json, request_key, resolve_cache_dir
+from hmskit.factorization import shift_mf
 from hmskit.hmscli import CLIError, _build_model, _parse_matrix, main
-from hmskit.matfac import ext_table, ext_table_to_json, generator_collection, shift_mf
+from hmskit.matfac import ext_table, ext_table_to_json, generator_collection
 from hmskit.polyforms import parse_model
 from hmskit.symmetry import SymmetryError, parse_group_string
 
@@ -114,7 +115,7 @@ def test_the_hashlib_fallback_keys_and_stamps_as_the_built_in_module(tmp_path):
     TableCache(str(builtin)).store(key, table)
     stored = (builtin / f"{key}.json").read_bytes()
     src = str(Path(cache_module.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-I", "-S", "-c", _FALLBACK, src, str(builtin), str(fallback)],
+    out = subprocess.run([sys.executable, "-I", "-B", "-S", "-c", _FALLBACK, src, str(builtin), str(fallback)],
                          capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == {"fallback": True, "key": _KEY_X1, "table": table}
     # loading left the entry as it was; the fallback's entry is the same
@@ -524,7 +525,7 @@ def test_matrix_mode_of_too_many_objects_exits_before_grading(tmp_path, capsys, 
     def refuse(*args):
         raise AssertionError("m_grading was called")
 
-    monkeypatch.setattr(matfac, "m_grading", refuse)
+    monkeypatch.setattr(factorization, "m_grading", refuse)
     cache_dir = tmp_path / "cache"
     code, out, err = run_cli(
         capsys, "verify", "--matrix", "[[300,0],[1,2]]", "--group", "1/300,299/600", "--cache-dir", str(cache_dir)
@@ -537,7 +538,7 @@ def test_matrix_mode_of_too_many_objects_exits_before_grading(tmp_path, capsys, 
 @pytest.mark.parametrize("limit, code", [(8, 0), (7, 4)])
 def test_generators_of_too_many_objects_exits_with_the_resource_code(limit, code, capsys, monkeypatch):
     # A2+D4t has 2 * 4 = 8 objects
-    monkeypatch.setattr(matfac, "MAX_OBJECTS", limit)
+    monkeypatch.setattr(factorization, "MAX_OBJECTS", limit)
     got, out, err = run_cli(capsys, "generators", "A2+D4t")
     assert got == code
     if code:
@@ -567,7 +568,7 @@ def _count_builds(monkeypatch):
     polynomials computed from now on.  A model polynomial starts from the
     zero polynomial that polyforms builds."""
     counts = {"objects": 0, "tensors": 0, "polys": 0}
-    init, tensor = matfac.MatrixFactorization.__init__, matfac.tensor_mf
+    init, tensor = factorization.MatrixFactorization.__init__, matfac.tensor_mf
     poly = polyforms.Poly
 
     class CountedPoly(poly):
@@ -584,7 +585,7 @@ def _count_builds(monkeypatch):
         counts["tensors"] += 1
         return tensor(*args)
 
-    monkeypatch.setattr(matfac.MatrixFactorization, "__init__", counted_init)
+    monkeypatch.setattr(factorization.MatrixFactorization, "__init__", counted_init)
     monkeypatch.setattr(matfac, "tensor_mf", counted_tensor)
     monkeypatch.setattr(polyforms, "Poly", CountedPoly)
     return counts
@@ -607,8 +608,8 @@ def test_warm_matrix_mode_verify_builds_no_factorization(matrix, group, tmp_path
     code, cold, _ = run_cli(capsys, *argv)
     assert code == 0
     counts, gradings = _count_builds(monkeypatch), []
-    grade = matfac.m_grading
-    monkeypatch.setattr(matfac, "m_grading", lambda *args: gradings.append(args) or grade(*args))
+    grade = factorization.m_grading
+    monkeypatch.setattr(factorization, "m_grading", lambda *args: gradings.append(args) or grade(*args))
     code, warm, err = run_cli(capsys, *argv)
     assert code == 0 and warm == cold
     assert "from cache" in err
@@ -717,7 +718,7 @@ def test_verify_to_a_closed_stdout_is_unsupported(with_json, tmp_path):
     report = tmp_path / "report.json"
     argv = ["verify", "D4t", "--cache-dir", str(tmp_path / "c"), "--quiet"] + (["--json", str(report)] if with_json else [])
     proc = subprocess.Popen(
-        [sys.executable, "-I", "-c", code, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        [sys.executable, "-I", "-B", "-c", code, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
     )
     proc.stdout.close()
     err = proc.stderr.read()
@@ -916,6 +917,7 @@ _GROUP = st.one_of(
 _WINDOW = st.sampled_from(["-1", "0", "1", "2", "x"])
 _PAIRS = [("[[3,0],[1,2]]", "1/3,1/3"), ("[[4,0],[1,2]]", "1/4,3/8")]
 _LIMITS = st.sampled_from([{}, {}, {"MAX_OBJECTS": 1}, {"MAX_CELL_DIM": 2}, {"MAX_OBJECTS": 3, "MAX_CELL_DIM": 12}])
+_BOUND_OWNERS = {"MAX_OBJECTS": factorization, "MAX_CELL_DIM": matfac}
 
 
 @st.composite
@@ -987,7 +989,7 @@ def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, argv, limits):
     argv = [places.get(a, a) for a in argv]
     with pytest.MonkeyPatch.context() as mp:
         for name, value in limits.items():
-            mp.setattr(matfac, name, value)
+            mp.setattr(_BOUND_OWNERS[name], name, value)
         code = _exit_code(lambda: main(argv))
     assert code in range(5), argv
     # the models drawn here are far below the package's own bounds

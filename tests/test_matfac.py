@@ -11,32 +11,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmskit import matfac
+from hmskit import factorization, matfac
 from hmskit.exactmat import I, Poly, int_rank
 from hmskit.grading import GradingContext, grading_group, lbar_representatives, m_grading, sum_grading_maps
 from hmskit.polyforms import build, parse_model
 from hmskit.quivercat import dynkin_quiver, simple_hom_dims, tensor_model
 from hmskit.symmetry import DiagonalGroup, j_element, parse_group_string
-from hmskit.matfac import (
+from hmskit.factorization import (
     MatrixFactorization,
     MFError,
     ResourceLimitError,
+    koszul_mf,
+    mf_from_pair,
+    mf_to_json,
+    poly_class,
+    quotient_graded_collection,
+    shift_mf,
+    tensor_mf,
+    translate_mf,
+)
+from hmskit.matfac import (
     ext_table,
     ext_table_to_json,
     generator_collection,
     generator_E,
     hom_dim,
-    koszul_mf,
-    mf_from_pair,
-    mf_to_json,
     monomials_of_degree,
     one_period_end_total,
-    poly_class,
-    quotient_graded_collection,
     residue_mf_D,
-    shift_mf,
-    tensor_mf,
-    translate_mf,
 )
 
 from oracle_homs import oracle_hom_dim
@@ -463,7 +465,8 @@ def test_hom_memo_is_per_context_instance(monkeypatch):
     assert memo.ranks == ranks
     assert ctx._hom_memo.maps == memo.maps
     # nothing is kept at module level
-    assert not [n for n, v in vars(matfac).items() if isinstance(v, (dict, list, set)) and v and n[:2] != "__"]
+    for module in (factorization, matfac):
+        assert not [n for n, v in vars(module).items() if isinstance(v, (dict, list, set)) and v and n[:2] != "__"]
 
 
 def test_unit_rescaled_differentials_keep_hom_dims():
@@ -1018,18 +1021,18 @@ def test_object_limit_raises_resource_error(monkeypatch):
     # the bound is on the product of the atoms' collection sizes, checked
     # before any label is joined; a bound of exactly the count admits it,
     # for collections and for E alike
-    assert matfac.MAX_OBJECTS == 1 << 8
-    assert len(matfac.CollectionPlan(_model("D4t+D4t+D4t")).labels) == 64
+    assert factorization.MAX_OBJECTS == 1 << 8
+    assert len(matfac.collection_plan(_model("D4t+D4t+D4t")).labels) == 64
     assert len(generator_E(_model("D4t+D4t+D4t"))) == 216
-    assert len(matfac.CollectionPlan(_model("A256")).labels) == 256
+    assert len(matfac.collection_plan(_model("A256")).labels) == 256
     with pytest.raises(ResourceLimitError, match="collection has 257 objects, above the limit 256"):
-        matfac.CollectionPlan(_model("A257"))
+        matfac.collection_plan(_model("A257"))
     p = _model("A2+D4t")
     for run, count in [(generator_collection, 8), (generator_E, len(generator_E(p)))]:
-        monkeypatch.setattr(matfac, "MAX_OBJECTS", count - 1)
+        monkeypatch.setattr(factorization, "MAX_OBJECTS", count - 1)
         with pytest.raises(ResourceLimitError, match=f"collection has {count} objects, above the limit {count - 1}"):
             run(p)
-        monkeypatch.setattr(matfac, "MAX_OBJECTS", count)
+        monkeypatch.setattr(factorization, "MAX_OBJECTS", count)
         assert len(run(p)) == count
 
 
@@ -1070,7 +1073,7 @@ def test_collection_equals_the_per_object_tensor_reference(name):
 )
 def test_plan_names_the_objects_it_builds(name):
     p = _model(name)
-    plan = matfac.CollectionPlan(p)
+    plan = matfac.collection_plan(p)
     col = plan.build()
     assert plan.labels == [label for label, _ in col] == [label for label, _ in generator_collection(p)]
     assert {mf.field for _, mf in col} == {plan.field}
@@ -1078,7 +1081,7 @@ def test_plan_names_the_objects_it_builds(name):
 
 def test_plan_refuses_what_the_collection_refuses():
     for p, message in [(build([]), "the zero polynomial has no generator collection"), (_model("D5"), "transpose")]:
-        for make in (matfac.CollectionPlan, generator_collection):
+        for make in (matfac.collection_plan, generator_collection):
             with pytest.raises(MFError, match=message):
                 make(p)
 
@@ -1113,8 +1116,8 @@ def test_quotient_plan_meets_the_object_bound_before_grading(monkeypatch):
     def refuse(*args):
         raise AssertionError("m_grading was called")
 
-    monkeypatch.setattr(matfac, "m_grading", refuse)
-    monkeypatch.setattr(matfac, "MAX_OBJECTS", 5)
+    monkeypatch.setattr(factorization, "m_grading", refuse)
+    monkeypatch.setattr(factorization, "MAX_OBJECTS", 5)
     assert len(quotient_graded_collection(*_j_model(5))[0].labels) == 5
     with pytest.raises(ResourceLimitError, match="collection has 6 objects, above the limit 5"):
         quotient_graded_collection(*_j_model(6))

@@ -14,13 +14,15 @@ The walk is static and over-approximates reachability:
 An attribute that the package stores on `self` must likewise be read
 somewhere outside the tests.  And no module of src/hmskit or tests/ imports
 a name it never uses, and importing the CLI loads none of the standard
-library modules that only dataclasses needs, nor hashlib's OpenSSL.
+library modules that only dataclasses needs, nor hashlib's OpenSSL.  No
+module is larger than MAX_MODULE_TOKENS.
 """
 
 import ast
 import importlib.util
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hmskit"
 CALLERS = [ROOT / "perfbench" / "run.py", *sorted((ROOT / "tools").glob("*.py"))]
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# Without a bytecode cache every hmskit process compiles the package, and
+# compile() holds one module's tokens and syntax tree at a time, so the
+# largest module's compile peak sets the resident peak of every process.
+# About 4,700 tokens compile within 2.1 MB on Python 3.11.
+MAX_MODULE_TOKENS = 4700
 
 
 class _Module:
@@ -192,12 +200,12 @@ def test_no_module_imports_a_name_it_never_uses():
 def _modules_the_cli_loads():
     # a fresh process pays for every module it imports before it computes
     # anything.  -I -S: no site hooks and no environment, so only hmskit
-    # imports
+    # imports; -B, as -I ignores PYTHONDONTWRITEBYTECODE: no bytecode in src/
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
         "import hmskit.hmscli, hmskit.matfac; print(*sorted(sys.modules))"
     )
-    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-I", "-B", "-S", "-c", code], capture_output=True, text=True, check=True)
     loaded = set(out.stdout.split())
     assert {"hmskit.hmscli", "hmskit.matfac"} <= loaded
     return loaded
@@ -215,3 +223,12 @@ def test_importing_the_cli_loads_no_openssl():
     if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
         pytest.skip("this interpreter has SHA-256 only through hashlib")
     assert sorted(_modules_the_cli_loads() & {"hashlib", "_hashlib", "_blake2"}) == []
+
+
+def test_no_module_is_larger_than_the_token_budget():
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+    sizes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        with path.open("rb") as fh:
+            sizes[path.name] = sum(tok.type not in layout for tok in tokenize.tokenize(fh.readline))
+    assert {name: n for name, n in sizes.items() if n > MAX_MODULE_TOKENS} == {}
