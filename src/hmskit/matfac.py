@@ -30,7 +30,8 @@ boundary into X.  The elimination that ranks the boundary into X finds pivot
 rows P, coordinates of X on which that image projects one to one; so X is
 the image plus the span of the coordinates outside P, and the boundary out
 of X has the same rank on those coordinates alone.  The result is exact
-either way; hom_dim ranks the boundary into a cell first.  The columns of
+either way; hom_dim walks a range of shifts and ranks each boundary once, in
+shift order, so the boundary into a cell comes first.  The columns of
 the boundary out on P are not assembled at all (_boundary_columns leaves
 them empty, keeping every column's position).  Over Q(i) source column s is
 realified as the columns 2s and 2s + 1, and it is left empty only when both
@@ -45,8 +46,14 @@ sigma of identical atoms, hom_dim(sigma a, sigma b, k) = hom_dim(a, b, k),
 where sigma a is the object whose per-atom indices are those of a permuted.
 generator_E and generator_collection record those indices on each object
 (`coords`), and ext_table and one_period_end_total compute one pair per
-orbit (see _orbit_key); objects without coordinates are computed pair by
-pair.
+orbit (see _orbit_key); an object without coordinates makes each of its
+pairs its own orbit.
+
+Two pairs with the same cell base (see _cell_base: the memo, both forms and
+the relative shift of their first labels) have literally the same cells at
+every shift, so the same hom dimensions.  ext_table walks one row of shifts
+per row class, pairs of one orbit or of one cell base sharing a row;
+one_period_end_total walks one row per folded difference.
 """
 
 from array import array
@@ -69,6 +76,12 @@ from .polyforms import build
 # assembled or ranked.  The smallest power of two above the largest cell of
 # any model measured to completion (162,048 in D4t+D4t+D4t).
 MAX_CELL_DIM = 1 << 18
+
+# The largest sum of the cell dimensions of one walk of hom_dim; a walk past
+# it raises ResourceLimitError before any of its boundaries is assembled.
+# The smallest power of two above the largest walk of any run measured to
+# completion (366,026 in the D4t table over the window 300).
+MAX_ROW_DIM = 1 << 19
 
 
 # ----------------------------------------------------------- hom complexes
@@ -96,9 +109,11 @@ class _HomMemo:
     maps a cell key to the rank of its boundary: equal keys give literally
     the same matrix.  `pivots` maps a cell key to the pivot rows of the
     boundary into that cell until the boundary out of it is ranked (see the
-    module docstring).  `maps[(delta, e)]` holds, for each monomial m of
-    degree delta, the position of m*x^e among the monomials of degree
-    delta + deg(x^e).  But for the keys of `forms`, the memo holds only
+    module docstring), in the same walk of hom_dim or in a later one: a
+    walk's last cell, or a cell that another pair shares, keeps its pivots
+    for the next walk that ranks the boundary out of it.
+    `maps[(delta, e)]` holds, for each monomial m of degree delta, the
+    position of m*x^e among the monomials of degree delta + deg(x^e).  But for the keys of `forms`, the memo holds only
     ints, exponent tuples and Z[i] coefficients, so no reference cycle.
     Ids are only comparable within one memo, so both objects of a pair are
     interned in the memo of k's context.
@@ -325,9 +340,10 @@ def _plan(memo, k, h, key):
     return plan
 
 
-def _boundary_columns(k, h, memo, key, target, skip):
+def _boundary_columns(k, h, memo, key, src, dst, skip):
     """Columns of the hom-complex differential out of the cell `key` of
-    Hom(k, h) into the cell `target`, in the monomial bases.
+    Hom(k, h), laid out as `src`, into the next cell, laid out as `dst`
+    (see _cell_offsets), in the monomial bases.
 
     The even cell at twist q maps to the odd cell at twist q, the odd cell
     at twist q to the even cell at twist q + 1.  Column order is slot
@@ -336,8 +352,8 @@ def _boundary_columns(k, h, memo, key, target, skip):
     `skip` are left empty.
     """
     ctx = k.ctx
-    codes, src_off = _cell_offsets(ctx, memo, key)
-    dst_off = _cell_offsets(ctx, memo, target)[1]
+    codes, src_off = src
+    dst_off = dst[1]
     # keep[c] is 0 for a column that is left empty
     keep = bytearray(b"\x01") * src_off[-1]
     for c in skip:
@@ -363,31 +379,30 @@ def _boundary_columns(k, h, memo, key, target, skip):
     return cols
 
 
-def _boundary_rank(k, h, memo, key, target):
-    """Rank of the boundary out of the cell `key` of Hom(k, h) into the
-    cell `target`."""
+def _boundary_rank(k, h, memo, key, target, src, dst):
+    """Rank of the boundary out of the cell `key` of Hom(k, h), laid out as
+    `src`, into the cell `target`, laid out as `dst`."""
     rank = memo.ranks.get(key)
     if rank is not None:
         return rank
-    src = _cell_offsets(k.ctx, memo, key)[1][-1]
-    dst = _cell_offsets(k.ctx, memo, target)[1][-1]
     # the boundary out of this cell is ranked on the rows other than the
     # pivot rows of the boundary into it (see the module docstring)
     drop = set(memo.pivots.pop(key, ()))
     rank = 0
-    if src and dst:
+    if src[1][-1] and dst[1][-1]:
         gauss = k.field != "Q" or h.field != "Q"
         # source column s is integer column s, or 2s and 2s + 1 over Q(i);
         # it is not assembled when all of those are dropped
         skip = {c >> 1 for c in drop if c ^ 1 in drop} if gauss else drop
-        cols = _boundary_columns(k, h, memo, key, target, skip)
+        cols = _boundary_columns(k, h, memo, key, src, dst, skip)
         if gauss:
             cols = _int_columns(cols)
         piv = []
         rank = int_rank([c for s, c in enumerate(cols) if s not in drop], piv)
         if target not in memo.ranks:
             # an array, not a set (8 bytes a row instead of about 60): the
-            # last boundary of each walk up the shifts leaves its rows unread
+            # last boundary of each walk leaves its rows unread until a
+            # later walk ranks the boundary out of that cell
             memo.pivots[target] = array("l", piv)
         if gauss:
             rank //= 2
@@ -395,29 +410,44 @@ def _boundary_rank(k, h, memo, key, target):
     return rank
 
 
-def hom_dim(k, h, shift):
-    """Dimension of the stable hom space from k to h translated `shift` times.
+def hom_dim(k, h, shifts):
+    """Dimensions of the stable hom spaces from k to h translated s times,
+    for s in the range `shifts` of consecutive shifts, as a list.
 
-    The degree-zero piece of the hom complex is finite-dimensional and is
-    computed exactly.
+    Each degree-zero piece of the hom complex is finite-dimensional and is
+    computed exactly.  Cell n of the walk is the cell (n // 2, n % 2) (see
+    _boundary_columns); the space at shift s is cell s less the boundaries
+    into it (out of cell s - 1) and out of it (into cell s + 1).  One walk
+    lays out the cells shifts.start - 1, ..., shifts.stop once, summing
+    their dimensions against MAX_ROW_DIM before any boundary is assembled,
+    then ranks each boundary once, in shift order, so that the boundary out
+    of a cell can use the pivot rows of the boundary into it.
     """
+    if shifts.step != 1:
+        raise ValueError("hom_dim walks consecutive shifts")
     _hom_precheck(k, h)
     cell = _cell_base(k, h)
     memo = cell[0]
-    q, p = divmod(shift, 2)
-    # the cell, less the boundaries into it (from odd at q - 1, or even at
-    # q) and out of it (into odd at q, or even at q + 1); the boundary in is
-    # ranked first, so that the boundary out can use its pivot rows
-    key = _cell_key(cell, q, p)
-    into, out = _cell_key(cell, q - 1 + p, 1 - p), _cell_key(cell, q + p, 1 - p)
-    dim = (
-        _cell_offsets(k.ctx, memo, key)[1][-1]
-        - _boundary_rank(k, h, memo, into, key)
-        - _boundary_rank(k, h, memo, key, out)
-    )
-    if dim < 0:
+    ctx = k.ctx
+    keys = [_cell_key(cell, *divmod(n, 2)) for n in range(shifts.start - 1, shifts.stop + 1)]
+    cells = []
+    total = 0
+    for key in keys:
+        layout = _cell_offsets(ctx, memo, key)
+        total += layout[1][-1]
+        if total > MAX_ROW_DIM:
+            raise ResourceLimitError(
+                f"hom walk over {len(shifts)} shifts reaches dimension {total}, above the limit {MAX_ROW_DIM}"
+            )
+        cells.append(layout)
+    ranks = [
+        _boundary_rank(k, h, memo, key, target, src, dst)
+        for key, target, src, dst in zip(keys, keys[1:], cells, cells[1:])
+    ]
+    dims = [layout[1][-1] - into - out for layout, into, out in zip(cells[1:], ranks, ranks[1:])]
+    if any(d < 0 for d in dims):
         raise MFError("internal error: negative cohomology dimension")
-    return dim
+    return dims
 
 
 # --------------------------------------------------------------- Ext tables
@@ -482,12 +512,13 @@ def _orbit_key(objects):
 def ext_table(collection, window):
     """Full hom-dimension table of a collection over a shift window.
 
-    `collection` is a list of (label, MatrixFactorization) pairs.  When
-    every object carries coordinates of one sum (generator_collection
-    records them), hom_dim runs for one pair (i, j) per orbit under the
-    permutations of identical atoms and the rest of the orbit is filled from
-    it, at the caller's positions; otherwise, as for matrix-mode and
-    hand-built collections, it runs for every pair.
+    `collection` is a list of (label, MatrixFactorization) pairs.  hom_dim
+    walks the window once per row class, and each pair (i, j) is filled,
+    at the caller's positions, from the row of the first pair of its class:
+    pairs are in one class when they have the same orbit key (see
+    _orbit_key; only objects with coordinates of one sum, as
+    generator_collection records them, have orbits of more than one pair)
+    or the same cell base (see _cell_base).
     """
     lo, hi = _normalize_window(window)
     labels = tuple(str(label) for label, _ in collection)
@@ -498,14 +529,19 @@ def ext_table(collection, window):
 
     orbit = _orbit_key(objects)
     shifts = range(lo, hi + 1)
-    done = {}
+    by_orbit = {}
+    by_cell = {}
     dims = {}
     for i, a in enumerate(objects):
         for j, b in enumerate(objects):
             key = orbit(i, j)
-            row = done.get(key)
+            row = by_orbit.get(key)
             if row is None:
-                row = done[key] = [hom_dim(a, b, k) for k in shifts]
+                cell = _cell_base(a, b)
+                row = by_cell.get(cell)
+                if row is None:
+                    row = by_cell[cell] = hom_dim(a, b, shifts)
+                by_orbit[key] = row
             for k, d in zip(shifts, row):
                 if d:
                     dims[(i, j, k)] = d
@@ -704,8 +740,7 @@ def one_period_end_total(gens, periods=4):
     lo, hi = -2 * periods, 2 * periods + 1
 
     def folded(delta):
-        h = shift_mf(base, delta)
-        per_k = [hom_dim(base, h, k) for k in range(lo, hi + 1)]
+        per_k = hom_dim(base, shift_mf(base, delta), range(lo, hi + 1))
         if any(per_k[:2]) or any(per_k[-2:]):
             raise MFError(
                 "nonzero hom dimensions at the edge of the folding window; "

@@ -23,6 +23,14 @@ def cell_keys(k, h, q, parity):
     return cell[0], _cell_key(cell, q, parity), _cell_key(cell, q + parity, 1 - parity)
 
 
+def boundary_args(k, h, q, parity):
+    """(memo, key, target, src, dst) of the boundary out of the cell (q,
+    parity) of Hom(k, h): cell_keys and the layouts of the two cells, as
+    matfac._boundary_rank takes them after (k, h)."""
+    memo, key, target = cell_keys(k, h, q, parity)
+    return memo, key, target, _cell_offsets(k.ctx, memo, key), _cell_offsets(k.ctx, memo, target)
+
+
 def reference_boundary_columns(k, h, q, parity, skip=()):
     ctx = k.ctx
     memo, key, target = cell_keys(k, h, q, parity)

@@ -8,12 +8,15 @@
 - grading_invariants: a fingerprint of a grading, to compare two
   constructions of it;
 - subgroups: every subgroup of a diagonal symmetry group with at most two
-  generators.
+  generators;
+- hom_at: the hom dimension at one shift, a walk of hom_dim over that shift
+  alone.
 """
 
 from fractions import Fraction
 
 from hmskit.exactmat import I, Poly, default_var_names, mat_shape
+from hmskit.matfac import hom_dim
 from hmskit.symmetry import DiagonalGroup
 
 
@@ -144,3 +147,8 @@ def subgroups(group):
             g = DiagonalGroup.generated(group.n, [a, b])
             found[g.elements] = g
     return sorted(found.values(), key=lambda g: (len(g), g.elements))
+
+
+def hom_at(k, h, shift):
+    """Dimension of the stable hom space from k to h translated `shift` times."""
+    return hom_dim(k, h, range(shift, shift + 1))[0]

@@ -1,8 +1,9 @@
 """tools/bench_record.py flags what got worse between two records, not
-what the host's speed did."""
+what the host's speed did, and names the code each record measured."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,3 +54,33 @@ def test_a_time_is_never_flagged():
     # the traced wall stay in the record without a flag
     same = dict(base, **{"rank.self_s": 2.0, "trace.overhead_s": 0.2})
     assert flags(_record(0.15, same), old) == []
+
+
+def _git(root, *args):
+    subprocess.run(["git", *args], cwd=root, check=True, capture_output=True)
+
+
+def test_a_record_names_the_code_it_measured(tmp_path):
+    # the commit alone names a clean tree; an edited file or a new one makes
+    # the tree dirty, and each change gives its own digest
+    source_state = _bench_record().source_state
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "code.py").write_text("x = 1\n")
+    (tmp_path / ".gitignore").write_text("out/\n")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q", "-m", "seed")
+    clean = source_state(tmp_path)
+    assert set(clean) == {"commit", "dirty"} and len(clean["commit"]) == 40
+    assert clean["dirty"] is False
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "run.log").write_text("ignored\n")
+    assert source_state(tmp_path) == clean
+    (tmp_path / "code.py").write_text("x = 2\n")
+    edited = source_state(tmp_path)
+    assert (edited["commit"], edited["dirty"]) == (clean["commit"], True)
+    assert len(edited["diff_sha256"]) == 64
+    (tmp_path / "new.py").write_text("y = 1\n")
+    added = source_state(tmp_path)
+    assert added["dirty"] and added["diff_sha256"] != edited["diff_sha256"]
+    (tmp_path / "new.py").write_text("y = 2\n")
+    assert source_state(tmp_path)["diff_sha256"] != added["diff_sha256"]

@@ -230,8 +230,8 @@ def test_verify_match_and_cache_determinism(tmp_path, capsys):
 
 def test_verify_report_of_a_repeated_atom_is_the_pairwise_table(tmp_path, capsys):
     # the orbit-filled b side of a sum with a repeated atom, as printed,
-    # equals the table of every pair computed through hom_dim; the
-    # generators report carries no coordinates
+    # equals the table of the same objects without coordinates, whose pairs
+    # are each their own orbit; the generators report carries no coordinates
     code, out, _ = run_cli(capsys, "verify", "A2+A2+A2", "--cache-dir", str(tmp_path), "--quiet")
     assert code == 0
     col = generator_collection(parse_model("A2+A2+A2"))
@@ -502,6 +502,20 @@ def test_verify_of_an_oversized_cell_exits_with_the_resource_code(tmp_path, caps
     assert "Traceback" not in err
     (line,) = [l for l in err.splitlines() if l.startswith("hmskit: error:")]
     assert "above the limit 8" in line
+    assert not cache_dir.exists() or not list(cache_dir.iterdir())
+
+
+def test_verify_of_an_oversized_walk_exits_with_the_resource_code(tmp_path, capsys, monkeypatch):
+    # the largest walk of the D4t table lays out cells of 170 dimensions in
+    # all; with the bound one below, the walk stops before it assembles a
+    # boundary: exit 4, one line on stderr, no report and no cache entry
+    monkeypatch.setattr(matfac, "MAX_ROW_DIM", 169)
+    cache_dir = tmp_path / "cache"
+    code, out, err = run_cli(capsys, "verify", "D4t", "--cache-dir", str(cache_dir))
+    assert (code, out) == (4, "")
+    assert "Traceback" not in err
+    (line,) = [l for l in err.splitlines() if l.startswith("hmskit: error:")]
+    assert line == "hmskit: error: hom walk over 9 shifts reaches dimension 170, above the limit 169"
     assert not cache_dir.exists() or not list(cache_dir.iterdir())
 
 
@@ -899,7 +913,7 @@ def test_every_report_is_jsons_indented_text(argv, tmp_path, capsys):
 
 # junk without digits can never be a well-formed model, so the verify runs
 # below stay tiny; the digit alphabets stay short, so no group is huge.
-# Lowered bounds on objects and cells make the tiny runs reach exit 4.
+# Lowered bounds on objects, cells and walks make the tiny runs reach exit 4.
 _JUNK = st.text(alphabet="ADt+[]{},;:/ -xy\"\\\u00e9\x00", max_size=10)
 _ATOM = st.builds("{}{}{}".format, st.sampled_from("AD"), st.integers(0, 4), st.sampled_from(["", "t"]))
 _SUM = st.lists(_ATOM, min_size=1, max_size=2).map("+".join)
@@ -916,8 +930,10 @@ _GROUP = st.one_of(
 )
 _WINDOW = st.sampled_from(["-1", "0", "1", "2", "x"])
 _PAIRS = [("[[3,0],[1,2]]", "1/3,1/3"), ("[[4,0],[1,2]]", "1/4,3/8")]
-_LIMITS = st.sampled_from([{}, {}, {"MAX_OBJECTS": 1}, {"MAX_CELL_DIM": 2}, {"MAX_OBJECTS": 3, "MAX_CELL_DIM": 12}])
-_BOUND_OWNERS = {"MAX_OBJECTS": factorization, "MAX_CELL_DIM": matfac}
+_LIMITS = st.sampled_from(
+    [{}, {}, {"MAX_OBJECTS": 1}, {"MAX_CELL_DIM": 2}, {"MAX_OBJECTS": 3, "MAX_CELL_DIM": 12}, {"MAX_ROW_DIM": 16}]
+)
+_BOUND_OWNERS = {"MAX_OBJECTS": factorization, "MAX_CELL_DIM": matfac, "MAX_ROW_DIM": matfac}
 
 
 @st.composite
@@ -973,10 +989,11 @@ def test_parsers_fail_only_with_cli_errors(text, group, n):
 @settings(max_examples=150, deadline=None)
 @given(_argv(), _LIMITS)
 # one refusal of each kind on every run: too many objects (of a model and
-# of matrix mode), an oversized cell
+# of matrix mode), an oversized cell, an oversized walk
 @example(["generators", "A2+A2"], {"MAX_OBJECTS": 3})
 @example(["verify", "--matrix", "[[3,0],[1,2]]", "--group", "1/3,1/3", "--cache-dir", "CACHE"], {"MAX_OBJECTS": 3})
 @example(["verify", "D4t", "--window", "1", "--cache-dir", "CACHE"], {"MAX_CELL_DIM": 2})
+@example(["verify", "A2+A2", "--window", "1", "--cache-dir", "CACHE"], {"MAX_ROW_DIM": 16})
 def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, argv, limits):
     base = tmp_path_factory.getbasetemp()
     blocker = base / "fuzz-file"

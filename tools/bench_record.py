@@ -2,8 +2,8 @@
 
 Runs `perfbench/run.py --trace 0` and `--trace 1` for each workload of
 BENCHMARK.json in a source checkout and writes their last stdout lines,
-together with nproc, the Python version, the checkout's commit and the
-traced run's `host.ref_s`, to one JSON file:
+together with nproc, the Python version, the checkout's source state (see
+source_state) and the traced run's `host.ref_s`, to one JSON file:
 
     python3 tools/bench_record.py --n 6
     python3 tools/bench_record.py --n 0 --root ../parent-checkout --out BENCH_0.json
@@ -16,6 +16,7 @@ speed drifts between records.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -35,6 +36,31 @@ def run(root, workload, seconds, trace):
     )
     lines = out.stdout.strip().splitlines()
     return json.loads(lines[-1])
+
+
+def source_state(root):
+    """The checkout's `commit` (HEAD, or "unknown" outside a repository)
+    and `dirty`: whether any tracked file differs from HEAD or any file is
+    untracked and not ignored.  A dirty tree, whose HEAD is not the code
+    measured, also gets `diff_sha256`: the SHA-256 of `git diff --binary
+    HEAD`, then of each untracked file in path order as its path, a NUL
+    byte and its bytes."""
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, capture_output=True).stdout
+
+    commit = git("rev-parse", "HEAD").decode().strip()
+    if not commit:
+        return {"commit": "unknown"}
+    diff = git("diff", "--binary", "HEAD")
+    untracked = sorted(p for p in git("ls-files", "--others", "--exclude-standard", "-z").split(b"\0") if p)
+    state = {"commit": commit, "dirty": bool(diff or untracked)}
+    if state["dirty"]:
+        digest = hashlib.sha256(diff)
+        for path in untracked:
+            digest.update(path + b"\0" + (Path(root) / path.decode()).read_bytes())
+        state["diff_sha256"] = digest.hexdigest()
+    return state
 
 
 def previous_record(n):
@@ -83,11 +109,9 @@ def main(argv=None):
     root = Path(args.root).resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
-                            text=True).stdout.strip() or "unknown"
     record = {
         "n": args.n,
-        "commit": commit,
+        **source_state(root),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "seed": SEED,
