@@ -19,7 +19,7 @@ from . import __version__
 from .cache import TableCache, request_key, resolve_cache_dir
 from .factorization import MFError, ResourceLimitError, element_to_json, mf_to_json, quotient_graded_collection
 from .grading import GradingError, m_grading
-from .matfac import collection_plan, ext_table, ext_table_to_json, generator_collection
+from .matfac import collection_plan, ext_table, generator_collection
 from .polyforms import PolyFormError, build, parse_model
 from .polyforms import transpose as transpose_model
 from .quivercat import (
@@ -202,38 +202,14 @@ def cmd_generators(args):
 # ---------------------------------------------------------------- verify
 
 
-def _table_payload_ok(payload, labels, window):
-    """Whether a cached payload has the shape of the table this request
-    computes: the same object labels and window, and sorted, distinct
-    entries (i, j, k, d) of ints with i, j indexing the objects, k inside
-    the window and d >= 1.  Anything else is treated as a miss."""
-    if not isinstance(payload, dict) or set(payload) != {"objects", "window", "entries"}:
-        return False
-    if payload["objects"] != labels or payload["window"] != list(window):
-        return False
-    entries = payload["entries"]
-    if not isinstance(entries, list):
-        return False
-    prev = None
-    for e in entries:
-        if not (
-            isinstance(e, list)
-            and len(e) == 4
-            and all(type(v) is int for v in e)
-        ):
-            return False
-        i, j, k, d = e
-        if not (
-            0 <= i < len(labels)
-            and 0 <= j < len(labels)
-            and window[0] <= k <= window[1]
-            and d >= 1
-        ):
-            return False
-        if prev is not None and e[:3] <= prev:
-            return False
-        prev = e[:3]
-    return True
+def _table_json(objects, window, table):
+    """A table over the shifts |k| <= window as reports and cache entries
+    hold it: object names, the window and sorted entries (i, j, k, d)."""
+    return {
+        "objects": list(objects),
+        "window": [-window, window],
+        "entries": [list(e) for e in table.entries()],
+    }
 
 
 def cmd_verify(args):
@@ -241,7 +217,6 @@ def cmd_verify(args):
         raise CLIError(EXIT_PARSE, "verify needs a model expression or --matrix, not both")
     if args.window < 0:
         raise CLIError(EXIT_PARSE, "--window must be non-negative")
-    window = (-args.window, args.window)
 
     if args.matrix is not None:
         if args.group is None:
@@ -268,69 +243,55 @@ def cmd_verify(args):
     aside_objects = ["|".join(obj) for obj in model.objects]
     if len(aside_objects) != len(labels):
         raise CLIError(EXIT_UNSUPPORTED, "generator and vertex counts disagree")
-    aside = {
-        "objects": aside_objects,
-        "window": list(window),
-        "entries": [list(e) for e in model.entries()],
-    }
+    aside = _table_json(aside_objects, args.window, model)
+    # the b-side table that a match needs; a cached table is used only when
+    # it is this one, so a mismatch is only reported from a table computed
+    # in this run
+    predicted = {**aside, "objects": list(labels)}
 
     request = {
         "command": "ext_table",
         "version": __version__,
         "input": desc,
-        "window": list(window),
+        "window": aside["window"],
     }
     key = request_key(request)
     cache = TableCache(resolve_cache_dir(args.cache_dir))
-
-    def cold():
+    payload = cache.load(key)
+    if cache.rejected == "malformed":
+        _diag(args, f"ignoring malformed cache entry (key {key[:12]}), recomputing")
+    elif cache.rejected == "stale":
+        _diag(args, f"cache entry disagrees with its stamp (key {key[:12]}), recomputing")
+    elif payload == predicted:
+        _diag(args, f"b-side table from cache (key {key[:12]})")
+    elif payload is not None:
+        _diag(args, f"cached table disagrees with the a side (key {key[:12]}), recomputing")
+    if payload != predicted:
         started = time.perf_counter()
-        payload = ext_table_to_json(ext_table(generator_collection(None, plan), window))
+        table = ext_table(generator_collection(None, plan), args.window)
+        payload = _table_json(table.objects, args.window, table)
         try:
             cache.store(key, payload)
         except OSError as exc:
             # the table is still exact; only the next run loses the entry
             _diag(args, f"cannot write cache entry (key {key[:12]}): {exc.strerror or exc}")
         _diag(args, f"b-side table computed in {time.perf_counter() - started:.2f}s (key {key[:12]})")
-        return payload
 
-    def first_difference(payload):
-        if payload["entries"] == aside["entries"]:
-            return None
+    first = None
+    if payload["entries"] != aside["entries"]:
         adims = {(i, j, k): d for i, j, k, d in aside["entries"]}
         bdims = {(i, j, k): d for i, j, k, d in payload["entries"]}
-        for key in sorted(bdims.keys() | adims.keys()):
-            b, a = bdims.get(key, 0), adims.get(key, 0)
-            if b != a:
-                return [*key, b, a]
-        return None
-
-    payload = cache.load(key)
-    rejected = cache.rejected
-    if payload is not None and not _table_payload_ok(payload, labels, window):
-        rejected, payload = "malformed", None
-    if rejected == "malformed":
-        _diag(args, f"ignoring malformed cache entry (key {key[:12]}), recomputing")
-    elif rejected == "stale":
-        _diag(args, f"cache entry disagrees with its stamp (key {key[:12]}), recomputing")
-    cached = payload is not None
-    if cached:
-        _diag(args, f"b-side table from cache (key {key[:12]})")
-    else:
-        payload = cold()
-    first = first_difference(payload)
-    if cached and first is not None:
-        # a cached table must not turn a match into a mismatch: a
-        # mismatch is only reported from a table computed in this run
-        _diag(args, f"cached table disagrees with the a side (key {key[:12]}), recomputing")
-        payload = cold()
-        first = first_difference(payload)
+        first = next(
+            [*ijk, bdims.get(ijk, 0), adims.get(ijk, 0)]
+            for ijk in sorted(bdims.keys() | adims.keys())
+            if bdims.get(ijk, 0) != adims.get(ijk, 0)
+        )
 
     report = {
         "schema": 1,
         "version": __version__,
         "input": desc,
-        "window": list(window),
+        "window": aside["window"],
         "bside": payload,
         "aside": aside,
         "object_assignment": {

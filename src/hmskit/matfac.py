@@ -69,6 +69,7 @@ from .factorization import (
 )
 from .grading import grading_group, lbar_representatives, sum_grading_maps
 from .polyforms import build
+from .quivercat import BigradedTable
 
 
 # The largest hom cell, in monomial-basis dimension, that is laid out (see
@@ -453,31 +454,6 @@ def hom_dim(k, h, shifts):
 # --------------------------------------------------------------- Ext tables
 
 
-class ExtTable:
-    """Hom dimensions between labelled objects over a shift window."""
-
-    __slots__ = ("objects", "window", "dims")
-
-    def __init__(self, objects, window, dims):
-        self.objects = objects
-        self.window = window  # (k_min, k_max)
-        self.dims = dims  # (i, j, k) -> positive int
-
-    def entries(self):
-        return sorted((i, j, k, d) for (i, j, k), d in self.dims.items())
-
-
-def _normalize_window(window):
-    if isinstance(window, int):
-        if window < 0:
-            raise MFError("window must be non-negative")
-        return (-window, window)
-    lo, hi = window
-    if lo > hi:
-        raise MFError("empty shift window")
-    return (int(lo), int(hi))
-
-
 def _orbit_key(objects):
     """Orbit key of the pairs of `objects` under the permutations of
     identical atoms.
@@ -510,9 +486,11 @@ def _orbit_key(objects):
 
 
 def ext_table(collection, window):
-    """Full hom-dimension table of a collection over a shift window.
+    """Full hom-dimension table of a collection over the shifts
+    |k| <= window, as a BigradedTable whose objects are the labels.
 
-    `collection` is a list of (label, MatrixFactorization) pairs.  hom_dim
+    `collection` is a list of (label, MatrixFactorization) pairs and
+    `window` a non-negative integer, as `verify --window` takes it.  hom_dim
     walks the window once per row class, and each pair (i, j) is filled,
     at the caller's positions, from the row of the first pair of its class:
     pairs are in one class when they have the same orbit key (see
@@ -520,7 +498,8 @@ def ext_table(collection, window):
     generator_collection records them, have orbits of more than one pair)
     or the same cell base (see _cell_base).
     """
-    lo, hi = _normalize_window(window)
+    if window < 0:
+        raise MFError("window must be non-negative")
     labels = tuple(str(label) for label, _ in collection)
     objects = [mf for _, mf in collection]
     for mf in objects[1:]:
@@ -528,7 +507,7 @@ def ext_table(collection, window):
             raise MFError("collection objects disagree on potential or grading")
 
     orbit = _orbit_key(objects)
-    shifts = range(lo, hi + 1)
+    shifts = range(-window, window + 1)
     by_orbit = {}
     by_cell = {}
     dims = {}
@@ -545,15 +524,7 @@ def ext_table(collection, window):
             for k, d in zip(shifts, row):
                 if d:
                     dims[(i, j, k)] = d
-    return ExtTable(labels, (lo, hi), dims)
-
-
-def ext_table_to_json(t):
-    return {
-        "objects": list(t.objects),
-        "window": list(t.window),
-        "entries": [list(e) for e in t.entries()],
-    }
+    return BigradedTable(labels, dims)
 
 
 # ------------------------------------------------------ generator collections

@@ -100,7 +100,7 @@ def simple_hom_dims(q, i, j, k):
 
 
 class BigradedTable:
-    """Hom dimensions between tuple-indexed objects, graded by shift."""
+    """Hom dimensions between indexed objects, graded by shift."""
 
     __slots__ = ("objects", "dims")
 

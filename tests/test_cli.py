@@ -17,8 +17,8 @@ from hmskit import cache as cache_module
 from hmskit import factorization, hmscli, matfac, polyforms
 from hmskit.cache import TableCache, canonical_json, request_key, resolve_cache_dir
 from hmskit.factorization import shift_mf
-from hmskit.hmscli import CLIError, _build_model, _parse_matrix, main
-from hmskit.matfac import ext_table, ext_table_to_json, generator_collection
+from hmskit.hmscli import CLIError, _build_model, _parse_matrix, _table_json, main
+from hmskit.matfac import ext_table, generator_collection
 from hmskit.polyforms import parse_model
 from hmskit.symmetry import SymmetryError, parse_group_string
 
@@ -237,7 +237,8 @@ def test_verify_report_of_a_repeated_atom_is_the_pairwise_table(tmp_path, capsys
     col = generator_collection(parse_model("A2+A2+A2"))
     bare = [(label, shift_mf(mf, 0)) for label, mf in col]
     assert all(mf.coords is None for _, mf in bare)
-    assert json.loads(out)["bside"] == ext_table_to_json(ext_table(bare, 4))
+    table = ext_table(bare, 4)
+    assert json.loads(out)["bside"] == _table_json(table.objects, 4, table)
     code, out, _ = run_cli(capsys, "generators", "A2+A2")
     assert code == 0
     objects = json.loads(out)["objects"]
@@ -630,7 +631,9 @@ def test_warm_matrix_mode_verify_builds_no_factorization(matrix, group, tmp_path
     assert counts == {"objects": 0, "tensors": 0, "polys": 0} and gradings == []
 
 
-@pytest.mark.parametrize("damage", ["absent", "unreadable", "other-labels", "stale", "disagrees"])
+@pytest.mark.parametrize(
+    "damage", ["absent", "unreadable", "other-labels", "other-window", "extra-key", "dropped-entry", "stale", "disagrees"]
+)
 def test_a_table_computed_in_the_run_builds_the_collection_once(damage, tmp_path, capsys, monkeypatch):
     cache_dir = tmp_path / "cache"
     code, cold, _ = run_cli(capsys, "verify", "A2+D4t", "--cache-dir", str(cache_dir), "--quiet")
@@ -645,6 +648,12 @@ def test_a_table_computed_in_the_run_builds_the_collection_once(damage, tmp_path
         path.write_bytes(b"{not json")
     elif damage == "other-labels":  # stamped, but not this request's objects
         cache.store(path.stem, {**table, "objects": table["objects"][::-1]})
+    elif damage == "other-window":  # stamped, but not this request's window
+        cache.store(path.stem, {**table, "window": [-3, 3]})
+    elif damage == "extra-key":  # stamped, with a key no table has
+        cache.store(path.stem, {**table, "note": 1})
+    elif damage == "dropped-entry":  # stamped, with one entry left out
+        cache.store(path.stem, {**table, "entries": table["entries"][1:]})
     elif damage == "stale":
         path.write_text(json.dumps({**entry, "stamp": {**entry["stamp"], "sha256": "0" * 64}}), encoding="utf-8")
     else:  # stamped and well shaped, but not the a side's table
@@ -658,11 +667,14 @@ def test_a_table_computed_in_the_run_builds_the_collection_once(damage, tmp_path
 
     code, out, err = run_cli(capsys, "verify", "A2+D4t", "--cache-dir", str(cache_dir))
     assert code == 0 and out == cold
-    assert "computed" in err
+    assert "computed" in err and "from cache" not in err
     assert {
         "absent": "cache entry" not in err,
         "unreadable": "malformed cache entry" in err,
-        "other-labels": "malformed cache entry" in err,
+        "other-labels": "disagrees with the a side" in err,
+        "other-window": "disagrees with the a side" in err,
+        "extra-key": "disagrees with the a side" in err,
+        "dropped-entry": "disagrees with the a side" in err,
         "stale": "disagrees with its stamp" in err,
         "disagrees": "disagrees with the a side" in err,
     }[damage]

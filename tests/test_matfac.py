@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hmskit import factorization, matfac
 from hmskit.exactmat import I, Poly, int_rank
 from hmskit.grading import GradingContext, grading_group, lbar_representatives, m_grading, sum_grading_maps
+from hmskit.hmscli import _table_json
 from hmskit.polyforms import build, parse_model
 from hmskit.quivercat import dynkin_quiver, simple_hom_dims, tensor_model
 from hmskit.symmetry import DiagonalGroup, j_element, parse_group_string
@@ -32,7 +33,6 @@ from hmskit.factorization import (
 )
 from hmskit.matfac import (
     ext_table,
-    ext_table_to_json,
     generator_collection,
     generator_E,
     hom_dim,
@@ -1313,7 +1313,7 @@ def test_json_shapes_are_stable():
 
     _, col, _ = _rank_one_objects("D4t")
     tab = ext_table(col[:2], 1)
-    assert json.dumps(ext_table_to_json(tab), sort_keys=True) == (
+    assert json.dumps(_table_json(tab.objects, 1, tab), sort_keys=True) == (
         '{"entries": [[0, 0, 0, 1], [1, 1, 0, 1]], '
         '"objects": ["R/(y)", "R/(x^3+y)"], "window": [-1, 1]}'
     )
