@@ -22,16 +22,12 @@ from operator import add
 
 from . import polyforms
 from .exactmat import I, Poly
-from .grading import LElement, m_grading, sum_grading_maps
+from .grading import LElement, ResourceLimitError, m_grading, sum_grading_maps
 from .quivercat import dynkin_quiver
 from .symmetry import DiagonalGroup, format_element, format_group, j_element
 
 
 class MFError(ValueError):
-    pass
-
-
-class ResourceLimitError(RuntimeError):
     pass
 
 

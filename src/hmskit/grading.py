@@ -24,6 +24,21 @@ class GradingError(ValueError):
     pass
 
 
+class ResourceLimitError(RuntimeError):
+    pass
+
+
+# The largest number of distinct group elements that m_grading takes.  It
+# writes one relation row per nonzero element, with a column per element,
+# and reduces that matrix, so its cost grows with the square of the group;
+# a larger group raises ResourceLimitError before any row is written.  The
+# smallest power of two above the largest group measured to completion: 900
+# elements, the dual of the trivial group of x^30 + y^30 (32 s and 42.5 MB
+# on 2 cores, Python 3.11.7).  Matrix mode's J groups have at most 508
+# elements under MAX_OBJECTS.
+MAX_GROUP_ORDER = 1 << 10
+
+
 class LElement:
     """Element of a grading group in (free, torsion) coordinates.
 
@@ -320,6 +335,8 @@ def m_grading(a, group):
         if t not in seen:
             seen.add(t)
             elements.append(t)
+    if len(elements) > MAX_GROUP_ORDER:
+        raise ResourceLimitError(f"group has {len(elements)} elements, above the limit {MAX_GROUP_ORDER}")
     phi, ell, j_elt = j_element(a)
     lphi = [int(f * ell) for f in phi]
     if j_elt not in seen:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmskit import cache as cache_module
-from hmskit import factorization, hmscli, matfac, polyforms
+from hmskit import factorization, grading, hmscli, matfac, polyforms
 from hmskit.cache import TableCache, canonical_json, request_key, resolve_cache_dir
 from hmskit.factorization import shift_mf
 from hmskit.hmscli import CLIError, _build_model, _parse_matrix, _table_json, main
@@ -562,6 +562,19 @@ def test_generators_of_too_many_objects_exits_with_the_resource_code(limit, code
         assert json.loads(out)["count"] == 8
 
 
+@pytest.mark.parametrize("limit, code", [(3, 0), (2, 4)])
+def test_transpose_of_too_large_a_group_exits_with_the_resource_code(limit, code, capsys, monkeypatch):
+    # the dual group of 1/2,1/2 on x^3 y + y^2 has 3 elements, and m_grading
+    # takes no more than MAX_GROUP_ORDER
+    monkeypatch.setattr(grading, "MAX_GROUP_ORDER", limit)
+    got, out, err = run_cli(capsys, "transpose", "[[3,1],[0,2]]", "--group", "1/2,1/2")
+    assert got == code
+    if code:
+        assert out == "" and err == "hmskit: error: group has 3 elements, above the limit 2\n"
+    else:
+        assert json.loads(out)["m_grading"]["degc"] == 3
+
+
 _BENCH_MODELS = ["D4t", "D5t", "D6t", "A1", "A2", "A3", "A4", "A5", "A2+A2", "A3+A3", "A2+D4t", "A2+A2+A2", "A3+D4t"]
 
 
@@ -943,9 +956,19 @@ _GROUP = st.one_of(
 _WINDOW = st.sampled_from(["-1", "0", "1", "2", "x"])
 _PAIRS = [("[[3,0],[1,2]]", "1/3,1/3"), ("[[4,0],[1,2]]", "1/4,3/8")]
 _LIMITS = st.sampled_from(
-    [{}, {}, {"MAX_OBJECTS": 1}, {"MAX_CELL_DIM": 2}, {"MAX_OBJECTS": 3, "MAX_CELL_DIM": 12}, {"MAX_ROW_DIM": 16}]
+    [
+        {},
+        {},
+        {"MAX_OBJECTS": 1},
+        {"MAX_CELL_DIM": 2},
+        {"MAX_OBJECTS": 3, "MAX_CELL_DIM": 12},
+        {"MAX_ROW_DIM": 16},
+        {"MAX_GROUP_ORDER": 2},
+    ]
 )
-_BOUND_OWNERS = {"MAX_OBJECTS": factorization, "MAX_CELL_DIM": matfac, "MAX_ROW_DIM": matfac}
+_BOUND_OWNERS = {
+    "MAX_OBJECTS": factorization, "MAX_CELL_DIM": matfac, "MAX_ROW_DIM": matfac, "MAX_GROUP_ORDER": grading,
+}
 
 
 @st.composite
@@ -1001,11 +1024,12 @@ def test_parsers_fail_only_with_cli_errors(text, group, n):
 @settings(max_examples=150, deadline=None)
 @given(_argv(), _LIMITS)
 # one refusal of each kind on every run: too many objects (of a model and
-# of matrix mode), an oversized cell, an oversized walk
+# of matrix mode), an oversized cell, an oversized walk, too large a group
 @example(["generators", "A2+A2"], {"MAX_OBJECTS": 3})
 @example(["verify", "--matrix", "[[3,0],[1,2]]", "--group", "1/3,1/3", "--cache-dir", "CACHE"], {"MAX_OBJECTS": 3})
 @example(["verify", "D4t", "--window", "1", "--cache-dir", "CACHE"], {"MAX_CELL_DIM": 2})
 @example(["verify", "A2+A2", "--window", "1", "--cache-dir", "CACHE"], {"MAX_ROW_DIM": 16})
+@example(["transpose", "[[3,1],[0,2]]", "--group", "1/2,1/2"], {"MAX_GROUP_ORDER": 2})
 def test_cli_ends_in_a_documented_exit_code(tmp_path_factory, argv, limits):
     base = tmp_path_factory.getbasetemp()
     blocker = base / "fuzz-file"
