@@ -65,13 +65,9 @@ REFUSALS = [
 ]
 
 
-def _digest(data):
-    return sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
-
-
 def _file_digest(path):
     with open(path, "rb") as fh:
-        return _digest(fh.read())
+        return sha256(fh.read()).hexdigest()
 
 
 def _run(argv, cache_dir=None, bounds=None):
@@ -87,7 +83,7 @@ def _run(argv, cache_dir=None, bounds=None):
     finally:
         for name, value in saved.items():
             setattr(factorization, name, value)
-    record = {"exit": code, "stdout": _digest(out.getvalue())}
+    record = {"exit": code, "stdout": sha256(out.getvalue().encode("utf-8")).hexdigest()}
     if code not in (0, 1):
         record["error"] = err.getvalue().splitlines()[-1]
     if cache_dir is not None:
