@@ -2,16 +2,17 @@
 
 Polynomial coefficients lie in Z[i]: python ints, and GaussInt (a Gaussian
 integer a + b*i held as a pair of ints, for the factorizations that need a
-square root of -1).  The dense routines for symmetry groups and Coxeter
-matrices (mat_inverse_rat, charpoly) work over Q, on exact fractions.  Every
-rank of a hom complex comes from int_rank, a sparse fraction-free
-elimination over Z; a Q(i)-linear map reaches it through integer_columns.
+square root of -1).  The dense routines work on integer matrices:
+det_int, smith_normal_form, int_kernel and charpoly stay in Z, and only
+mat_inverse_rat, which the symmetry groups need, returns fractions, read
+off the Smith normal form.  Every rank of a hom complex comes from
+int_rank, a sparse fraction-free elimination over Z; a Q(i)-linear map
+reaches it through integer_columns.
 Nothing in this module (or in anything built on top of it) touches floating
 point or complex.
 """
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -78,29 +79,6 @@ def det_int(a):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def mat_inverse_rat(a):
-    """Exact inverse of a square matrix with int/Fraction entries."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # --------------------------------------------------------- Smith normal form
@@ -204,6 +182,25 @@ def snf_diagonal(d):
     return [d[i][i] for i in range(min(rows, cols))]
 
 
+def mat_inverse_rat(a):
+    """Exact inverse, with Fraction entries, of a square integer matrix.
+
+    From the Smith normal form U a V = D: a^-1 = V D^-1 U, written over the
+    last invariant factor, which every other one divides.
+    """
+    n = len(a)
+    u, d, v = smith_normal_form(a)
+    diag = snf_diagonal(d)
+    if 0 in diag:
+        raise ValueError("matrix is singular")
+    den = diag[-1] if n else 1
+    scale = [den // x for x in diag]
+    return [
+        [Fraction(sum(v[i][k] * scale[k] * u[k][j] for k in range(n)), den) for j in range(n)]
+        for i in range(n)
+    ]
+
+
 # ------------------------------------------------------------ integer kernel
 
 
@@ -221,24 +218,23 @@ def int_kernel(m):
 
 
 def charpoly(m):
-    """Characteristic polynomial det(t*I - m) by Faddeev-LeVerrier.
+    """Characteristic polynomial det(t*I - m) of an integer matrix.
 
-    Entries may be int or Fraction; returns the coefficient list
+    Faddeev-LeVerrier over Z: the k-th coefficient is -trace/k, an exact
+    division for an integer matrix.  Returns the int coefficient list
     [1, c1, ..., cn] for t^n + c1 t^(n-1) + ... + cn.
     """
     n = len(m)
-    coeffs = [Fraction(1)]
-    mk = [[Fraction(x) for x in row] for row in m]
-    work = [row[:] for row in mk]
+    coeffs = [1]
+    work = [list(row) for row in m]
     for k in range(1, n + 1):
-        trace = sum(work[i][i] for i in range(n))
-        ck = -trace / k
+        ck = -sum(work[i][i] for i in range(n)) // k
         coeffs.append(ck)
         if k == n:
             break
         for i in range(n):
             work[i][i] += ck
-        work = mat_mul(mk, work)
+        work = mat_mul(m, work)
     return coeffs
 
 
@@ -374,23 +370,19 @@ def integer_columns(cols):
 
 
 # ------------------------------------------------------- sparse integer rank
-# The matrices coming out of the graded hom computations are sparse with
-# modest integer entries (mostly +-1), so the rank comes from one sparse,
-# fraction-free Gaussian elimination in two phases, in the spirit of
-# structured Gaussian elimination and Markowitz pivoting:
+# The matrices coming out of the graded hom computations are sparse, and
+# every entry ranked on the models measured is +-1.  The rank comes from a
+# fraction-free elimination in two phases:
 #
-# - rows are {col: int} dicts, indexed by a col -> set(row ids) map, so a
-#   pivot step touches only the rows that meet the pivot column;
-# - peeling: while some column meets exactly one live row, that row is a
-#   pivot on that column and is simply removed, with no arithmetic, since no
-#   other row has to be cleared; this takes nearly all pivots of the
-#   hom-complex boundaries (23,997 of 24,053 in the 270 rank calls of the
-#   benchmark's period total), and only the rows left over are copied;
-# - elimination of what is left: the pivot row is the shortest live row,
-#   and within it the pivot is a unit entry if there is one, then the entry
-#   whose column meets the fewest live rows, which keeps fill-in low;
-# - a +-1 pivot updates rows in place; any other pivot uses the gcd-reduced
-#   multipliers and divides the updated row by its content.
+# - peeling: rows are {col: int} dicts, indexed by a col -> set(row ids)
+#   map; while some column meets exactly one live row, that row is a pivot
+#   on that column and is removed with no arithmetic.  This takes nearly all
+#   pivots (23,997 of 24,053 in the 270 rank calls of the benchmark's
+#   period total);
+# - a row echelon of the core, the rows left over, in row order.  The core
+#   has at most 8 rows on the benchmark's models and at most 32 on the
+#   largest table measured (D4t+D4t+A2), so it needs no pivot order; a
+#   large core, which no model produces, would be slow.
 
 
 def int_rank(rows, pivots=None):
@@ -400,8 +392,8 @@ def int_rank(rows, pivots=None):
     When `pivots` is a list, the pivot column of each step is appended to
     it: the rows restricted to those columns have full rank, since each
     pivot row is zero in the columns of the earlier pivots (a peeled row is
-    the only live row in its column, and an eliminated column is cleared
-    from every live row).
+    the only live row in its column, and a core row is reduced by every
+    earlier pivot row of the core).
     """
     cols = {}
     for i, r in enumerate(rows):
@@ -428,63 +420,41 @@ def int_rank(rows, pivots=None):
             rows_c.discard(i)
             if len(rows_c) == 1:
                 single.append(c)
-    work = {i: dict(r) for i, r in enumerate(rows) if r and i not in peeled}
-    # lazy min-heap of (length, row id); an entry is stale once the row's
-    # length changed or the row is gone
-    heap = [(len(r), i) for i, r in work.items()]
-    heapify(heap)
-    while heap:
-        n, pid = heappop(heap)
-        prow = work.get(pid)
-        if prow is None or len(prow) != n:
+    # (pivot column, pivot value, rest of the pivot row) of each core pivot
+    echelon = []
+    for i, r in enumerate(rows):
+        if i in peeled or not r:
             continue
-        del work[pid]
-        rank += 1
-        pc = None
-        best = None
-        for c, v in prow.items():
-            rows_c = cols[c]
-            rows_c.discard(pid)
-            cost = (v != 1 and v != -1, len(rows_c))
-            if best is None or cost < best:
-                pc, best = c, cost
-        if pivots is not None:
-            pivots.append(pc)
-        pv = prow.pop(pc)
-        unit = pv == 1 or pv == -1
-        for i in cols.pop(pc):
-            row = work[i]
-            a = row.pop(pc)
+        row = dict(r)
+        for pc, pv, prow in echelon:
+            a = row.pop(pc, 0)
+            if not a:
+                continue
             # row <- f*row - m*prow clears column pc
-            if unit:
-                f, m = 1, a * pv
-            else:
-                g = gcd(pv, a)
-                f, m = pv // g, a // g
-                for c in row:
-                    row[c] *= f
+            g = gcd(pv, a)
+            f, m = pv // g, a // g
+            for c in row:
+                row[c] *= f
             for c, v in prow.items():
                 w = row.get(c, 0) - m * v
                 if w:
-                    if c not in row:
-                        cols[c].add(i)
                     row[c] = w
-                elif c in row:
+                else:
                     del row[c]
-                    cols[c].discard(i)
-            if not unit:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    for c in row:
-                        row[c] //= g
-            if row:
-                heappush(heap, (len(row), i))
-            else:
-                del work[i]
+            g = 0
+            for v in row.values():
+                g = gcd(g, v)
+                if g == 1:
+                    break
+            if g > 1:
+                for c in row:
+                    row[c] //= g
+        if row:
+            pc = min(row, key=lambda c: (abs(row[c]) != 1, c))
+            echelon.append((pc, row.pop(pc), row))
+            rank += 1
+            if pivots is not None:
+                pivots.append(pc)
     return rank
 
 

@@ -180,18 +180,11 @@ def coxeter_polynomial(e):
 
     Returns integer coefficients, leading term first.
     """
-    n = len(e)
-    if n == 0:
-        return [1]
     inv_t = mat_inverse_rat(mat_transpose(e))
-    cox = [[-x for x in row] for row in mat_mul(inv_t, e)]
-    coeffs = charpoly(cox)
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise QuiverError("Coxeter polynomial is not integral; E is not unimodular")
-        out.append(int(c))
-    return out
+    if any(x.denominator != 1 for row in inv_t for x in row):
+        raise QuiverError("Coxeter polynomial is not integral; E is not unimodular")
+    inv_t = [[int(x) for x in row] for row in inv_t]
+    return charpoly([[-x for x in row] for row in mat_mul(inv_t, e)])
 
 
 def mutate_collection(e, position, direction):

@@ -128,10 +128,10 @@ def krawitz_transpose(a, group):
     pairing integrally with all of G.
     """
     n = len(a)
-    big = gmax(a)
     elements = [_normalize(g, n) for g in getattr(group, "elements", group)]
     for g in elements:
-        if g not in big:
+        # g lies in gmax(A) exactly when A g is integral
+        if any(sum(x * y for x, y in zip(row, g)) % 1 for row in a):
             raise SymmetryError("group element is not a symmetry of the polynomial")
     dual_side = gmax(mat_transpose(a))
     kept = [s for s in dual_side if all(_pairing(s, a, t) == 0 for t in elements)]

@@ -192,6 +192,12 @@ def test_charpoly_small():
     assert charpoly([[2, 0], [0, 3]]) == [1, -5, 6]
 
 
+def test_charpoly_returns_ints():
+    coeffs = charpoly([[1, 2, 0], [-3, 4, 5], [7, 0, -6]])
+    assert coeffs == [1, 1, -20, -10]
+    assert all(type(c) is int for c in coeffs)
+
+
 @settings(max_examples=40, deadline=None)
 @given(mat_strategy(max_dim=4, max_entry=6).filter(lambda a: len(a) == len(a[0])))
 def test_charpoly_matches_sympy(a):
@@ -316,8 +322,8 @@ def test_int_rank_peels_a_permuted_identity():
 
 
 def test_int_rank_pivot_paths_agree():
-    # transposing and permuting rows changes which rows are shortest and
-    # which columns are densest, so the elimination takes other pivots
+    # transposing and permuting rows changes which rows peel and in which
+    # order the core is reduced, so the elimination takes other pivots
     rng = random.Random(20100401)
     a = [[0] * 140 for _ in range(120)]
     for i in range(120):

@@ -274,6 +274,13 @@ def test_coxeter_polynomials():
     assert coxeter_polynomial(euler_matrix(dynkin_quiver("D5"))) == [1, 1, 0, 0, 1, 1]
 
 
+def test_coxeter_polynomial_refuses_non_unimodular():
+    # the Coxeter matrix of [[2]] is [[-1]], with an integral charpoly, but
+    # E^-T is not integral
+    with pytest.raises(QuiverError, match="E is not unimodular"):
+        coxeter_polynomial([[2]])
+
+
 def test_coxeter_against_sympy():
     sympy = pytest.importorskip("sympy")
     for name in ["A4", "D5"]:
