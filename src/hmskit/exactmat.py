@@ -193,7 +193,7 @@ def mat_inverse_rat(a):
     diag = snf_diagonal(d)
     if 0 in diag:
         raise ValueError("matrix is singular")
-    den = diag[-1] if n else 1
+    den = diag[-1] if diag else 1
     scale = [den // x for x in diag]
     return [
         [Fraction(sum(v[i][k] * scale[k] * u[k][j] for k in range(n)), den) for j in range(n)]
