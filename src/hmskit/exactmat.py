@@ -1,18 +1,17 @@
-"""Exact integer and rational linear algebra plus sparse multivariate polynomials.
+"""Exact integer linear algebra plus sparse multivariate polynomials.
 
 Polynomial coefficients lie in Z[i]: python ints, and GaussInt (a Gaussian
 integer a + b*i held as a pair of ints, for the factorizations that need a
-square root of -1).  The dense routines work on integer matrices:
-det_int, smith_normal_form, int_kernel and charpoly stay in Z, and only
-mat_inverse_rat, which the symmetry groups need, returns fractions, read
-off the Smith normal form.  Every rank of a hom complex comes from
-int_rank, a sparse fraction-free elimination over Z; a Q(i)-linear map
-reaches it through integer_columns.
+square root of -1).  The dense routines work on integer matrices and stay
+in Z: det_int, smith_normal_form, hermite, int_kernel and charpoly, and
+mat_inverse, which returns the inverse as an integer matrix over its least
+denominator, read off the Smith normal form.  Every rank of a hom complex
+comes from int_rank, a sparse fraction-free elimination over Z; a
+Q(i)-linear map reaches it through integer_columns.
 Nothing in this module (or in anything built on top of it) touches floating
-point or complex.
+point or complex; every number is an int or a GaussInt.
 """
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -182,11 +181,12 @@ def snf_diagonal(d):
     return [d[i][i] for i in range(min(rows, cols))]
 
 
-def mat_inverse_rat(a):
-    """Exact inverse, with Fraction entries, of a square integer matrix.
+def mat_inverse(a):
+    """Exact inverse of a square integer matrix as (M, den), a^-1 = M / den.
 
     From the Smith normal form U a V = D: a^-1 = V D^-1 U, written over the
-    last invariant factor, which every other one divides.
+    last invariant factor, which every other one divides; as U and V are
+    unimodular, it is the least common denominator of the entries.
     """
     n = len(a)
     u, d, v = smith_normal_form(a)
@@ -195,10 +195,36 @@ def mat_inverse_rat(a):
         raise ValueError("matrix is singular")
     den = diag[-1] if diag else 1
     scale = [den // x for x in diag]
-    return [
-        [Fraction(sum(v[i][k] * scale[k] * u[k][j] for k in range(n)), den) for j in range(n)]
-        for i in range(n)
-    ]
+    return [[sum(v[i][k] * scale[k] * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)], den
+
+
+# ------------------------------------------------------- Hermite normal form
+
+
+def hermite(rows, n):
+    """Hermite basis of the lattice spanned by integer rows of length n.
+
+    Returns the basis rows in echelon form: each row's first nonzero entry,
+    its pivot, is positive and lies right of the pivot of the row above,
+    and every entry above a pivot lies in [0, pivot).  Every generating set
+    of a lattice gives the same basis.
+    """
+    basis = []
+    work = [list(r) for r in rows if any(r)]
+    for c in range(n):
+        live = [r for r in work if r[c]]
+        work = [r for r in work if not r[c]]
+        # Euclid on column c: reduce every row by the one of least |entry|
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[c]))
+            piv = live[0]
+            rest = [[x - (r[c] // piv[c]) * y for x, y in zip(r, piv)] for r in live[1:]]
+            work += [r for r in rest if not r[c] and any(r)]
+            live = [piv] + [r for r in rest if r[c]]
+        if live:
+            piv = live[0] if live[0][c] > 0 else [-x for x in live[0]]
+            basis = [[x - (b[c] // piv[c]) * y for x, y in zip(b, piv)] for b in basis] + [piv]
+    return basis
 
 
 # ------------------------------------------------------------ integer kernel

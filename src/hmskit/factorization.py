@@ -22,9 +22,9 @@ from operator import add
 
 from . import polyforms
 from .exactmat import I, Poly
-from .grading import LElement, ResourceLimitError, m_grading, sum_grading_maps
+from .grading import LElement, m_grading, sum_grading_maps
 from .quivercat import dynkin_quiver
-from .symmetry import DiagonalGroup, format_element, format_group, j_element
+from .symmetry import DiagonalGroup, ResourceLimitError, format_element, j_element
 
 
 class MFError(ValueError):
@@ -412,11 +412,11 @@ def quotient_graded_collection(matrix, group):
         )
     rank = p.atoms[0].param
     _check_objects(rank)
-    j = j_element(matrix)[2]
-    if group != DiagonalGroup.generated(n, [j]):
+    lphi, ell = j_element(matrix)
+    if group != DiagonalGroup(n, [lphi], ell):
         raise MFError(
-            f"no A side is known for the group {format_group(group)}: matrix-mode "
-            f"verification predicts a D quiver only for the group generated by J = {format_element(j)}"
+            f"no A side is known for the group given (order {group.order}): matrix-mode "
+            f"verification predicts a D quiver only for the group generated by J = {format_element((lphi, ell))}"
         )
     x = Poly.variable(2, 0)
     cof = Poly.monomial(2, (rank - 2, 0)) + Poly.monomial(2, (0, 2))

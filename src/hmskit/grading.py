@@ -7,10 +7,8 @@ polynomial.  Elements are kept in normal-form coordinates, so equality,
 hashing and sorting are structural.
 """
 
-from fractions import Fraction
-from math import lcm
-
 from .exactmat import (
+    hermite,
     identity_matrix,
     int_kernel,
     mat_transpose,
@@ -22,21 +20,6 @@ from .symmetry import j_element
 
 class GradingError(ValueError):
     pass
-
-
-class ResourceLimitError(RuntimeError):
-    pass
-
-
-# The largest number of distinct group elements that m_grading takes.  It
-# writes one relation row per nonzero element, with a column per element,
-# and reduces that matrix, so its cost grows with the square of the group;
-# a larger group raises ResourceLimitError before any row is written.  The
-# smallest power of two above the largest group measured to completion: 900
-# elements, the dual of the trivial group of x^30 + y^30 (32 s and 42.5 MB
-# on 2 cores, Python 3.11.7).  Matrix mode's J groups have at most 508
-# elements under MAX_OBJECTS.
-MAX_GROUP_ORDER = 1 << 10
 
 
 class LElement:
@@ -320,44 +303,28 @@ def sum_grading_maps(ctx1, ctx2):
 def m_grading(a, group):
     """Grading by characters of the extension of the given symmetry group.
 
-    `a` is the exponent matrix; `group` is an iterable of diagonal symmetry
-    elements written as tuples of rationals mod 1.  The exponential grading
-    element must belong to the group.
+    `a` is the exponent matrix and `group` a symmetry.DiagonalGroup, which
+    must contain the exponential grading element.
     """
     n = len(a)
-    elements = []
-    seen = set()
-    source = getattr(group, "elements", group)
-    for g in source:
-        t = tuple(Fraction(x) % 1 for x in g)
-        if len(t) != n:
-            raise GradingError("group element has wrong length")
-        if t not in seen:
-            seen.add(t)
-            elements.append(t)
-    if len(elements) > MAX_GROUP_ORDER:
-        raise ResourceLimitError(f"group has {len(elements)} elements, above the limit {MAX_GROUP_ORDER}")
-    phi, ell, j_elt = j_element(a)
-    lphi = [int(f * ell) for f in phi]
-    if j_elt not in seen:
+    if group.n != n:
+        raise GradingError("group has the wrong number of coordinates")
+    lphi, ell = j_element(a)
+    if (lphi, ell) not in group:
         raise GradingError("exponential grading element is not in the group")
-    for g in elements:
-        for row in a:
-            if sum(Fraction(e) * x for e, x in zip(row, g)) % 1 != 0:
-                raise GradingError("group element is not a symmetry of the polynomial")
+    den, basis = group.den, group.basis
+    if any(_dot(row, r) % den for r in basis for row in a):
+        raise GradingError("group element is not a symmetry of the polynomial")
 
     # annihilator of the character lattice, via one integer witness per
-    # denominator condition
-    conds = [g for g in elements if any(x != 0 for x in g)]
-    k = len(conds)
-    rows = [lphi + [0] * k]
-    for t, g in enumerate(conds):
-        q = lcm(*[x.denominator for x in g])
-        row = [int(x * q) for x in g] + [0] * k
-        row[n + t] = -q
+    # basis row, in Hermite form so that it depends on the group alone
+    k = len(basis)
+    rows = [list(lphi) + [0] * k]
+    for t, r in enumerate(basis):
+        row = r + [0] * k
+        row[n + t] = -den
         rows.append(row)
-    kernel = int_kernel(rows)
-    ann_rows = [v[:n] for v in kernel]
+    ann_rows = hermite([v[:n] for v in int_kernel(rows)], n)
 
     free_rows, tors_rows, moduli = quotient_presentation(n, ann_rows)
     deg_x_vectors = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -228,7 +228,7 @@ def cmd_verify(args):
             raise CLIError(EXIT_PARSE, str(exc)) from None
         plan, quiver = quotient_graded_collection(matrix, group)
         quivers = [quiver]
-        desc = {"matrix": matrix, "group": [format_element(g) for g in group.elements]}
+        desc = {"matrix": matrix, "group": [format_element(g) for g in group.elements()]}
     else:
         if args.group is not None:
             raise CLIError(EXIT_PARSE, "verify --group needs --matrix")
@@ -330,15 +330,15 @@ def cmd_transpose(args):
         "input": {
             "matrix": a,
             "poly": p.poly.format(),
-            "group": [format_element(g) for g in group.elements],
-            "group_order": len(group),
-            "is_sl": is_sl(group.elements),
+            "group": [format_element(g) for g in group.elements()],
+            "group_order": group.order,
+            "is_sl": is_sl(group),
         },
         "transpose": {
             "matrix": pt.matrix,
             "poly": pt.poly.format(),
-            "group": [format_element(g) for g in gstar.elements],
-            "group_order": len(gstar),
+            "group": [format_element(g) for g in gstar.elements()],
+            "group_order": gstar.order,
         },
         "m_grading": grading,
     }
@@ -352,15 +352,15 @@ def cmd_transpose(args):
 def cmd_gmax(args):
     p, desc = _build_model(args.input)
     g = gmax(p.matrix)
-    _, _, j = j_element(p.matrix)
+    j = j_element(p.matrix)
     report = {
         "schema": 1,
         "version": __version__,
         "input": desc,
-        "order": len(g),
-        "elements": [format_element(e) for e in g.elements],
+        "order": g.order,
+        "elements": [format_element(e) for e in g.elements()],
         "j": format_element(j),
-        "is_sl": is_sl(g.elements),
+        "is_sl": is_sl(g),
     }
     _emit(report, args.json)
     return EXIT_OK
@@ -424,14 +424,14 @@ def _build_parser():
     v = sub.add_parser("verify", help="compare both hom tables over a shift window")
     v.add_argument("input", nargs="?", default=None, help="atom expression")
     v.add_argument("--matrix", metavar="JSON", default=None, help="exponent matrix (with --group)")
-    v.add_argument("--group", metavar="GENS", default=None, help="symmetry group generators, e.g. '1/3,1/3'")
+    v.add_argument("--group", metavar="GENS", default=None, help="symmetry group generators: ';' between generators, ',' between coordinates, each an integer or a/b, e.g. '1/3,1/3'")
     v.add_argument("--window", type=int, default=4, help="compare |k| <= WINDOW (default 4)")
     v.add_argument("--cache-dir", metavar="DIR", default=None, help="table cache directory")
     _add_common(v)
 
     t = sub.add_parser("transpose", help="transposed polynomial and dual group")
     t.add_argument("matrix", help="JSON exponent matrix")
-    t.add_argument("--group", metavar="GENS", required=True, help="symmetry group generators")
+    t.add_argument("--group", metavar="GENS", required=True, help="symmetry group generators, as for verify --group ('' for the trivial group)")
     _add_common(t)
 
     gm = sub.add_parser("gmax", help="full diagonal symmetry group")

@@ -8,7 +8,7 @@ on Euler matrices.  Everything here is small and exact.
 import itertools
 import re
 
-from .exactmat import charpoly, identity_matrix, mat_inverse_rat, mat_mul, mat_transpose
+from .exactmat import charpoly, identity_matrix, mat_inverse, mat_mul, mat_transpose
 
 
 class QuiverError(ValueError):
@@ -180,10 +180,9 @@ def coxeter_polynomial(e):
 
     Returns integer coefficients, leading term first.
     """
-    inv_t = mat_inverse_rat(mat_transpose(e))
-    if any(x.denominator != 1 for row in inv_t for x in row):
+    inv_t, den = mat_inverse(mat_transpose(e))
+    if den != 1:
         raise QuiverError("Coxeter polynomial is not integral; E is not unimodular")
-    inv_t = [[int(x) for x in row] for row in inv_t]
     return charpoly([[-x for x in row] for row in mat_mul(inv_t, e)])
 
 

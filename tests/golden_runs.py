@@ -11,8 +11,9 @@ The runs:
 - matrix-mode `verify` of D4-D10 with their J groups, cold and warm (odd n
   is an honest mismatch, exit 1);
 - examples of `transpose`, `gmax` and `mutate`;
-- one refusal each for exit codes 2, 3 and 4 (4 through a lowered
-  `factorization.MAX_OBJECTS`).
+- refusals for exit codes 2, 3 and 4 (4 through a lowered
+  `factorization.MAX_OBJECTS`, and a `gmax` above
+  `symmetry.MAX_GROUP_ORDER`).
 
 Standard library only, so that any interpreter can run it:
 
@@ -50,6 +51,10 @@ EXAMPLES = [
     ["gmax", "D4t"],
     ["gmax", "A2+A3"],
     ["gmax", "[[3,1],[0,2]]"],
+    ["gmax", "[[300,0],[0,300]]"],
+    ["transpose", "[[30,0],[0,30]]", "--group", "0,0"],
+    ["transpose", "[[300,0],[0,300]]", "--group", "0,0"],
+    ["transpose", "[[3,0,0],[0,3,0],[0,0,3]]", "--group", ""],
     ["mutate", "A5", "1", "2", "3"],
     ["mutate", "D5", "2", "2", "--direction", "left"],
     ["mutate", "D5", "1", "2"],
@@ -62,6 +67,7 @@ REFUSALS = [
     (["mutate", "A2+A2", "1"], {}),
     (["verify", "D4"], {}),
     (["verify", "A2+D4t"], {"MAX_OBJECTS": 7}),
+    (["gmax", "[[1000,0],[0,1000]]"], {}),
 ]
 
 

@@ -7,15 +7,21 @@
   prints;
 - grading_invariants: a fingerprint of a grading, to compare two
   constructions of it;
-- subgroups: every subgroup of a diagonal symmetry group with at most two
-  generators;
+- RefGroup, ref_gmax and ref_transpose: a diagonal symmetry group as the
+  sorted set of its elements (tuples of Fraction mod 1), closed by
+  breadth-first search, and its transpose by the pairing s^T A t summed
+  over every pair of elements; the oracle for symmetry.DiagonalGroup;
+- subgroups: every subgroup of a RefGroup with at most two generators;
+- lattice: the symmetry.DiagonalGroup with the elements of a RefGroup;
 - hom_at: the hom dimension at one shift, a walk of hom_dim over that shift
   alone.
 """
 
 from fractions import Fraction
 
-from hmskit.exactmat import I, Poly, default_var_names, mat_shape
+from math import lcm
+
+from hmskit.exactmat import I, Poly, default_var_names, det_int, mat_inverse, mat_shape, mat_transpose
 from hmskit.matfac import hom_dim
 from hmskit.symmetry import DiagonalGroup
 
@@ -131,8 +137,83 @@ def grading_invariants(ctx):
     }
 
 
+def _normalize(vec, n):
+    t = tuple(Fraction(x) % 1 for x in vec)
+    assert len(t) == n, "group element has wrong number of coordinates"
+    return t
+
+
+class RefGroup:
+    """Finite subgroup of (Q/Z)^n, stored as the full element set."""
+
+    def __init__(self, n, elements):
+        self.n = n
+        self.elements = tuple(sorted({_normalize(e, n) for e in elements} | {(Fraction(0),) * n}))
+
+    @classmethod
+    def generated(cls, n, generators):
+        zero = (Fraction(0),) * n
+        gens = [_normalize(g, n) for g in generators]
+        seen = {zero}
+        frontier = [zero]
+        while frontier:
+            nxt = []
+            for e in frontier:
+                for g in gens:
+                    s = tuple((x + y) % 1 for x, y in zip(e, g))
+                    if s not in seen:
+                        seen.add(s)
+                        nxt.append(s)
+            frontier = nxt
+        return cls(n, seen)
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __contains__(self, vec):
+        return _normalize(vec, self.n) in set(self.elements)
+
+    def formatted(self):
+        return [",".join(str(x) for x in g) for g in self.elements]
+
+    def is_sl(self):
+        return all(sum(g) % 1 == 0 for g in self.elements)
+
+
+def ref_gmax(a):
+    """All g with A g integral, closed from the columns of A^-1."""
+    n = len(a)
+    inv, den = mat_inverse(a)
+    group = RefGroup.generated(n, [[Fraction(inv[i][j], den) for i in range(n)] for j in range(n)])
+    assert len(group) == abs(det_int(a))
+    return group
+
+
+def _pairing(s, a, t):
+    """Bilinear pairing between the two sides, taken mod 1."""
+    n = len(a)
+    total = Fraction(0)
+    for i in range(n):
+        for j in range(n):
+            total += s[i] * a[i][j] * t[j]
+    return total % 1
+
+
+def ref_transpose(a, group):
+    """The elements of gmax(A^T) pairing integrally with all of G."""
+    kept = [s for s in ref_gmax(mat_transpose(a)).elements if all(_pairing(s, a, t) == 0 for t in group.elements)]
+    return RefGroup(group.n, kept)
+
+
+def lattice(group):
+    """The symmetry.DiagonalGroup generated by the elements of a RefGroup."""
+    den = lcm(1, *(x.denominator for g in group.elements for x in g))
+    return DiagonalGroup(group.n, [[int(x * den) for x in g] for g in group.elements], den)
+
+
 def subgroups(group):
-    """All subgroups, as closures of generating sets of size <= 2.
+    """All subgroups of a RefGroup, as closures of generating sets of size
+    <= 2.
 
     Valid whenever the group needs at most two generators, which covers
     every diagonal symmetry group of a one or two variable polynomial.
@@ -140,11 +221,11 @@ def subgroups(group):
     found = {}
     elems = group.elements
     for a in elems:
-        g = DiagonalGroup.generated(group.n, [a])
+        g = RefGroup.generated(group.n, [a])
         found[g.elements] = g
     for i, a in enumerate(elems):
         for b in elems[i + 1 :]:
-            g = DiagonalGroup.generated(group.n, [a, b])
+            g = RefGroup.generated(group.n, [a, b])
             found[g.elements] = g
     return sorted(found.values(), key=lambda g: (len(g), g.elements))
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmskit import cache as cache_module
-from hmskit import factorization, grading, hmscli, matfac, polyforms
+from hmskit import factorization, hmscli, matfac, polyforms, symmetry
 from hmskit.cache import TableCache, canonical_json, request_key, resolve_cache_dir
 from hmskit.factorization import shift_mf
 from hmskit.hmscli import CLIError, _build_model, _parse_matrix, _table_json, main
@@ -564,9 +564,9 @@ def test_generators_of_too_many_objects_exits_with_the_resource_code(limit, code
 
 @pytest.mark.parametrize("limit, code", [(3, 0), (2, 4)])
 def test_transpose_of_too_large_a_group_exits_with_the_resource_code(limit, code, capsys, monkeypatch):
-    # the dual group of 1/2,1/2 on x^3 y + y^2 has 3 elements, and m_grading
-    # takes no more than MAX_GROUP_ORDER
-    monkeypatch.setattr(grading, "MAX_GROUP_ORDER", limit)
+    # the dual group of 1/2,1/2 on x^3 y + y^2 has 3 elements, and no more
+    # than MAX_GROUP_ORDER are listed
+    monkeypatch.setattr(symmetry, "MAX_GROUP_ORDER", limit)
     got, out, err = run_cli(capsys, "transpose", "[[3,1],[0,2]]", "--group", "1/2,1/2")
     assert got == code
     if code:
@@ -967,7 +967,7 @@ _LIMITS = st.sampled_from(
     ]
 )
 _BOUND_OWNERS = {
-    "MAX_OBJECTS": factorization, "MAX_CELL_DIM": matfac, "MAX_ROW_DIM": matfac, "MAX_GROUP_ORDER": grading,
+    "MAX_OBJECTS": factorization, "MAX_CELL_DIM": matfac, "MAX_ROW_DIM": matfac, "MAX_GROUP_ORDER": symmetry,
 }
 
 

@@ -13,11 +13,12 @@ from hmskit.exactmat import (
     Poly,
     charpoly,
     det_int,
+    hermite,
     identity_matrix,
     integer_columns,
     int_kernel,
     int_rank,
-    mat_inverse_rat,
+    mat_inverse,
     mat_mul,
     smith_normal_form,
     snf_diagonal,
@@ -176,10 +177,61 @@ def test_det_matches_sympy(a):
 
 def test_inverse_roundtrip():
     a = [[3, 1], [0, 2]]
-    inv = mat_inverse_rat(a)
-    assert mat_mul(a, inv) == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    inv, den = mat_inverse(a)
+    assert (inv, den) == ([[2, -1], [0, 3]], 6)  # the least denominator
+    assert mat_mul(a, inv) == [[den, 0], [0, den]]
+    assert mat_inverse([[2, 0], [0, 2]]) == ([[1, 0], [0, 1]], 2)
+    assert mat_inverse([]) == ([], 1)
     with pytest.raises(ValueError):
-        mat_inverse_rat([[1, 2], [2, 4]])
+        mat_inverse([[1, 2], [2, 4]])
+
+
+# ------------------------------------------------------------------ hermite
+
+
+def _reduce(row, basis):
+    """row minus the integer combination of the echelon basis that clears
+    its pivot columns, or None when some pivot does not divide."""
+    row = list(row)
+    for b in basis:
+        c = next(j for j, x in enumerate(b) if x)
+        q, r = divmod(row[c], b[c])
+        if r:
+            return None
+        row = [x - q * y for x, y in zip(row, b)]
+    return row
+
+
+def test_hermite_examples():
+    assert hermite([[2, 4], [0, 6]], 2) == [[2, 4], [0, 6]]
+    assert hermite([[0, 6], [2, 4]], 2) == [[2, 4], [0, 6]]
+    assert hermite([[2, 10], [0, 6]], 2) == [[2, 4], [0, 6]]  # 10 reduced mod 6
+    assert hermite([[-3, 0], [0, 0], [6, 1]], 2) == [[3, 0], [0, 1]]
+    assert hermite([[1, 2, 3], [2, 4, 6]], 3) == [[1, 2, 3]]
+    assert hermite([], 2) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat_strategy(max_dim=4, max_entry=9), st.randoms(use_true_random=False))
+def test_hermite_is_an_echelon_basis_of_the_same_lattice(a, rnd):
+    n = len(a[0])
+    h = hermite(a, n)
+    assert len(h) == rat_rank(a)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in h]
+    assert pivots == sorted(set(pivots))
+    for i, (r, c) in enumerate(zip(h, pivots)):
+        assert r[c] > 0 and all(0 <= b[c] < r[c] for b in h[:i])
+    # every input row lies in the lattice of h, and h in that of the rows:
+    # shuffled rows plus integer combinations of them give the same basis
+    assert all(_reduce(r, h) == [0] * n for r in a)
+    rows = [list(r) for r in a]
+    for _ in range(4):
+        i, j = rnd.randrange(len(rows)), rnd.randrange(len(rows))
+        if i != j:
+            k = rnd.randint(-3, 3)
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+    rnd.shuffle(rows)
+    assert hermite(rows + [[0] * n], n) == h
 
 
 # ---------------------------------------------------------------- charpoly

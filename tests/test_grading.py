@@ -1,6 +1,6 @@
 """Tests for grading groups, transversals, sums, and symmetry quotients."""
 
-from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,9 @@ from hmskit.grading import (
     quotient_presentation,
     sum_grading_maps,
 )
+from hmskit.exactmat import mat_transpose
+from hmskit.hmscli import _grading_json
+from hmskit.symmetry import DiagonalGroup, gmax, krawitz_transpose, parse_group_string
 
 from reference_exact import grading_invariants, rat_rank
 
@@ -123,8 +126,8 @@ def test_quotient_presentation_examples():
 
 
 def test_m_grading_worked_example():
-    third = Fraction(1, 3)
-    group = [(Fraction(0), Fraction(0)), (third, third), (2 * third, 2 * third)]
+    # the group {0, (1/3,1/3), (2/3,2/3)}, given by all its elements
+    group = DiagonalGroup(2, [[0, 0], [1, 1], [2, 2]], 3)
     ctx = m_grading([[3, 0], [1, 2]], group)
     assert ctx.free_rank == 1 and ctx.torsion == ()
     assert [d.free[0] for d in ctx.deg_x] == [1, 1]
@@ -135,10 +138,8 @@ def test_m_grading_worked_example():
 def test_m_grading_with_full_group_matches_universal():
     # the maximal diagonal symmetry group recovers the universal grading
     a = D4T
-    half = Fraction(1, 2)
-    sixth = Fraction(1, 6)
-    gen = (-sixth % 1, half)
-    group = [tuple((k * g) % 1 for g in gen) for k in range(6)]
+    gen = (5, 3)  # (-1/6 mod 1, 1/2)
+    group = DiagonalGroup(2, [[(k * g) % 6 for g in gen] for k in range(6)], 6)
     ctx = m_grading(a, group)
     assert grading_invariants(ctx) == grading_invariants(grading_group(a))
 
@@ -147,8 +148,8 @@ def test_m_grading_with_cyclic_j_group():
     # grading by the group generated by the exponential element alone:
     # free of rank one with variable degrees equal to the scaled weights
     a = D4T
-    j = (Fraction(1, 6), Fraction(1, 2))
-    group = [tuple((k * g) % 1 for g in j) for k in range(6)]
+    j = (1, 3)  # (1/6, 1/2)
+    group = DiagonalGroup(2, [[(k * g) % 6 for g in j] for k in range(6)], 6)
     ctx = m_grading(a, group)
     assert ctx.free_rank == 1 and ctx.torsion == ()
     assert [d.free[0] for d in ctx.deg_x] == [1, 3]
@@ -156,14 +157,56 @@ def test_m_grading_with_cyclic_j_group():
 
 
 def test_m_grading_requires_j_in_group():
-    with pytest.raises(GradingError):
-        m_grading([[3, 0], [1, 2]], [(Fraction(0), Fraction(0))])
+    with pytest.raises(GradingError, match="not in the group"):
+        m_grading([[3, 0], [1, 2]], DiagonalGroup(2, [], 1))
 
 
 def test_m_grading_rejects_non_symmetry():
-    bad = [(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 5))]
-    with pytest.raises(GradingError):
+    # J = (1/3, 1/3) and (1/2, 1/5), which is no symmetry of x^3 + x y^2
+    bad = DiagonalGroup(2, [[10, 10], [15, 6]], 30)
+    with pytest.raises(GradingError, match="not a symmetry"):
         m_grading([[3, 0], [1, 2]], bad)
+
+
+def _generating_sets(group, rnd, count):
+    """`count` shuffled generating sets of a DiagonalGroup, each as integer
+    rows over the group's den: elements drawn at random until they generate
+    the group, with repeats and the zero element allowed."""
+    elements = group.elements()
+    out = []
+    while len(out) < count:
+        rows = []
+        while DiagonalGroup(group.n, rows, group.den) != group:
+            rows.append(list(rnd.choice(elements)[0]))
+        rnd.shuffle(rows)
+        out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize(
+    "a, group",
+    [
+        (D4T, gmax(D4T)),
+        ([[3, 0], [1, 2]], "1/3,1/3"),
+        ([[6, 0], [0, 6]], "1/6,1/6"),
+        ([[3, 0, 0], [0, 3, 0], [0, 0, 3]], None),
+        ([[12, 0, 0], [0, 6, 0], [0, 0, 4]], None),
+        ([[3, 0, 0], [0, 3, 1], [0, 0, 2]], None),
+    ],
+)
+def test_m_grading_depends_on_the_group_alone(a, group):
+    # a group string is parsed; None stands for the dual of the trivial
+    # group on the transposed side, which transpose grades by; the whole
+    # group and shuffled generating sets of it give one report
+    if group is None:
+        group = krawitz_transpose(a, parse_group_string("", len(a)))
+        a = mat_transpose(a)
+    elif isinstance(group, str):
+        group = parse_group_string(group, len(a))
+    whole = DiagonalGroup(group.n, [list(e[0]) for e in group.elements()], group.den)
+    expected = _grading_json(m_grading(a, whole))
+    for rows in _generating_sets(group, random.Random(group.order), 5):
+        assert _grading_json(m_grading(a, DiagonalGroup(group.n, rows, group.den))) == expected
 
 
 def test_element_arithmetic():

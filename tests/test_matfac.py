@@ -1167,7 +1167,8 @@ def test_plan_refuses_what_the_collection_refuses():
 def _j_model(n):
     """The exponent matrix of x^(n-1) + x*y^2 and the group its J generates."""
     matrix = [[n - 1, 0], [1, 2]]
-    return matrix, DiagonalGroup.generated(2, [j_element(matrix)[2]])
+    lphi, ell = j_element(matrix)
+    return matrix, DiagonalGroup(2, [lphi], ell)
 
 
 def test_j_gives_x_to_the_m_the_degree_of_y():

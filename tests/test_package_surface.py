@@ -14,7 +14,8 @@ The walk is static and over-approximates reachability:
 An attribute that the package stores on `self` must likewise be read
 somewhere outside the tests.  And no module of src/hmskit or tests/ imports
 a name it never uses, and importing the CLI loads none of the standard
-library modules that only dataclasses needs, nor hashlib's OpenSSL.  No
+library modules that only dataclasses needs, nor fractions (with decimal
+and numbers), nor hashlib's OpenSSL.  No
 module is larger than MAX_MODULE_TOKENS.
 """
 
@@ -215,6 +216,12 @@ def test_importing_the_cli_loads_no_dataclass_machinery():
     # dataclasses alone pulls in inspect, ast, dis, tokenize and more
     loaded = _modules_the_cli_loads()
     assert sorted(loaded & {"dataclasses", "inspect", "ast", "__future__"}) == []
+
+
+def test_importing_the_cli_loads_no_fractions():
+    # every number the package computes is an int or a Gaussian integer;
+    # fractions alone pulls in decimal and numbers
+    assert sorted(_modules_the_cli_loads() & {"fractions", "decimal", "numbers"}) == []
 
 
 def test_importing_the_cli_loads_no_openssl():
