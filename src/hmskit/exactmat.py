@@ -403,8 +403,8 @@ def integer_columns(cols):
 # - peeling: rows are {col: int} dicts, indexed by a col -> set(row ids)
 #   map; while some column meets exactly one live row, that row is a pivot
 #   on that column and is removed with no arithmetic.  This takes nearly all
-#   pivots (23,997 of 24,053 in the 270 rank calls of the benchmark's
-#   period total);
+#   pivots (8,935 of 8,963 in the 100 rank calls of the benchmark's period
+#   total, which leave 32 core rows);
 # - a row echelon of the core, the rows left over, in row order.  The core
 #   has at most 8 rows on the benchmark's models and at most 32 on the
 #   largest table measured (D4t+D4t+A2), so it needs no pivot order; a

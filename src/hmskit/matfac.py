@@ -20,8 +20,8 @@ context, pair of forms or cell, not once per matrix entry (see _HomMemo):
 slot degrees and a plan per pair of forms and parity, slot degree codes and
 offsets per cell, multiplication maps per degree and exponent.  A plan lists
 per source slot the (target slot, exponent, signed coefficient) of each term
-of the differential, so that assembly only walks it and each step fills a
-block of columns.
+of the differential in one block of the target cell (see below), so that
+assembly only walks it and each step fills a block of columns.
 
 A boundary is ranked only on the coordinates that the boundary into its cell
 leaves free.  The differential d(f) = d_H f - (-1)^|f| f d_K squares to
@@ -36,6 +36,18 @@ the boundary out on P are not assembled at all (_boundary_columns leaves
 them empty, keeping every column's position).  Over Q(i) source column s is
 realified as the columns 2s and 2s + 1, and it is left empty only when both
 are in P.
+
+A boundary is also written into one block of its target cell, not both.
+Since d(d(f)) = 0, d_H d(f) = +-d(f) d_K; in blocks, d_H applied to the
+component of d(f) in one block equals +- the component in the other block
+times d_K.  Left multiplication by d_H and right multiplication by d_K are
+injective, since d_H^2 = W Id, d_K^2 = W Id and the polynomial ring is a
+domain.  So d(f) vanishes when its component in either block does: the
+projection onto one block has the kernel of d on any subspace of sources,
+hence its rank, and the image of d projects one to one onto the
+projection's pivot rows, which are therefore a valid P for the next
+boundary.  _plan keeps the terms into the first block only, so no
+multiplication map into the other block is built.
 
 A sum that repeats an atom has each hom space once per orbit of its pairs.
 Exchanging two identical summands permutes the variables, preserves W and
@@ -114,10 +126,12 @@ class _HomMemo:
     walk's last cell, or a cell that another pair shares, keeps its pivots
     for the next walk that ranks the boundary out of it.
     `maps[(delta, e)]` holds, for each monomial m of degree delta, the
-    position of m*x^e among the monomials of degree delta + deg(x^e).  But for the keys of `forms`, the memo holds only
-    ints, exponent tuples and Z[i] coefficients, so no reference cycle.
-    Ids are only comparable within one memo, so both objects of a pair are
-    interned in the memo of k's context.
+    position of m*x^e among the monomials of degree delta + deg(x^e).
+
+    But for the keys of `forms`, the memo holds only ints, exponent tuples
+    and Z[i] coefficients, so no reference cycle.  Ids are only comparable
+    within one memo, so both objects of a pair are interned in the memo of
+    k's context.
     """
 
     __slots__ = (
@@ -317,25 +331,24 @@ def _mult_map(ctx, memo, delta, e):
 def _plan(memo, k, h, key):
     """Plan of the boundary out of the cell `key` of Hom(k, h): per source
     slot, the (target slot, exps, coefficient) of each term of
-    d(f) = d_H f - (-1)^|f| f d_K; kept per (form(k), form(h), parity)."""
+    d(f) = d_H f - (-1)^|f| f d_K in the target cell's first block (see the
+    module docstring); kept per (form(k), form(h), parity)."""
     fk, fh, _, parity = key
     plan = memo.plans.get((fk, fh, parity))
     if plan is None:
         kr, hr = (k.rank0, k.rank1), (h.rank0, h.rank1)
         kd, hd = (k.d0, k.d1), (h.d0, h.d1)
-        # the target cell's first block and its slot count
+        # the target cell's first block, the only one written
         first = _BLOCKS[1 - parity][0]
-        first_len = hr[first[0]] * kr[first[1]]
         sign = 1 if parity else -1
         plan = []
         for a, b, i, j in _block_slots(_BLOCKS[parity], hr, kr):
             # d_H f fills the slots (i2, j) of block (1 - a, b), f d_K the
-            # slots (i, j2) of block (a, 1 - b); with b = 1 f d_K comes first
-            at = (0 if (1 - a, b) == first else first_len) + j
-            d_h = [(at + i2 * kr[b], hd[a][i2][i], 1) for i2 in range(hr[1 - a])]
-            at = (0 if (a, 1 - b) == first else first_len) + i * kr[1 - b]
-            f_d = [(at + j2, kd[1 - b][j][j2], sign) for j2 in range(kr[1 - b])]
-            terms = f_d + d_h if b else d_h + f_d
+            # slots (i, j2) of block (a, 1 - b); one of the two is `first`
+            if (1 - a, b) == first:
+                terms = [(j + i2 * kr[b], hd[a][i2][i], 1) for i2 in range(hr[1 - a])]
+            else:
+                terms = [(i * kr[1 - b] + j2, kd[1 - b][j][j2], sign) for j2 in range(kr[1 - b])]
             plan.append(tuple((t, e, sg * c) for t, poly, sg in terms for e, c in poly.terms.items()))
         plan = memo.plans[(fk, fh, parity)] = tuple(plan)
     return plan
@@ -343,8 +356,10 @@ def _plan(memo, k, h, key):
 
 def _boundary_columns(k, h, memo, key, src, dst, skip):
     """Columns of the hom-complex differential out of the cell `key` of
-    Hom(k, h), laid out as `src`, into the next cell, laid out as `dst`
-    (see _cell_offsets), in the monomial bases.
+    Hom(k, h), laid out as `src`, projected onto the first block of the
+    next cell, laid out as `dst` (see _cell_offsets), in the monomial bases.
+    The projection has the rank of the whole boundary (see the module
+    docstring), and no row of the other block is written.
 
     The even cell at twist q maps to the odd cell at twist q, the odd cell
     at twist q to the even cell at twist q + 1.  Column order is slot

@@ -1,12 +1,15 @@
-"""Reference for matfac._boundary_columns: the per-slot assembly that the
-per-form-pair plans replaced.
+"""Two-block reference for matfac._boundary_columns: the per-slot assembly
+that the per-form-pair plans replaced, writing the whole boundary.
 
 For every source slot of every boundary it lays out the d_H f and f d_K
-terms again, walks each polynomial's terms and multiplies in the Koszul
-sign; the slot degree is shift + rel, added per slot, and the target cell
-is found from (q, parity) on its own (cell_keys).  It reads the same cell layout (slot
-degrees, offsets, multiplication maps) from the memo but keeps no plan.
-Used to cross-check the plan-based assembly column by column.
+terms again, into both blocks of the target cell, walks each polynomial's
+terms and multiplies in the Koszul sign; the slot degree is shift + rel,
+added per slot, and the target cell is found from (q, parity) on its own
+(cell_keys).  It reads the same cell layout (slot degrees, offsets,
+multiplication maps) from the memo but keeps no plan.  matfac writes only
+the target's first block; restricted to the rows below first_block_rows,
+the reference is cross-checked against it column by column, and whole it
+is the boundary that tests compose and rank.
 """
 
 from itertools import compress
@@ -29,6 +32,14 @@ def boundary_args(k, h, q, parity):
     matfac._boundary_rank takes them after (k, h)."""
     memo, key, target = cell_keys(k, h, q, parity)
     return memo, key, target, _cell_offsets(k.ctx, memo, key), _cell_offsets(k.ctx, memo, target)
+
+
+def first_block_rows(k, h, q, parity):
+    """Number of rows in the first block of the target of the boundary out
+    of the cell (q, parity) of Hom(k, h): the offset of its second block."""
+    memo, _, target = cell_keys(k, h, q, parity)
+    a, b = _BLOCKS[not parity][0]
+    return _cell_offsets(k.ctx, memo, target)[1][(h.rank0, h.rank1)[a] * (k.rank0, k.rank1)[b]]
 
 
 def reference_boundary_columns(k, h, q, parity, skip=()):

@@ -42,7 +42,7 @@ from hmskit.matfac import (
 )
 
 from oracle_homs import oracle_hom_dim
-from reference_assembly import boundary_args, cell_keys, reference_boundary_columns
+from reference_assembly import boundary_args, cell_keys, first_block_rows, reference_boundary_columns
 from reference_audit import reference_validate
 from reference_collection import reference_collection
 from reference_exact import hom_at, parse_poly_string
@@ -517,11 +517,11 @@ def test_pivot_rows_cross_walks(monkeypatch):
 
     monkeypatch.setattr(matfac, "int_rank", counted)
     assert one_period_end_total(generator_E(_model("A2+A2+A2")), periods=3) == 216
-    assert (len(work), sum(work)) == (100, 53802)
+    assert (len(work), sum(work)) == (100, 26901)
     del work[:]
     for name in ("D4t", "D5t", "D6t", "A1", "A2", "A3", "A4", "A5", "A2+A2", "A3+A3"):
         ext_table(generator_collection(_model(name)), 4)
-    assert (len(work), sum(work)) == (548, 12063)
+    assert (len(work), sum(work)) == (548, 6072)
 
 
 def test_hom_rejects_mismatched_potentials():
@@ -535,6 +535,13 @@ def _columns(k, h, q, parity, skip=()):
     """matfac._boundary_columns out of the cell (q, parity) of Hom(k, h)."""
     memo, key, _, src, dst = boundary_args(k, h, q, parity)
     return matfac._boundary_columns(k, h, memo, key, src, dst, skip)
+
+
+def _first_block(cols, k, h, q, parity):
+    """Columns restricted to the rows of the first block of the target of
+    the boundary out of the cell (q, parity) of Hom(k, h)."""
+    n = first_block_rows(k, h, q, parity)
+    return [{r: v for r, v in c.items() if r < n} for c in cols]
 
 
 def _cell_dim(k, h, q, parity):
@@ -561,8 +568,9 @@ def _compose(first, second):
 
 
 def test_assembled_boundaries_compose_to_zero():
-    # D_odd(q) D_even(q) = 0 and D_even(q+1) D_odd(q) = 0, multiplied
-    # exactly over Q and over Q(i); a slot laid out one row off breaks this
+    # D_odd(q) D_even(q) = 0 and D_even(q+1) D_odd(q) = 0 for the whole
+    # (two-block) boundaries, multiplied exactly over Q and over Q(i); a
+    # slot laid out one row off breaks this
     pairs = []
     for name in ("D4t", "A2+A2"):
         objs = [m for _, m in generator_collection(_model(name))]
@@ -574,7 +582,7 @@ def test_assembled_boundaries_compose_to_zero():
     nontrivial = 0
     for k, h in pairs:
         for q in range(-2, 2):
-            even, odd, even_next = _columns(k, h, q, 0), _columns(k, h, q, 1), _columns(k, h, q + 1, 0)
+            even, odd, even_next = (reference_boundary_columns(k, h, *b) for b in ((q, 0), (q, 1), (q + 1, 0)))
             ns, os_, od = _cell_dim(k, h, q, 0), _cell_dim(k, h, q, 1), _cell_dim(k, h, q + 1, 0)
             assert (len(even), len(odd)) == (ns, os_)
             assert all(r < os_ for c in even for r in c)
@@ -615,7 +623,7 @@ def test_boundary_out_vanishes_on_boundary_in(name):
     for k, h in itertools.product(objs, repeat=2):
         for q in range(-2, 3):
             for parity in (0, 1):
-                d_in, d_out = (_columns(k, h, *b) for b in _cell_boundaries(q, parity))
+                d_in, d_out = (reference_boundary_columns(k, h, *b) for b in _cell_boundaries(q, parity))
                 assert not any(_compose(d_in, d_out))
                 nontrivial += any(d_in) and any(d_out)
     assert nontrivial >= 40
@@ -635,7 +643,7 @@ def test_reduced_boundary_ranks_equal_full_ranks(name, monkeypatch):
             for b in _cell_boundaries(*divmod(shift, 2)):
                 memo, key, target, src, dst = boundary_args(k, h, *b)
                 assert key in memo.ranks
-                cols = matfac._boundary_columns(k, h, memo, key, src, dst, ())
+                cols = reference_boundary_columns(k, h, *b)
                 ndst = matfac._cell_offsets(k.ctx, memo, target)[1][-1]
                 rows = matfac._int_columns(cols) if gauss else cols
                 full = int_rank(rows) // (2 if gauss else 1)
@@ -660,9 +668,10 @@ def test_assembly_leaves_exactly_the_skipped_columns_empty(name, monkeypatch):
     monkeypatch.setattr(matfac, "_boundary_columns", recording)
     ext_table(_labelled(_objects(name)), 2)
     skipped = 0
-    for args, skip, cols in seen:
-        full = assemble(*args, ())
-        k, _, memo, key, _, _ = args
+    for (k, h, memo, key, _, _), skip, cols in seen:
+        # the window 2 walks the boundaries out of the cells (-2, 1) to (1, 1)
+        q, parity = next((q, p) for q in range(-2, 2) for p in (0, 1) if cell_keys(k, h, q, p)[1] == key)
+        full = _first_block(reference_boundary_columns(k, h, q, parity), k, h, q, parity)
         assert len(cols) == len(full) == matfac._cell_offsets(k.ctx, memo, key)[1][-1]
         for s, (col, ref) in enumerate(zip(cols, full)):
             # same rows in the same order, or nothing at all when skipped
@@ -699,7 +708,7 @@ def test_gaussian_source_column_is_skipped_only_when_both_halves_drop(monkeypatc
                 drop = sorted(c for c in pivots if c % 2 == 0 or c % 4 == 1)
                 if not drop:
                     continue
-                cols = assemble(k, h, memo, key, src, dst, ())
+                cols = reference_boundary_columns(k, h, *out)
                 full = int_rank(matfac._int_columns(cols)) // 2
                 memo.pivots[key] = array("l", drop)
                 assert matfac._boundary_rank(k, h, memo, key, target, src, dst) == full
@@ -1414,12 +1423,47 @@ def test_planned_assembly_equals_the_reference_column_by_column(data):
         nsrc, ndst = _cell_dim(k, h, q, parity), _cell_dim(k, h, q + parity, 1 - parity)
         skip = data.draw(st.sets(st.integers(0, nsrc - 1))) if nsrc else set()
         cols = _columns(k, h, q, parity, skip)
-        ref = reference_boundary_columns(k, h, q, parity, skip)
+        ref = _first_block(reference_boundary_columns(k, h, q, parity, skip), k, h, q, parity)
         # the same rows in the same order in every column, empty ones too,
-        # over Q(i) before _int_columns
+        # over Q(i) before _int_columns; matfac writes the first block only
         assert len(cols) == len(ref) == nsrc
         assert all(r < ndst for c in cols for r in c)
         assert [list(c.items()) for c in cols] == [list(c.items()) for c in ref]
+
+
+def _rank_over_q(cols, gauss, pivots=None):
+    """Rank over Q of exact columns; columns over Q(i) are realified first,
+    so the rank is twice theirs and pivots are realified rows."""
+    return int_rank(matfac._int_columns(cols) if gauss else cols, pivots)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_target_block_has_the_rank_of_the_whole_boundary(data):
+    # d(f) vanishes when its component in either block of the target cell
+    # does (matfac's module docstring): on any set of source columns, each
+    # block's projection has the rank of the whole boundary, and the pivot
+    # rows of the first block's projection, dropped from the sources of the
+    # next boundary, leave that boundary its whole rank
+    name = data.draw(st.sampled_from(("random", *REDUCTION_COLLECTIONS)))
+    objs = _random_objects(data) if name == "random" else [data.draw(st.sampled_from(_objects(name))) for _ in "kh"]
+    k, h = (_twisted(data, m) for m in objs)
+    gauss = k.field != "Q" or h.field != "Q"
+    q, parity = data.draw(st.integers(-2, 2)), data.draw(st.sampled_from((0, 1)))
+    nsrc = _cell_dim(k, h, q, parity)
+    skip = data.draw(st.sets(st.integers(0, nsrc - 1))) if nsrc else set()
+    whole = reference_boundary_columns(k, h, q, parity, skip)
+    rank = _rank_over_q(whole, gauss)
+    n = first_block_rows(k, h, q, parity)
+    for first in (True, False):
+        assert _rank_over_q([{r: v for r, v in c.items() if (r < n) == first} for c in whole], gauss) == rank
+    # the assembled boundary is the first block's projection
+    pivots = []
+    assert _rank_over_q(_columns(k, h, q, parity, skip), gauss, pivots) == rank
+    nxt = reference_boundary_columns(k, h, q + parity, 1 - parity)
+    nxt = matfac._int_columns(nxt) if gauss else nxt
+    drop = set(pivots)
+    assert int_rank([c for s, c in enumerate(nxt) if s not in drop]) == int_rank(nxt)
 
 
 @pytest.mark.parametrize("name", ["A2+A2+A2", "A2+D4t"])
