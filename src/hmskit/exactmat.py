@@ -446,6 +446,8 @@ def int_rank(rows, pivots=None):
             rows_c.discard(i)
             if len(rows_c) == 1:
                 single.append(c)
+    if len(peeled) == len(rows):
+        return rank
     # (pivot column, pivot value, rest of the pivot row) of each core pivot
     echelon = []
     for i, r in enumerate(rows):

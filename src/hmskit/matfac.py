@@ -32,10 +32,11 @@ the image plus the span of the coordinates outside P, and the boundary out
 of X has the same rank on those coordinates alone.  The result is exact
 either way; hom_dim walks a range of shifts and ranks each boundary once, in
 shift order, so the boundary into a cell comes first.  The columns of
-the boundary out on P are not assembled at all (_boundary_columns leaves
-them empty, keeping every column's position).  Over Q(i) source column s is
-realified as the columns 2s and 2s + 1, and it is left empty only when both
-are in P.
+the boundary out on P are not assembled at all: _boundary_columns returns
+only the columns outside P that can be nonzero, in position order.  Over
+Q(i) source column s is realified as the columns 2s and 2s + 1; it is not
+assembled when both are in P, and a half alone in P is dropped after
+realifying, by the positions of the columns assembled.
 
 A boundary is also written into one block of its target cell, not both.
 Since d(d(f)) = 0, d_H d(f) = +-d(f) d_K; in blocks, d_H applied to the
@@ -48,6 +49,10 @@ hence its rank, and the image of d projects one to one onto the
 projection's pivot rows, which are therefore a valid P for the next
 boundary.  _plan keeps the terms into the first block only, so no
 multiplication map into the other block is built.
+
+A cell whose slots all have a negative free degree has no monomial, since
+every variable has a positive degree, so _cell_offsets lays it out as empty
+without enumerating.
 
 A sum that repeats an atom has each hom space once per orbit of its pairs.
 Exchanging two identical summands permutes the variables, preserves W and
@@ -69,7 +74,7 @@ one_period_end_total walks one row per folded difference.
 """
 
 from array import array
-from itertools import accumulate, compress, product
+from itertools import accumulate, product
 from math import prod
 from operator import add, mul
 
@@ -116,7 +121,9 @@ class _HomMemo:
     label + q*c, cached in `shifts` per (that base, q).  Per (form(k),
     form(h), parity), `slots` holds the id of the cell's relative slot
     degrees (see _slot_degrees), a tuple in `rels` interned by `rel_ids`,
-    and `plans` the plan of its boundary (see _plan).
+    and `plans` the plan of its boundary (see _plan).  `spans[rel id]` holds
+    the distinct relative degrees, the largest free degree among them and
+    the layout of a cell with no monomial (see _cell_offsets).
     `cells[(rel id, shift)]` holds the slot degree codes shift + rel and the
     slot offsets in the monomial basis (the last is the dimension).  `ranks`
     maps a cell key to the rank of its boundary: equal keys give literally
@@ -126,7 +133,8 @@ class _HomMemo:
     walk's last cell, or a cell that another pair shares, keeps its pivots
     for the next walk that ranks the boundary out of it.
     `maps[(delta, e)]` holds, for each monomial m of degree delta, the
-    position of m*x^e among the monomials of degree delta + deg(x^e).
+    position of m*x^e among the monomials of degree delta + deg(x^e), and
+    `exps[e]` the code of deg(x^e).
 
     But for the keys of `forms`, the memo holds only ints, exponent tuples
     and Z[i] coefficients, so no reference cycle.  Ids are only comparable
@@ -136,7 +144,7 @@ class _HomMemo:
 
     __slots__ = (
         "T", "radix", "weights", "tors_x", "c",
-        "forms", "labels", "rels", "rel_ids", "slots", "plans", "cells", "shifts", "ranks", "pivots", "maps",
+        "forms", "labels", "rels", "rel_ids", "spans", "slots", "plans", "cells", "shifts", "ranks", "pivots", "maps", "exps",
     )
 
     def __init__(self, ctx):
@@ -153,6 +161,7 @@ class _HomMemo:
         self.labels = []
         self.rels = []
         self.rel_ids = {}
+        self.spans = []
         self.slots = {}
         self.plans = {}
         self.cells = {}
@@ -160,12 +169,15 @@ class _HomMemo:
         self.ranks = {}
         self.pivots = {}
         self.maps = {}
+        self.exps = {}
 
     def code(self, e):
         return e.free[0] * self.T + sum(t * r for t, (r, _) in zip(e.tors, self.radix))
 
     def add(self, a, b, sign=1):
         """Code of a + sign*b."""
+        if self.T == 1:
+            return a + sign * b
         fa, ta = divmod(a, self.T)
         fb, tb = divmod(b, self.T)
         t = 0
@@ -296,6 +308,8 @@ def _slot_degrees(memo, fk, fh, parity):
         rid = memo.slots[(fk, fh, parity)] = memo.rel_ids.setdefault(rel, len(memo.rels))
         if rid == len(memo.rels):
             memo.rels.append(rel)
+            top = max(rel) // memo.T if rel else -1
+            memo.spans.append((tuple(set(rel)), top, ((), (0,) * (len(rel) + 1))))
     return rid
 
 
@@ -303,15 +317,22 @@ def _cell_offsets(ctx, memo, key):
     """(codes, offsets) of the cell `key`: each slot's degree code, added and
     counted once per distinct relative degree, and the slots' offsets in the
     monomial basis (the last is the dimension).  A cell larger than
-    MAX_CELL_DIM raises ResourceLimitError and is not kept."""
+    MAX_CELL_DIM raises ResourceLimitError and is not kept.
+
+    A cell whose slots all have a negative free degree is empty, since every
+    monomial has a non-negative free degree (weights are positive, see
+    _hom_precheck); its layout, () for the codes and offsets all 0, is
+    answered without enumerating a monomial and is not kept in memo.cells."""
     fk, fh, shift, parity = key
     rid = _slot_degrees(memo, fk, fh, parity)
+    distinct, top, empty = memo.spans[rid]
+    if shift // memo.T + top < 0:
+        return empty
     hit = memo.cells.get((rid, shift))
     if hit is None:
-        rels = memo.rels[rid]
-        code = {rel: memo.add(shift, rel) for rel in set(rels)}
+        code = {rel: memo.add(shift, rel) for rel in distinct}
         size = {c: len(monomials_of_degree(ctx, c)) for c in code.values()}
-        codes = tuple(map(code.get, rels))
+        codes = tuple(map(code.get, memo.rels[rid]))
         offsets = (0, *accumulate(map(size.get, codes)))
         if offsets[-1] > MAX_CELL_DIM:
             raise ResourceLimitError(f"hom cell has dimension {offsets[-1]}, above the limit {MAX_CELL_DIM}")
@@ -321,10 +342,12 @@ def _cell_offsets(ctx, memo, key):
 
 def _mult_map(ctx, memo, delta, e):
     """Compute and keep memo.maps[(delta, e)] (see _HomMemo)."""
-    deg_e = sum(map(mul, memo.weights, e)) * memo.T + memo.torsion_index(e)
+    deg_e = memo.exps.get(e)
+    if deg_e is None:
+        deg_e = memo.exps[e] = sum(map(mul, memo.weights, e)) * memo.T + memo.torsion_index(e)
     dst = monomials_of_degree(ctx, memo.add(delta, deg_e))
     index = {m: a for a, m in enumerate(dst)}
-    pos = memo.maps[(delta, e)] = tuple(index[tuple(map(add, m, e))] for m in monomials_of_degree(ctx, delta))
+    pos = memo.maps[(delta, e)] = tuple([index[tuple(map(add, m, e))] for m in monomials_of_degree(ctx, delta)])
     return pos
 
 
@@ -354,7 +377,7 @@ def _plan(memo, k, h, key):
     return plan
 
 
-def _boundary_columns(k, h, memo, key, src, dst, skip):
+def _boundary_columns(k, h, memo, key, src, dst, skip, kept=None):
     """Columns of the hom-complex differential out of the cell `key` of
     Hom(k, h), laid out as `src`, projected onto the first block of the
     next cell, laid out as `dst` (see _cell_offsets), in the monomial bases.
@@ -362,36 +385,29 @@ def _boundary_columns(k, h, memo, key, src, dst, skip):
     docstring), and no row of the other block is written.
 
     The even cell at twist q maps to the odd cell at twist q, the odd cell
-    at twist q to the even cell at twist q + 1.  Column order is slot
-    order, then monomial order within a slot; one step of the plan (see
-    _plan) fills one block of columns.  The columns whose positions are in
-    `skip` are left empty.
+    at twist q to the even cell at twist q + 1.  Source position order is
+    slot order, then monomial order within a slot.  Only the columns that
+    can be nonzero and whose positions are not in `skip` are returned, in
+    position order: a slot without terms in the plan (see _plan) adds none.
+    When `kept` is a list, the position of each returned column is appended
+    to it.
     """
     ctx = k.ctx
     codes, src_off = src
     dst_off = dst[1]
-    # keep[c] is 0 for a column that is left empty
-    keep = bytearray(b"\x01") * src_off[-1]
-    for c in skip:
-        keep[c] = 0
-    cols = []
     maps = memo.maps
-    for s, steps in enumerate(_plan(memo, k, h, key)):
-        sel = keep[src_off[s] : src_off[s + 1]]
-        block = [{} for _ in sel]
-        cols.extend(block)
-        if not steps or 1 not in sel:
+    cols = []
+    for steps, lo, hi, delta in zip(_plan(memo, k, h, key), src_off, src_off[1:], codes):
+        # the slot's monomials whose columns are returned
+        js = [j for j in range(hi - lo) if lo + j not in skip] if steps else ()
+        if not js:
             continue
-        live = list(compress(block, sel))
-        delta = codes[s]
-        # the rows of one column never collide: distinct (slot, e)
-        for t, e, v in steps:
-            base = dst_off[t]
-            pos = maps.get((delta, e))
-            if pos is None:
-                pos = _mult_map(ctx, memo, delta, e)
-            for col, p in zip(live, compress(pos, sel)):
-                col[base + p] = v
+        # (row offset, position map, coefficient) of each step; the rows of
+        # one column never collide: distinct (slot, e)
+        terms = [(dst_off[t], maps.get((delta, e)) or _mult_map(ctx, memo, delta, e), v) for t, e, v in steps]
+        cols += [{base + pos[j]: v for base, pos, v in terms} for j in js]
+        if kept is not None:
+            kept += [lo + j for j in js]
     return cols
 
 
@@ -406,22 +422,22 @@ def _boundary_rank(k, h, memo, key, target, src, dst):
     drop = set(memo.pivots.pop(key, ()))
     rank = 0
     if src[1][-1] and dst[1][-1]:
-        gauss = k.field != "Q" or h.field != "Q"
-        # source column s is integer column s, or 2s and 2s + 1 over Q(i);
-        # it is not assembled when all of those are dropped
-        skip = {c >> 1 for c in drop if c ^ 1 in drop} if gauss else drop
-        cols = _boundary_columns(k, h, memo, key, src, dst, skip)
-        if gauss:
-            cols = _int_columns(cols)
         piv = []
-        rank = int_rank([c for s, c in enumerate(cols) if s not in drop], piv)
+        if k.field == h.field == "Q":
+            rank = int_rank(_boundary_columns(k, h, memo, key, src, dst, drop), piv)
+        else:
+            # source column s is integer columns 2s and 2s + 1; it is not
+            # assembled when both are dropped, and a half alone is dropped
+            # after realifying
+            kept = []
+            cols = _boundary_columns(k, h, memo, key, src, dst, {c >> 1 for c in drop if c ^ 1 in drop}, kept)
+            halves = (c for s in kept for c in (2 * s, 2 * s + 1))
+            rank = int_rank([c for p, c in zip(halves, _int_columns(cols)) if p not in drop], piv) // 2
         if target not in memo.ranks:
             # an array, not a set (8 bytes a row instead of about 60): the
             # last boundary of each walk leaves its rows unread until a
             # later walk ranks the boundary out of that cell
             memo.pivots[target] = array("l", piv)
-        if gauss:
-            rank //= 2
     memo.ranks[key] = rank
     return rank
 

@@ -41,7 +41,7 @@ from hmskit.matfac import (
     residue_mf_D,
 )
 
-from oracle_homs import oracle_hom_dim
+from oracle_homs import _exponents, _slots, oracle_hom_dim
 from reference_assembly import boundary_args, cell_keys, first_block_rows, reference_boundary_columns
 from reference_audit import reference_validate
 from reference_collection import reference_collection
@@ -531,10 +531,17 @@ def test_hom_rejects_mismatched_potentials():
         hom_at(d, a, 0)
 
 
-def _columns(k, h, q, parity, skip=()):
+def _columns(k, h, q, parity, skip=(), kept=None):
     """matfac._boundary_columns out of the cell (q, parity) of Hom(k, h)."""
     memo, key, _, src, dst = boundary_args(k, h, q, parity)
-    return matfac._boundary_columns(k, h, memo, key, src, dst, skip)
+    return matfac._boundary_columns(k, h, memo, key, src, dst, skip, kept)
+
+
+def _outside(cols, skip):
+    """(positions, columns) of the nonempty columns whose positions are not
+    in `skip`: the columns that assembly returns (the others are zero)."""
+    at = [s for s, c in enumerate(cols) if c and s not in skip]
+    return at, [cols[s] for s in at]
 
 
 def _first_block(cols, k, h, q, parity):
@@ -656,26 +663,31 @@ def test_reduced_boundary_ranks_equal_full_ranks(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", REDUCTION_COLLECTIONS)
-def test_assembly_leaves_exactly_the_skipped_columns_empty(name, monkeypatch):
+def test_assembly_returns_exactly_the_reference_columns_outside_skip(name, monkeypatch):
     assemble = matfac._boundary_columns
     seen = []
 
-    def recording(k, h, memo, key, src, dst, skip):
-        out = assemble(k, h, memo, key, src, dst, skip)
-        seen.append(((k, h, memo, key, src, dst), set(skip), out))
+    def recording(k, h, memo, key, src, dst, skip, kept=None):
+        mine = []
+        out = assemble(k, h, memo, key, src, dst, skip, mine)
+        if kept is not None:
+            kept += mine
+        seen.append(((k, h, memo, key, src, dst), set(skip), out, mine))
         return out
 
     monkeypatch.setattr(matfac, "_boundary_columns", recording)
     ext_table(_labelled(_objects(name)), 2)
     skipped = 0
-    for (k, h, memo, key, _, _), skip, cols in seen:
+    for (k, h, memo, key, _, _), skip, cols, kept in seen:
         # the window 2 walks the boundaries out of the cells (-2, 1) to (1, 1)
         q, parity = next((q, p) for q in range(-2, 2) for p in (0, 1) if cell_keys(k, h, q, p)[1] == key)
         full = _first_block(reference_boundary_columns(k, h, q, parity), k, h, q, parity)
-        assert len(cols) == len(full) == matfac._cell_offsets(k.ctx, memo, key)[1][-1]
-        for s, (col, ref) in enumerate(zip(cols, full)):
-            # same rows in the same order, or nothing at all when skipped
-            assert list(col.items()) == ([] if s in skip else list(ref.items()))
+        assert len(full) == matfac._cell_offsets(k.ctx, memo, key)[1][-1]
+        # the same rows in the same order, in position order; a column left
+        # out is skipped or zero in the reference
+        at, ref = _outside(full, skip)
+        assert kept == at
+        assert [list(c.items()) for c in cols] == [list(c.items()) for c in ref]
         skipped += len(skip)
     assert skipped >= 20
 
@@ -686,9 +698,9 @@ def test_gaussian_source_column_is_skipped_only_when_both_halves_drop(monkeypatc
     assemble = matfac._boundary_columns
     skips = []
 
-    def recording(k, h, memo, key, src, dst, skip):
+    def recording(k, h, memo, key, src, dst, skip, kept=None):
         skips.append(set(skip))
-        return assemble(k, h, memo, key, src, dst, skip)
+        return assemble(k, h, memo, key, src, dst, skip, kept)
 
     monkeypatch.setattr(matfac, "_boundary_columns", recording)
     objs = _objects(REDUCTION_COLLECTIONS[-1])
@@ -817,7 +829,9 @@ def test_one_miss_fills_every_torsion_class_of_its_free_degree(name):
 
 
 def test_each_free_degree_is_enumerated_once(monkeypatch):
-    # the period-total workload touches 38 free degrees of (Z/3)^2 codes
+    # the period-total workload touches 23 free degrees of (Z/3)^2 codes,
+    # -3 to 19; the cells whose slots all lie below degree zero (which
+    # reached down to -18) are answered empty without enumerating
     misses = []
     monomials = matfac.monomials_of_degree
 
@@ -830,8 +844,9 @@ def test_each_free_degree_is_enumerated_once(monkeypatch):
     gens = generator_E(_model("A2+A2+A2"))
     assert one_period_end_total(gens, periods=3) == 216
     assert all(type(d) is int for d in misses)
-    assert len(misses) == len({d // 9 for d in misses}) == 38
-    assert len(gens[0].ctx._mono_cache) == 9 * 38
+    assert len(misses) == len({d // 9 for d in misses}) == 23
+    assert min(misses) // 9 == -3
+    assert len(gens[0].ctx._mono_cache) == 9 * 23
 
 
 def _int_leaves(value):
@@ -858,7 +873,7 @@ def test_multiplication_maps_place_each_product():
         dst = monomials_of_degree(ctx, target)
         for a, m in enumerate(src):
             assert dst[pos[a]] == tuple(u + v for u, v in zip(m, e))
-    caches = (memo.maps, memo.rel_ids, memo.slots, memo.plans, memo.cells, memo.shifts, memo.ranks, ctx._mono_cache)
+    caches = (memo.maps, memo.exps, memo.rel_ids, memo.slots, memo.plans, memo.cells, memo.shifts, memo.ranks, ctx._mono_cache)
     for cache in caches:
         assert cache and all(_int_leaves(k) and _int_leaves(v) for k, v in cache.items())
 
@@ -1414,6 +1429,51 @@ def test_hom_dims_match_the_oracle_on_random_objects(data):
         assert hom_at(k, h, shift) == oracle_hom_dim(k, h, shift)
 
 
+# the models of the verify-atoms and verify-sums benchmark workloads
+_BENCH_MODELS = ("D4t", "D5t", "D6t", "A1", "A2", "A3", "A4", "A5", "A2+A2", "A3+A3", "A2+D4t", "A2+A2+A2", "A3+D4t")
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_cell_answered_empty_below_degree_zero_has_no_monomial(data):
+    # _cell_offsets answers a cell whose slots all have a negative free
+    # degree as empty, without enumerating and without keeping it; then the
+    # oracle's slot degrees, summed in LElement arithmetic, have no
+    # monomial, and neither do matfac's slot codes.  Every cell, empty or
+    # not, has the oracle's dimension.
+    name = data.draw(st.sampled_from(("random", *REDUCTION_COLLECTIONS, *_BENCH_MODELS)))
+    objs = _random_objects(data) if name == "random" else [data.draw(st.sampled_from(_objects(name))) for _ in "kh"]
+    k, h = (_twisted(data, m) for m in objs)
+    ctx = k.ctx
+    answered = 0
+    for q, parity in itertools.product(range(-16, 3), (0, 1)):
+        memo, key, _ = cell_keys(k, h, q, parity)
+        rid = matfac._slot_degrees(memo, key[0], key[1], parity)
+        kept = (rid, key[2]) in memo.cells
+        enumerated = len(ctx.__dict__.get("_mono_cache", ()))
+        offsets = matfac._cell_offsets(ctx, memo, key)[1]
+        slots = [d for *_, d in _slots(k, h, q, ("even", "odd")[parity])]
+        assert offsets[-1] == sum(len(_exponents(ctx, d)) for d in slots)
+        if kept or (rid, key[2]) in memo.cells:
+            continue
+        answered += 1
+        assert len(ctx.__dict__.get("_mono_cache", ())) == enumerated
+        assert offsets == (0,) * (len(slots) + 1)
+        assert all(d.free[0] < 0 and not _exponents(ctx, d) for d in slots)
+        assert not any(monomials_of_degree(ctx, memo.add(key[2], rel)) for rel in memo.rels[rid])
+    assert answered
+
+
+@given(st.data())
+@settings(max_examples=8, deadline=None)
+def test_hom_dims_below_degree_zero_match_the_oracle(data):
+    # a walk from well below degree zero, whose first cells are answered
+    # empty, up to shift 1
+    k, h = (_twisted(data, m) for m in _random_objects(data))
+    shifts = range(-12, 2)
+    assert hom_dim(k, h, shifts) == [oracle_hom_dim(k, h, s) for s in shifts]
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_planned_assembly_equals_the_reference_column_by_column(data):
@@ -1422,11 +1482,15 @@ def test_planned_assembly_equals_the_reference_column_by_column(data):
         q, parity = data.draw(st.integers(-2, 2)), data.draw(st.sampled_from((0, 1)))
         nsrc, ndst = _cell_dim(k, h, q, parity), _cell_dim(k, h, q + parity, 1 - parity)
         skip = data.draw(st.sets(st.integers(0, nsrc - 1))) if nsrc else set()
-        cols = _columns(k, h, q, parity, skip)
+        kept = []
+        cols = _columns(k, h, q, parity, skip, kept)
         ref = _first_block(reference_boundary_columns(k, h, q, parity, skip), k, h, q, parity)
-        # the same rows in the same order in every column, empty ones too,
-        # over Q(i) before _int_columns; matfac writes the first block only
-        assert len(cols) == len(ref) == nsrc
+        assert len(ref) == nsrc
+        # the same rows in the same order in every column outside skip that
+        # the reference fills, at the same positions, over Q(i) before
+        # _int_columns; matfac writes the first block only
+        at, ref = _outside(ref, skip)
+        assert kept == at
         assert all(r < ndst for c in cols for r in c)
         assert [list(c.items()) for c in cols] == [list(c.items()) for c in ref]
 
@@ -1471,10 +1535,10 @@ def test_plans_are_kept_once_per_pair_of_forms_and_parity(name, monkeypatch):
     assemble = matfac._boundary_columns
     assembled = set()
 
-    def recording(k, h, memo, key, src, dst, skip):
+    def recording(k, h, memo, key, src, dst, skip, kept=None):
         fk, fh, _, parity = key
         assembled.add((fk, fh, parity))
-        return assemble(k, h, memo, key, src, dst, skip)
+        return assemble(k, h, memo, key, src, dst, skip, kept)
 
     monkeypatch.setattr(matfac, "_boundary_columns", recording)
     col = [m for _, m in generator_collection(_model(name))]
