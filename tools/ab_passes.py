@@ -44,7 +44,9 @@ PERIOD = ("A2+A2+A2", 3, 216)
 def load(root, name, tmp):
     """hmskit of the checkout `root`, imported as the package `name`."""
     shutil.copytree(Path(root) / "src" / "hmskit", Path(tmp) / name)
-    return importlib.import_module(name + ".hmscli"), importlib.import_module(name + ".matfac")
+    for module in ("hmscli", "matfac", "polyforms"):
+        importlib.import_module(f"{name}.{module}")
+    return sys.modules[name]
 
 
 def verify_pass(hmscli, models, tmp):
@@ -62,10 +64,10 @@ def verify_pass(hmscli, models, tmp):
     return out
 
 
-def period_pass(matfac):
+def period_pass(hmskit):
     model, periods, total = PERIOD
-    parse_model = sys.modules[matfac.__package__ + ".polyforms"].parse_model
-    got = matfac.one_period_end_total(matfac.generator_E(parse_model(model)), periods=periods)
+    matfac = hmskit.matfac
+    got = matfac.one_period_end_total(matfac.generator_E(hmskit.polyforms.parse_model(model)), periods=periods)
     if got != total:
         raise SystemExit(f"period total {got}, expected {total}")
     return got
@@ -93,9 +95,9 @@ def main(argv=None):
             sides = [load(args.a, "hmskit_a", tmp), load(args.b, "hmskit_b", tmp)]
             if args.models or args.workload != "period":
                 models = args.models.split(",") if args.models else WORKLOADS[args.workload]
-                passes = [lambda s=s: verify_pass(s[0], models, tmp) for s in sides]
+                passes = [lambda s=s: verify_pass(s.hmscli, models, tmp) for s in sides]
             else:
-                passes = [lambda s=s: period_pass(s[1]) for s in sides]
+                passes = [lambda s=s: period_pass(s) for s in sides]
             ratios = []
             start = time.perf_counter()
             while len(ratios) < 2 or time.perf_counter() - start < args.seconds:
