@@ -18,10 +18,11 @@ relative shift; each grading context instance keeps one memo keyed on that
 The hom layer works on int codes of degrees and does its work once per
 context, pair of forms or cell, not once per matrix entry (see _HomMemo):
 slot degrees and a plan per pair of forms and parity, slot degree codes and
-offsets per cell, multiplication maps per degree and exponent.  A plan lists
-per source slot the (target slot, exponent, signed coefficient) of each term
-of the differential in one block of the target cell (see below), so that
-assembly only walks it and each step fills a block of columns.
+offsets per cell, a monomial index per degree, multiplication maps per
+degree and exponent.  A plan lists per source slot the (target slot,
+exponent, signed coefficient) of each term of the differential in one block
+of the target cell (see below); assembly walks it in plain loops in one
+frame, since a slot holds few columns (see _boundary_columns).
 
 A boundary is ranked only on the coordinates that the boundary into its cell
 leaves free.  The differential d(f) = d_H f - (-1)^|f| f d_K squares to
@@ -50,10 +51,6 @@ projection's pivot rows, which are therefore a valid P for the next
 boundary.  _plan keeps the terms into the first block only, so no
 multiplication map into the other block is built.
 
-A cell whose slots all have a negative free degree has no monomial, since
-every variable has a positive degree, so _cell_offsets lays it out as empty
-without enumerating.
-
 A sum that repeats an atom has each hom space once per orbit of its pairs.
 Exchanging two identical summands permutes the variables, preserves W and
 the grading and fixes c; the tensor product of matrix factorizations is
@@ -64,18 +61,13 @@ where sigma a is the object whose per-atom indices are those of a permuted.
 generator_E and generator_collection record those indices on each object
 (`coords`), and ext_table and one_period_end_total compute one pair per
 orbit (see _orbit_key); an object without coordinates makes each of its
-pairs its own orbit.
-
-Two pairs with the same cell base (see _cell_base: the memo, both forms and
-the relative shift of their first labels) have literally the same cells at
-every shift, so the same hom dimensions.  ext_table walks one row of shifts
-per row class, pairs of one orbit or of one cell base sharing a row;
-one_period_end_total walks one row per folded difference.
+pairs its own orbit.  Pairs with the same cell base (see _cell_base) have
+the same hom dimensions too; ext_table walks one row of shifts per row class.
 """
 
 from array import array
 from itertools import accumulate, product
-from math import prod
+from math import gcd, prod
 from operator import add, mul
 
 from .exactmat import Poly, int_rank
@@ -133,8 +125,9 @@ class _HomMemo:
     walk's last cell, or a cell that another pair shares, keeps its pivots
     for the next walk that ranks the boundary out of it.
     `maps[(delta, e)]` holds, for each monomial m of degree delta, the
-    position of m*x^e among the monomials of degree delta + deg(x^e), and
-    `exps[e]` the code of deg(x^e).
+    position of m*x^e among the monomials of degree delta + deg(x^e),
+    `index[code]` the position of each monomial of that degree, built once
+    per target degree of the maps, and `exps[e]` the code of deg(x^e).
 
     But for the keys of `forms`, the memo holds only ints, exponent tuples
     and Z[i] coefficients, so no reference cycle.  Ids are only comparable
@@ -144,7 +137,7 @@ class _HomMemo:
 
     __slots__ = (
         "T", "radix", "weights", "tors_x", "c",
-        "forms", "labels", "rels", "rel_ids", "spans", "slots", "plans", "cells", "shifts", "ranks", "pivots", "maps", "exps",
+        "forms", "labels", "rels", "rel_ids", "spans", "slots", "plans", "cells", "shifts", "ranks", "pivots", "maps", "index", "exps",
     )
 
     def __init__(self, ctx):
@@ -169,6 +162,7 @@ class _HomMemo:
         self.ranks = {}
         self.pivots = {}
         self.maps = {}
+        self.index = {}
         self.exps = {}
 
     def code(self, e):
@@ -210,9 +204,7 @@ def monomials_of_degree(ctx, delta):
     context is keyed by the code.  One enumeration fills it for every
     torsion class of the free degree.
     """
-    cache = ctx.__dict__.get("_mono_cache")
-    if cache is None:
-        cache = ctx._mono_cache = {}
+    cache = ctx.__dict__.setdefault("_mono_cache", {})
     if not isinstance(delta, int):
         delta = _hom_memo(ctx).code(delta)
     hit = cache.get(delta)
@@ -224,17 +216,24 @@ def monomials_of_degree(ctx, delta):
         raise MFError("unsupported grading: variable degrees must be positive")
     target = delta // memo.T
     classes = [[] for _ in range(memo.T)]
-    if target >= 0 and weights:
-        # lexicographic prefixes with the free degree they leave, which
-        # forces the last exponent
+    if target >= 0 and len(weights) > 1:
+        # lexicographic prefixes with the free degree r they leave; the last
+        # two exponents solve e*u + f*v = r, so e runs over one class mod v/g
         heads = [((), target)]
-        for w in weights[:-1]:
+        for w in weights[:-2]:
             heads = [(p + (e,), r - e * w) for p, r in heads for e in range(r // w + 1)]
+        u, v = weights[-2:]
+        g = gcd(u, v)
+        step = v // g
+        inv = pow(u // g, -1, step)
         for p, r in heads:
-            e, rest = divmod(r, weights[-1])
-            if not rest:
-                exps = p + (e,)
-                classes[memo.torsion_index(exps)].append(exps)
+            if r % g == 0:
+                for e in range(r // g * inv % step, r // u + 1, step):
+                    exps = p + (e, (r - e * u) // v)
+                    classes[memo.torsion_index(exps)].append(exps)
+    elif target >= 0 and weights and target % weights[0] == 0:
+        exps = (target // weights[0],)
+        classes[memo.torsion_index(exps)].append(exps)
     elif target == 0:
         classes[0].append(())
     cache.update(enumerate(map(tuple, classes), target * memo.T))
@@ -275,7 +274,8 @@ def _form(m, memo):
 
 def _cell_base(k, h):
     """(memo of k's context, form(k), form(h), code of h's first label -
-    k's first label); see _HomMemo for the cell keys."""
+    k's first label); see _HomMemo for the cell keys.  Two pairs with the
+    same base have literally the same cells at every shift."""
     memo = _hom_memo(k.ctx)
     fk, bk = _form(k, memo)
     fh, bh = _form(h, memo)
@@ -345,8 +345,10 @@ def _mult_map(ctx, memo, delta, e):
     deg_e = memo.exps.get(e)
     if deg_e is None:
         deg_e = memo.exps[e] = sum(map(mul, memo.weights, e)) * memo.T + memo.torsion_index(e)
-    dst = monomials_of_degree(ctx, memo.add(delta, deg_e))
-    index = {m: a for a, m in enumerate(dst)}
+    target = memo.add(delta, deg_e)
+    index = memo.index.get(target)
+    if index is None:
+        index = memo.index[target] = {m: a for a, m in enumerate(monomials_of_degree(ctx, target))}
     pos = memo.maps[(delta, e)] = tuple([index[tuple(map(add, m, e))] for m in monomials_of_degree(ctx, delta)])
     return pos
 
@@ -390,24 +392,32 @@ def _boundary_columns(k, h, memo, key, src, dst, skip, kept=None):
     can be nonzero and whose positions are not in `skip` are returned, in
     position order: a slot without terms in the plan (see _plan) adds none.
     When `kept` is a list, the position of each returned column is appended
-    to it.
+    to it.  Plain loops in one frame: a slot holds few columns, so a
+    comprehension per slot or column costs more in frame setup than nonzeros.
     """
-    ctx = k.ctx
     codes, src_off = src
     dst_off = dst[1]
     maps = memo.maps
     cols = []
     for steps, lo, hi, delta in zip(_plan(memo, k, h, key), src_off, src_off[1:], codes):
-        # the slot's monomials whose columns are returned
-        js = [j for j in range(hi - lo) if lo + j not in skip] if steps else ()
-        if not js:
+        if not steps:
             continue
-        # (row offset, position map, coefficient) of each step; the rows of
-        # one column never collide: distinct (slot, e)
-        terms = [(dst_off[t], maps.get((delta, e)) or _mult_map(ctx, memo, delta, e), v) for t, e, v in steps]
-        cols += [{base + pos[j]: v for base, pos, v in terms} for j in js]
-        if kept is not None:
-            kept += [lo + j for j in js]
+        terms = None
+        for j in range(hi - lo):
+            if lo + j in skip:
+                continue
+            if terms is None:
+                # (row offset, position map, coefficient) of each step; the
+                # rows of one column never collide: distinct (slot, e)
+                terms = []
+                for t, e, v in steps:
+                    terms.append((dst_off[t], maps.get((delta, e)) or _mult_map(k.ctx, memo, delta, e), v))
+            col = {}
+            for base, pos, v in terms:
+                col[base + pos[j]] = v
+            cols.append(col)
+            if kept is not None:
+                kept.append(lo + j)
     return cols
 
 
@@ -426,9 +436,7 @@ def _boundary_rank(k, h, memo, key, target, src, dst):
         if k.field == h.field == "Q":
             rank = int_rank(_boundary_columns(k, h, memo, key, src, dst, drop), piv)
         else:
-            # source column s is integer columns 2s and 2s + 1; it is not
-            # assembled when both are dropped, and a half alone is dropped
-            # after realifying
+            # realified halves; see the module docstring
             kept = []
             cols = _boundary_columns(k, h, memo, key, src, dst, {c >> 1 for c in drop if c ^ 1 in drop}, kept)
             halves = (c for s in kept for c in (2 * s, 2 * s + 1))

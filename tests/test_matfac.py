@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import math
+import operator
 import random
 from array import array
 
@@ -856,12 +857,45 @@ def _int_leaves(value):
     return type(value) is int
 
 
-def test_multiplication_maps_place_each_product():
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_monomials_match_a_brute_force_oracle_on_random_gradings(data):
+    # 1 to 4 variables with positive weights, often all sharing a factor, and
+    # up to two torsion moduli; every class of every free degree -1..12 on a
+    # fresh context against itertools.product filtered by degree and class
+    n = data.draw(st.integers(1, 4))
+    factor = data.draw(st.sampled_from((1, 2, 3)))
+    weights = [factor * data.draw(st.integers(1, 4)) for _ in range(n)]
+    moduli = data.draw(st.lists(st.integers(2, 4), max_size=2))
+    tors = [[data.draw(st.integers(0, m - 1)) for _ in range(n)] for m in moduli]
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    ctx = GradingContext([weights], tors, moduli, unit, unit[0])
+    top = 12
+    by_degree = {}
+    for exps in itertools.product(*(range(top // w + 1) for w in weights)):
+        f = sum(map(operator.mul, exps, weights))
+        t = tuple(sum(map(operator.mul, exps, row)) % m for row, m in zip(tors, moduli))
+        by_degree.setdefault((f, t), []).append(exps)
+    for f in range(-1, top + 1):
+        for t in itertools.product(*map(range, moduli)):
+            assert monomials_of_degree(ctx, ctx.element(f, t)) == tuple(by_degree.get((f, t), ()))
+
+
+def test_multiplication_maps_place_each_product(monkeypatch):
     gens = generator_E(_model("A2+A2+A2"))
+    lookups = []
+    monomials = matfac.monomials_of_degree
+
+    def counted(ctx, delta):
+        lookups.append(delta)
+        return monomials(ctx, delta)
+
+    monkeypatch.setattr(matfac, "monomials_of_degree", counted)
     assert one_period_end_total(gens[:3], periods=3) > 0
     ctx = gens[0].ctx
     memo = ctx._hom_memo
     assert memo.maps
+    targets = set()
     for (delta, e), pos in memo.maps.items():
         src = monomials_of_degree(ctx, delta)
         assert len(pos) == len(src)
@@ -873,6 +907,13 @@ def test_multiplication_maps_place_each_product():
         dst = monomials_of_degree(ctx, target)
         for a, m in enumerate(src):
             assert dst[pos[a]] == tuple(u + v for u, v in zip(m, e))
+        targets.add(memo.code(target))
+        assert memo.index[memo.code(target)] == {m: a for a, m in enumerate(dst)}
+    # each target degree is indexed once: a cell layout looks up each of its
+    # distinct slot degrees, a map its source degree, and an index its degree
+    assert set(memo.index) == targets
+    layouts = sum(len(set(codes)) for codes, _ in memo.cells.values())
+    assert len(lookups) == layouts + len(memo.maps) + len(memo.index)
     caches = (memo.maps, memo.exps, memo.rel_ids, memo.slots, memo.plans, memo.cells, memo.shifts, memo.ranks, ctx._mono_cache)
     for cache in caches:
         assert cache and all(_int_leaves(k) and _int_leaves(v) for k, v in cache.items())

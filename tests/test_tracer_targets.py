@@ -52,15 +52,17 @@ def _traced_counts(monkeypatch, cache_dir, argv):
 # Q(i) ("hom" counts walks of hom_dim, one per row class; "monomials" counts
 # lookups for cell layouts and for multiplication maps, which are built only
 # into the first block of a boundary's target cell, and none for a cell
-# whose slots all lie below degree zero, which is empty without a lookup);
+# whose slots all lie below degree zero, which is empty without a lookup; a
+# map looks up its source degree, and its target degree only when no map
+# has indexed that degree yet);
 # a call site that no longer looks a traced name up where the tracer
 # rebinds it lowers one of them
 _KEYS = (
     "hom", "brank", "rank", "assembly", "monomials",
     "collection.build", "collection.tensor", "collection.validate", "polyforms", "cli",
 )
-_A2_D4T = (45, 450, 228, 228, 1644, 1, 3, 7, 6, 1)
-_MATRIX_D4 = (16, 160, 80, 80, 147, 1, 0, 4, 1, 1)
+_A2_D4T = (45, 450, 228, 228, 1406, 1, 3, 7, 6, 1)
+_MATRIX_D4 = (16, 160, 80, 80, 117, 1, 0, 4, 1, 1)
 
 
 def test_the_tracer_sees_every_layer_of_a_verify(monkeypatch, tmp_path):

@@ -11,8 +11,8 @@ cold passes, one of each side, until `--seconds` are spent, with A first in
 even pairs and B first in odd ones.  A pass is a cold `verify` of each
 model (a fresh cache directory each), or the period total of `--workload
 period`; both sides' outputs must agree, pass by pass.  Prints the median of
-the pairs' B/A wall-time ratios with its quartiles, the pair count, nproc
-and the Python version.
+the pairs' B/A wall-time ratios with its quartiles, the pair count, each
+side's median pass time in ms, nproc and the Python version.
 
 Both sides share the interpreter, the heap and the host's drift, which
 cancels in each pair's ratio: an A/A run reads about 1.00, while separate
@@ -98,21 +98,24 @@ def main(argv=None):
                 passes = [lambda s=s: verify_pass(s.hmscli, models, tmp) for s in sides]
             else:
                 passes = [lambda s=s: period_pass(s) for s in sides]
-            ratios = []
+            walls = ([], [])
             start = time.perf_counter()
-            while len(ratios) < 2 or time.perf_counter() - start < args.seconds:
-                order = (0, 1) if len(ratios) % 2 == 0 else (1, 0)
-                walls, outs = [0.0, 0.0], [None, None]
+            while len(walls[0]) < 2 or time.perf_counter() - start < args.seconds:
+                order = (0, 1) if len(walls[0]) % 2 == 0 else (1, 0)
+                outs = [None, None]
                 for side in order:
-                    walls[side], outs[side] = timed(passes[side])
+                    wall, outs[side] = timed(passes[side])
+                    walls[side].append(wall)
                 if outs[0] != outs[1]:
                     raise SystemExit("the two checkouts disagree on a pass's output")
-                ratios.append(walls[1] / walls[0])
         finally:
             sys.path.remove(tmp)
+    ratios = [b / a for a, b in zip(*walls)]
     q1, med, q3 = statistics.quantiles(ratios, n=4)
+    a_ms, b_ms = (statistics.median(w) * 1e3 for w in walls)
     print(
-        f"B/A wall ratio {med:.3f} [{q1:.3f}, {q3:.3f}] over {len(ratios)} pairs"
+        f"B/A wall ratio {med:.3f} [{q1:.3f}, {q3:.3f}] over {len(ratios)} pairs,"
+        f" median pass A {a_ms:.1f} ms, B {b_ms:.1f} ms"
         f" (nproc {os.cpu_count()}, Python {platform.python_version()})"
     )
     return 0
