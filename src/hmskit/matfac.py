@@ -21,8 +21,9 @@ slot degrees and a plan per pair of forms and parity, slot degree codes and
 offsets per cell, a monomial index per degree, multiplication maps per
 degree and exponent.  A plan lists per source slot the (target slot,
 exponent, signed coefficient) of each term of the differential in one block
-of the target cell (see below); assembly walks it in plain loops in one
-frame, since a slot holds few columns (see _boundary_columns).
+of the target cell (see below).  Assembly walks it in plain loops in one
+frame: a slot holds few columns, so a comprehension per slot or per column
+would cost more in frame setup than in nonzeros.
 
 A boundary is ranked only on the coordinates that the boundary into its cell
 leaves free.  The differential d(f) = d_H f - (-1)^|f| f d_K squares to
@@ -216,24 +217,20 @@ def monomials_of_degree(ctx, delta):
         raise MFError("unsupported grading: variable degrees must be positive")
     target = delta // memo.T
     classes = [[] for _ in range(memo.T)]
-    if target >= 0 and len(weights) > 1:
-        # lexicographic prefixes with the free degree r they leave; the last
-        # two exponents solve e*u + f*v = r, so e runs over one class mod v/g
+    if target >= 0 and weights:
+        # lexicographic prefixes with the free degree r they leave: the later
+        # weights, of gcd m, make up r - e*w, so e runs from (r/g)*(w/g)^-1
+        # mod m/g in steps of m/g, g = gcd(w, m) | r; exact for the last two
         heads = [((), target)]
-        for w in weights[:-2]:
-            heads = [(p + (e,), r - e * w) for p, r in heads for e in range(r // w + 1)]
-        u, v = weights[-2:]
-        g = gcd(u, v)
-        step = v // g
-        inv = pow(u // g, -1, step)
+        for i, w in enumerate(weights[:-1], 1):
+            m = gcd(*weights[i:])
+            g = gcd(w, m)
+            heads = [(p + (e,), r - e * w) for p, r in heads if r % g == 0 for e in range(r // g * pow(w // g, -1, m // g) % (m // g), r // w + 1, m // g)]
         for p, r in heads:
-            if r % g == 0:
-                for e in range(r // g * inv % step, r // u + 1, step):
-                    exps = p + (e, (r - e * u) // v)
-                    classes[memo.torsion_index(exps)].append(exps)
-    elif target >= 0 and weights and target % weights[0] == 0:
-        exps = (target // weights[0],)
-        classes[memo.torsion_index(exps)].append(exps)
+            e, rest = divmod(r, weights[-1])
+            if not rest:
+                exps = p + (e,)
+                classes[memo.torsion_index(exps)].append(exps)
     elif target == 0:
         classes[0].append(())
     cache.update(enumerate(map(tuple, classes), target * memo.T))
@@ -392,8 +389,7 @@ def _boundary_columns(k, h, memo, key, src, dst, skip, kept=None):
     can be nonzero and whose positions are not in `skip` are returned, in
     position order: a slot without terms in the plan (see _plan) adds none.
     When `kept` is a list, the position of each returned column is appended
-    to it.  Plain loops in one frame: a slot holds few columns, so a
-    comprehension per slot or column costs more in frame setup than nonzeros.
+    to it.
     """
     codes, src_off = src
     dst_off = dst[1]
@@ -436,7 +432,6 @@ def _boundary_rank(k, h, memo, key, target, src, dst):
         if k.field == h.field == "Q":
             rank = int_rank(_boundary_columns(k, h, memo, key, src, dst, drop), piv)
         else:
-            # realified halves; see the module docstring
             kept = []
             cols = _boundary_columns(k, h, memo, key, src, dst, {c >> 1 for c in drop if c ^ 1 in drop}, kept)
             halves = (c for s in kept for c in (2 * s, 2 * s + 1))
