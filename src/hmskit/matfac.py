@@ -432,6 +432,7 @@ def _boundary_rank(k, h, memo, key, target, src, dst):
         if k.field == h.field == "Q":
             rank = int_rank(_boundary_columns(k, h, memo, key, src, dst, drop), piv)
         else:
+            # column s realifies as 2s and 2s + 1 (see the module docstring)
             kept = []
             cols = _boundary_columns(k, h, memo, key, src, dst, {c >> 1 for c in drop if c ^ 1 in drop}, kept)
             halves = (c for s in kept for c in (2 * s, 2 * s + 1))

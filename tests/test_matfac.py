@@ -907,8 +907,9 @@ def test_multiplication_maps_place_each_product(monkeypatch):
         dst = monomials_of_degree(ctx, target)
         for a, m in enumerate(src):
             assert dst[pos[a]] == tuple(u + v for u, v in zip(m, e))
-        targets.add(memo.code(target))
-        assert memo.index[memo.code(target)] == {m: a for a, m in enumerate(dst)}
+        code = memo.code(target)
+        targets.add(code)
+        assert memo.index[code] == {m: a for a, m in enumerate(dst)}
     # each target degree is indexed once: a cell layout looks up each of its
     # distinct slot degrees, a map its source degree, and an index its degree
     assert set(memo.index) == targets
