@@ -60,10 +60,13 @@ matrix factorizations", Nagoya Math. J. 152, 1998).  So for a permutation
 sigma of identical atoms, hom_dim(sigma a, sigma b, k) = hom_dim(a, b, k),
 where sigma a is the object whose per-atom indices are those of a permuted.
 generator_E and generator_collection record those indices on each object
-(`coords`), and ext_table and one_period_end_total compute one pair per
-orbit (see _orbit_key); an object without coordinates makes each of its
-pairs its own orbit.  Pairs with the same cell base (see _cell_base) have
-the same hom dimensions too; ext_table walks one row of shifts per row class.
+(`coords`), which give each pair an orbit key (see _orbit_key); an object
+without coordinates makes each of its pairs its own orbit.  Pairs with the
+same cell base (see _cell_base) have the same cells, hence the same hom
+dimensions, too.  ext_table and one_period_end_total take their rows from
+one fold, _rows: it walks one row of shifts per row class, a connected
+component of the pairs linked by an orbit key or a cell base, so the walks
+do not depend on the order of the objects.
 """
 
 from array import array
@@ -90,6 +93,8 @@ MAX_CELL_DIM = 1 << 18
 
 # The largest sum of the cell dimensions of one walk of hom_dim; a walk past
 # it raises ResourceLimitError before any of its boundaries is assembled.
+# It also bounds the number of cells of a walk, checked before any cell key
+# is derived, since cells below degree zero add nothing to the sum.
 # The smallest power of two above the largest walk of any run measured to
 # completion (366,026 in the D4t table over the window 300).
 MAX_ROW_DIM = 1 << 19
@@ -454,13 +459,17 @@ def hom_dim(k, h, shifts):
     computed exactly.  Cell n of the walk is the cell (n // 2, n % 2) (see
     _boundary_columns); the space at shift s is cell s less the boundaries
     into it (out of cell s - 1) and out of it (into cell s + 1).  One walk
-    lays out the cells shifts.start - 1, ..., shifts.stop once, summing
-    their dimensions against MAX_ROW_DIM before any boundary is assembled,
-    then ranks each boundary once, in shift order, so that the boundary out
-    of a cell can use the pivot rows of the boundary into it.
+    lays out the cells shifts.start - 1, ..., shifts.stop once, checking
+    their number and then the sum of their dimensions against MAX_ROW_DIM
+    before any boundary is assembled, then ranks each boundary once, in
+    shift order, so that the boundary out of a cell can use the pivot rows
+    of the boundary into it.
     """
     if shifts.step != 1:
         raise ValueError("hom_dim walks consecutive shifts")
+    # not len(shifts), which overflows past sys.maxsize
+    if shifts.stop - shifts.start + 2 > MAX_ROW_DIM:
+        raise ResourceLimitError(f"hom walk of more than {MAX_ROW_DIM} cells")
     _hom_precheck(k, h)
     cell = _cell_base(k, h)
     memo = cell[0]
@@ -520,18 +529,51 @@ def _orbit_key(objects):
     return key
 
 
+def _rows(objects, shifts):
+    """hom_dim(a, b, shifts) for every pair (a, b) of `objects`, in row-major
+    order, walked once per row class.
+
+    A row class is a connected component of the pairs linked by the same
+    orbit key (see _orbit_key) or the same cell base (see _cell_base); its
+    pairs have the same hom dimensions.  A union-find over the cell bases
+    roots each class at its least cell base, and the classes are walked in
+    that order, each at a pair with its root.  The components do not depend
+    on the order of `objects`, so neither does the number of walks.
+    """
+    orbit = _orbit_key(objects)
+    cells = [_cell_base(a, b) for a in objects for b in objects]
+    up = {}
+
+    def find(cell):
+        while cell in up:
+            cell = up[cell]
+        return cell
+
+    def order(cell):
+        return cell[1:]  # form ids and shifts are comparable within one memo
+
+    first = {}
+    for n, cell in enumerate(cells):
+        other = first.setdefault(orbit(*divmod(n, len(objects))), cell)
+        root, other = sorted((find(cell), find(other)), key=order)
+        if root != other:
+            up[other] = root
+    pairs = dict(zip(cells, product(objects, repeat=2)))
+    rows = {}
+    for root in sorted({find(cell) for cell in cells}, key=order):
+        rows[root] = hom_dim(*pairs[root], shifts)
+    return [rows[find(cell)] for cell in cells]
+
+
 def ext_table(collection, window):
     """Full hom-dimension table of a collection over the shifts
     |k| <= window, as a BigradedTable whose objects are the labels.
 
     `collection` is a list of (label, MatrixFactorization) pairs and
-    `window` a non-negative integer, as `verify --window` takes it.  hom_dim
-    walks the window once per row class, and each pair (i, j) is filled,
-    at the caller's positions, from the row of the first pair of its class:
-    pairs are in one class when they have the same orbit key (see
-    _orbit_key; only objects with coordinates of one sum, as
-    generator_collection records them, have orbits of more than one pair)
-    or the same cell base (see _cell_base).
+    `window` a non-negative integer, as `verify --window` takes it.  The
+    rows come from _rows, so hom_dim walks the window once per row class;
+    only objects with coordinates of one sum, as generator_collection
+    records them, have orbits of more than one pair.
     """
     if window < 0:
         raise MFError("window must be non-negative")
@@ -540,25 +582,12 @@ def ext_table(collection, window):
     for mf in objects[1:]:
         if mf.ctx != objects[0].ctx or mf.w != objects[0].w:
             raise MFError("collection objects disagree on potential or grading")
-
-    orbit = _orbit_key(objects)
     shifts = range(-window, window + 1)
-    by_orbit = {}
-    by_cell = {}
     dims = {}
-    for i, a in enumerate(objects):
-        for j, b in enumerate(objects):
-            key = orbit(i, j)
-            row = by_orbit.get(key)
-            if row is None:
-                cell = _cell_base(a, b)
-                row = by_cell.get(cell)
-                if row is None:
-                    row = by_cell[cell] = hom_dim(a, b, shifts)
-                by_orbit[key] = row
-            for k, d in zip(shifts, row):
-                if d:
-                    dims[(i, j, k)] = d
+    for (i, j), row in zip(product(range(len(objects)), repeat=2), _rows(objects, shifts)):
+        for k, d in zip(shifts, row):
+            if d:
+                dims[(i, j, k)] = d
     return BigradedTable(labels, dims)
 
 
@@ -716,49 +745,23 @@ def one_period_end_total(gens, periods=4):
     below the scanned range vanishes because the hom cells are empty
     there.
 
-    The folded count of a difference d is that of any pair (a, b) of
-    generators with d = s_b - s_a, s the twist.  Each d is keyed on the
-    least orbit key (see _orbit_key) of its pairs and each key is folded
-    once: with coordinates of one sum (generator_E records them) that is
-    once per orbit of differences under the permutations of identical atoms,
-    pairs being matched only with pairs in the list; without, every
-    distinct d is folded.
+    The rows come from _rows: pairs of generators with the same twist
+    difference have the same cell base, so hom_dim walks the window once
+    per class of differences linked by an orbit key; with coordinates of
+    one sum (generator_E records them) that is once per orbit of
+    differences under the permutations of identical atoms, pairs being
+    matched only with pairs in the list.
     """
     if not gens:
         return 0
     base = gens[0]
-    deltas = []
     for g in gens:
-        d = g.p0[0] - base.p0[0]
-        if not shift_mf(base, d).same_data(g):
+        if not shift_mf(base, g.p0[0] - base.p0[0]).same_data(g):
             raise MFError("generators are not twists of a single object")
-        deltas.append(d)
-    orbit = _orbit_key(gens)
-    diffs = {}
-    least = {}  # d -> least orbit key of its pairs
-    for i, a in enumerate(deltas):
-        for j, b in enumerate(deltas):
-            d = b - a
-            diffs[d] = diffs.get(d, 0) + 1
-            key = orbit(i, j)
-            if d not in least or key < least[d]:
-                least[d] = key
-    lo, hi = -2 * periods, 2 * periods + 1
-
-    def folded(delta):
-        per_k = hom_dim(base, shift_mf(base, delta), range(lo, hi + 1))
-        if any(per_k[:2]) or any(per_k[-2:]):
-            raise MFError(
-                "nonzero hom dimensions at the edge of the folding window; "
-                "increase periods"
-            )
-        return sum(per_k)
-
-    done = {}
-    total = 0
-    for d, mult in sorted(diffs.items(), key=lambda kv: kv[0].key()):
-        key = least[d]
-        if key not in done:
-            done[key] = folded(d)
-        total += done[key] * mult
-    return total
+    rows = _rows(gens, range(-2 * periods, 2 * periods + 2))
+    if any(any(row[:2]) or any(row[-2:]) for row in rows):
+        raise MFError(
+            "nonzero hom dimensions at the edge of the folding window; "
+            "increase periods"
+        )
+    return sum(map(sum, rows))

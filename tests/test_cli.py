@@ -520,6 +520,21 @@ def test_verify_of_an_oversized_walk_exits_with_the_resource_code(tmp_path, caps
     assert not cache_dir.exists() or not list(cache_dir.iterdir())
 
 
+def test_verify_of_a_huge_window_exits_before_any_cell_key(tmp_path, capsys, monkeypatch):
+    # --window 10**30 asks for walks of 2 * 10**30 + 3 cells, more than
+    # len() can count: exit 4, one line on stderr, no report and no cache
+    # entry, and no cell key is derived
+    def refuse(*args):
+        raise AssertionError("a cell key was derived")
+
+    monkeypatch.setattr(matfac, "_cell_key", refuse)
+    cache_dir = tmp_path / "cache"
+    code, out, err = run_cli(capsys, "verify", "A1", "--window", str(10**30), "--cache-dir", str(cache_dir))
+    assert (code, out) == (4, "")
+    assert err.splitlines() == [f"hmskit: error: hom walk of more than {matfac.MAX_ROW_DIM} cells"]
+    assert not cache_dir.exists() or not list(cache_dir.iterdir())
+
+
 def test_verify_of_too_many_objects_exits_before_the_a_side(tmp_path, capsys, monkeypatch):
     # A99999 is refused from its atom's collection size: exit 4, one line on
     # stderr, no report and no cache entry, and no A side is built

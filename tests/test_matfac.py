@@ -509,6 +509,11 @@ def test_pivot_rows_cross_walks(monkeypatch):
     # walk ranks the boundary out of a cell without the pivot rows of the
     # boundary into it also when an earlier walk ranked that one
     # (memo.pivots); pivots kept within one walk raise both sums of nnz.
+    # The tables walk once per connected row class, rooted at its least
+    # cell base (matfac._rows): A3+A3 walks 15 classes instead of the 24
+    # rows that the first-come fold of pairs walked, so the rank work of
+    # the table half fell from (548, 6072); the period total's walks were
+    # the same classes already.
     work = []
     rank = matfac.int_rank
 
@@ -522,7 +527,7 @@ def test_pivot_rows_cross_walks(monkeypatch):
     del work[:]
     for name in ("D4t", "D5t", "D6t", "A1", "A2", "A3", "A4", "A5", "A2+A2", "A3+A3"):
         ext_table(generator_collection(_model(name)), 4)
-    assert (len(work), sum(work)) == (548, 6072)
+    assert (len(work), sum(work)) == (507, 5538)
 
 
 def test_hom_rejects_mismatched_potentials():
@@ -1012,21 +1017,30 @@ def _label_orbits(labels, kinds):
 
 
 def _row_classes(objects, orbit_key):
-    """Number of row classes of the pairs of `objects`, taken in row-major
-    order: a pair opens a class unless an earlier pair has its orbit key
-    orbit_key(i, j) or its cell base (matfac._cell_base)."""
-    orbits, cells = set(), set()
+    """Number of row classes of the pairs of `objects`: the connected
+    components, found by a breadth-first search, of the graph on the pairs
+    (i, j) that links two pairs with the same orbit key orbit_key(i, j) or
+    the same cell base (matfac._cell_base)."""
+    pairs = list(itertools.product(range(len(objects)), repeat=2))
+    keys = {(i, j): (("orbit", orbit_key(i, j)), ("cell", matfac._cell_base(objects[i], objects[j]))) for i, j in pairs}
+    linked = {}
+    for pair, both in keys.items():
+        for key in both:
+            linked.setdefault(key, []).append(pair)
+    seen = set()
     classes = 0
-    for i, a in enumerate(objects):
-        for j, b in enumerate(objects):
-            key = orbit_key(i, j)
-            if key in orbits:
-                continue
-            orbits.add(key)
-            cell = matfac._cell_base(a, b)
-            if cell not in cells:
-                cells.add(cell)
-                classes += 1
+    for pair in pairs:
+        if pair in seen:
+            continue
+        classes += 1
+        seen.add(pair)
+        queue = [pair]
+        while queue:
+            for key in keys[queue.pop()]:
+                for other in linked.pop(key, ()):
+                    if other not in seen:
+                        seen.add(other)
+                        queue.append(other)
     return classes
 
 
@@ -1064,6 +1078,25 @@ def test_orbit_filled_table_equals_the_direct_table(name, window, monkeypatch):
     assert ext_table(shuffled[:part], window).dims == {
         (i, j, k): d for (i, j, k), d in direct.items() if i < part and j < part
     }
+
+
+@pytest.mark.parametrize("name", ["A2+A2+A2", "A3+A3", "D4t+D4t"])
+def test_the_table_walks_as_often_for_every_object_order(name, monkeypatch):
+    # the row classes are connected components, so the number of walks is
+    # that of the components for every order of the objects, not that of a
+    # fold that depends on which pair of a class comes first
+    col = generator_collection(_model(name))
+    kinds = [a.name for a in _model(name).atoms]
+    calls = _counting_homs(monkeypatch)
+    walks = set()
+    for seed in range(4):
+        shuffled = list(col)
+        random.Random(seed).shuffle(shuffled)
+        del calls[:]
+        ext_table(shuffled, 1)
+        walks.add(len(calls))
+    labels = [label for label, _ in col]
+    assert walks == {_row_classes([m for _, m in col], lambda i, j: _label_orbit_key(labels[i], labels[j], kinds))}
 
 
 @given(st.data())
@@ -1151,14 +1184,36 @@ def test_walk_limit_raises_resource_error(monkeypatch):
         monkeypatch.setattr(matfac, "MAX_ROW_DIM", limit)
         run()
     # the sum is checked as the cells are laid out, before any boundary of
-    # the walk is assembled or ranked
+    # the walk is assembled or ranked; the bound is the walk's 11 cells, so
+    # that the count of cells (see the next test) passes
     calls = _counting_rank(monkeypatch)
-    monkeypatch.setattr(matfac, "MAX_ROW_DIM", 0)
+    monkeypatch.setattr(matfac, "MAX_ROW_DIM", 11)
     m = generator_collection(_model("D4t"))[0][1]
-    with pytest.raises(ResourceLimitError, match=r"hom walk over 9 shifts reaches dimension \d+, above the limit 0"):
+    with pytest.raises(ResourceLimitError, match=r"hom walk over 9 shifts reaches dimension \d+, above the limit 11"):
         hom_dim(m, m, range(-4, 5))
     memo = m.ctx._hom_memo
     assert not calls and not memo.ranks and not memo.plans and not memo.maps
+
+
+def test_a_walk_of_more_cells_than_the_bound_derives_no_cell_key(monkeypatch):
+    # a walk over n shifts lays out n + 2 cells.  Cells below degree zero
+    # add nothing to the summed dimension, so the cells are counted first:
+    # a walk of more than MAX_ROW_DIM of them is refused before any cell key
+    # is derived, also for a range too long for len()
+    keys = []
+    cell_key = matfac._cell_key
+    monkeypatch.setattr(matfac, "_cell_key", lambda *args: keys.append(args) or cell_key(*args))
+    m = generator_collection(_model("D4t"))[0][1]
+    bound = matfac.MAX_ROW_DIM
+    for limit, shifts in [(10, range(-4, 5)), (bound, range(-bound, 0)), (bound, range(-10**30, 10**30 + 1))]:
+        monkeypatch.setattr(matfac, "MAX_ROW_DIM", limit)
+        with pytest.raises(ResourceLimitError, match=f"^hom walk of more than {limit} cells$"):
+            hom_dim(m, m, shifts)
+        assert keys == []
+    # a walk of exactly MAX_ROW_DIM cells, all of them empty, is admitted
+    monkeypatch.setattr(matfac, "MAX_ROW_DIM", 11)
+    assert hom_dim(m, m, range(-100, -91)) == [0] * 9
+    assert len(keys) == 11
 
 
 def test_object_limit_raises_resource_error(monkeypatch):
