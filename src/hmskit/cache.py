@@ -52,7 +52,7 @@ def request_key(request):
     return _sha256(canonical_json({"request": request, "revision": BSIDE_REVISION}))
 
 
-def resolve_cache_dir(flag_value=None):
+def resolve_cache_dir(flag_value):
     """Precedence: explicit flag, then HMSKIT_CACHE_DIR, then ./.hmskit-cache."""
     if flag_value:
         return flag_value

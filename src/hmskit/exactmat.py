@@ -411,15 +411,15 @@ def integer_columns(cols):
 #   large core, which no model produces, would be slow.
 
 
-def int_rank(rows, pivots=None):
+def int_rank(rows, pivots):
     """Rank of an integer matrix given as a list of {col: value} dicts.
 
     Zero entries must be absent from the dicts.  The input is not mutated.
-    When `pivots` is a list, the pivot column of each step is appended to
-    it: the rows restricted to those columns have full rank, since each
-    pivot row is zero in the columns of the earlier pivots (a peeled row is
-    the only live row in its column, and a core row is reduced by every
-    earlier pivot row of the core).
+    The pivot column of each step is appended to the list `pivots`: the
+    rows restricted to those columns have full rank, since each pivot row
+    is zero in the columns of the earlier pivots (a peeled row is the only
+    live row in its column, and a core row is reduced by every earlier
+    pivot row of the core).
     """
     cols = {}
     for i, r in enumerate(rows):
@@ -439,8 +439,7 @@ def int_rank(rows, pivots=None):
         i = rows_c.pop()
         peeled.add(i)
         rank += 1
-        if pivots is not None:
-            pivots.append(pc)
+        pivots.append(pc)
         for c in rows[i]:
             rows_c = cols[c]
             rows_c.discard(i)
@@ -481,8 +480,7 @@ def int_rank(rows, pivots=None):
             pc = min(row, key=lambda c: (abs(row[c]) != 1, c))
             echelon.append((pc, row.pop(pc), row))
             rank += 1
-            if pivots is not None:
-                pivots.append(pc)
+            pivots.append(pc)
     return rank
 
 
@@ -537,9 +535,6 @@ class Poly:
         return cls(nvars, {tuple(exps): coeff})
 
     # ---- queries
-
-    def is_zero(self):
-        return not self.terms
 
     def is_gaussian(self):
         """True when some coefficient has a nonzero imaginary part."""

@@ -22,7 +22,7 @@ from operator import add
 
 from . import polyforms
 from .exactmat import I, Poly
-from .grading import LElement, m_grading, sum_grading_maps
+from .grading import LElement, m_grading
 from .quivercat import dynkin_quiver
 from .symmetry import DiagonalGroup, ResourceLimitError, format_element, j_element
 
@@ -152,7 +152,6 @@ class MatrixFactorization:
                             f"{name}[{i}][{j}] = {d[i][j].format()} is not "
                             "homogeneous of the degree forced by its slots"
                         )
-        return True
 
     def same_data(self, other):
         return (
@@ -185,17 +184,16 @@ def mf_from_pair(ctx, w, a, b, shift=None):
     return MatrixFactorization(ctx, w, [s], [s + da], [[a]], [[b]])
 
 
-def koszul_mf(p, gamma_choice=None, ctx=None):
+def koszul_mf(p, ctx, gamma_choice=None):
     """Koszul-type stabilization of the residue field.
 
     The differential is contraction with the Euler vector field plus
     wedging with a one-form gamma satisfying sum gamma_i x_i = W.
     gamma_choice maps monomials of W (exponent tuples) to the index of a
     variable actually present in that monomial; unassigned monomials go to
-    their lowest-index variable.
+    their lowest-index variable.  The slot labels lie in `ctx`, p.ctx or a
+    grading of p's potential by a group (m_grading).
     """
-    if ctx is None:
-        ctx = p.ctx
     w = p.poly
     n = p.nvars
     choice = dict(gamma_choice) if gamma_choice else {}
@@ -308,16 +306,14 @@ def _block_slots(blocks, rows, cols):
     return [(a, b, i, j) for a, b in blocks for i in range(rows[a]) for j in range(cols[b])]
 
 
-def tensor_mf(k1, k2, maps=None):
+def tensor_mf(k1, k2, maps):
     """Tensor product over disjoint variable sets, with Koszul signs.
 
     The combined potential is W1 + W2; the grading is the pushout of the
-    two factor gradings.  `maps` can carry a precomputed
-    (context, embed1, embed2) triple so that several tensors share one
-    grading context instance.
+    two factor gradings, given as the (context, embed1, embed2) triple of
+    grading.sum_grading_maps, so that several tensors share one grading
+    context instance.
     """
-    if maps is None:
-        maps = sum_grading_maps(k1.ctx, k2.ctx)
     ctx, emb1, emb2 = maps
     n1 = len(k1.ctx.deg_x)
     n2 = len(k2.ctx.deg_x)
@@ -352,10 +348,10 @@ def tensor_mf(k1, k2, maps=None):
     for (a, b, i, j), col in pos.items():
         out = d[(a + b) % 2]
         for i2, row in enumerate(diff1[a]):
-            if not row[i].is_zero():
+            if row[i]:
                 out[pos[(1 - a, b, i2, j)]][col] = l1(row[i])
         for j2, row in enumerate(diff2[b]):
-            if not row[j].is_zero():
+            if row[j]:
                 out[pos[(a, 1 - b, i, j2)]][col] = -l2(row[j]) if a else l2(row[j])
     return MatrixFactorization(ctx, w, p0, p1, *d)
 
@@ -439,7 +435,7 @@ def quotient_graded_collection(matrix, group):
 
     def objects():
         ctx = m_grading(matrix, group)
-        stab = None if even else translate_mf(koszul_mf(p, ctx=ctx))
+        stab = None if even else translate_mf(koszul_mf(p, ctx))
         out = []
         for name, a, b, t in entries:
             twist = ctx.element(t, (0,) * len(ctx.torsion))

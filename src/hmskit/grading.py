@@ -86,9 +86,6 @@ class LElement:
 
     __rmul__ = __mul__
 
-    def is_zero(self):
-        return all(a == 0 for a in self.free) and all(a == 0 for a in self.tors)
-
     def key(self):
         return (self.free, self.tors)
 
@@ -172,9 +169,7 @@ class GradingContext:
         return key
 
     def element(self, free, tors=()):
-        if isinstance(free, int):
-            free = (free,)
-        return LElement(tuple(free), tuple(tors), self.torsion)
+        return LElement((free,), tuple(tors), self.torsion)
 
     def __eq__(self, other):
         if not isinstance(other, GradingContext):

@@ -206,20 +206,17 @@ def _hom_memo(ctx):
 def monomials_of_degree(ctx, delta):
     """All exponent tuples whose monomial has the given L-degree.
 
-    `delta` is an LElement or its int code (see _HomMemo); the cache on the
-    context is keyed by the code.  One enumeration fills it for every
-    torsion class of the free degree.
+    `delta` is the int code of the degree (see _HomMemo), which keys the
+    cache on the context.  One enumeration fills it for every torsion class
+    of the free degree.  The weights must be positive, which _hom_precheck
+    checks before any hom is computed.
     """
     cache = ctx.__dict__.setdefault("_mono_cache", {})
-    if not isinstance(delta, int):
-        delta = _hom_memo(ctx).code(delta)
     hit = cache.get(delta)
     if hit is not None:
         return hit
     memo = _hom_memo(ctx)
     weights = memo.weights
-    if any(w <= 0 for w in weights):
-        raise MFError("unsupported grading: variable degrees must be positive")
     target = delta // memo.T
     classes = [[] for _ in range(memo.T)]
     if target >= 0 and weights:
@@ -730,7 +727,7 @@ def generator_E(p):
     return [mf for _, mf in _sum_objects(p, "E", factor)[1]()]
 
 
-def one_period_end_total(gens, periods=4):
+def one_period_end_total(gens, periods):
     """Total dimension of End of a generator over one translation period.
 
     The translation square equals the twist by deg_c, so hom spaces are

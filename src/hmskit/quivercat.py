@@ -104,9 +104,9 @@ class BigradedTable:
 
     __slots__ = ("objects", "dims")
 
-    def __init__(self, objects, dims=None):
+    def __init__(self, objects, dims):
         self.objects = objects
-        self.dims = {} if dims is None else dims  # (i, j, k) -> positive int
+        self.dims = dims  # (i, j, k) -> positive int
 
     def __repr__(self):
         return f"BigradedTable(objects={self.objects!r}, dims={self.dims!r})"
@@ -125,13 +125,7 @@ class BigradedTable:
         return self.objects == other.objects and self.dims == other.dims
 
 
-def _as_quiver(item):
-    if isinstance(item, Quiver):
-        return item
-    return dynkin_quiver(item)
-
-
-def tensor_model(types):
+def tensor_model(quivers):
     """Tensor product of the simple-object tables of several quivers.
 
     Objects are tuples of vertices, one per factor, in product order with
@@ -139,7 +133,6 @@ def tensor_model(types):
     The factors are folded one at a time over their nonzero entries, so the
     cost follows the entries of the product, not the square of its objects.
     """
-    quivers = [_as_quiver(t) for t in types]
     if not quivers:
         raise QuiverError("tensor model needs at least one factor")
     # (source index, target index) -> {k: dim}, indices in mixed radix

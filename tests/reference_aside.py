@@ -6,11 +6,10 @@ for quivercat.tensor_model, which folds the factors over their nonzero
 entries only.
 """
 
-from hmskit.quivercat import BigradedTable, QuiverError, _as_quiver, simple_hom_dims
+from hmskit.quivercat import BigradedTable, QuiverError, simple_hom_dims
 
 
-def dense_tensor_model(types):
-    quivers = [_as_quiver(t) for t in types]
+def dense_tensor_model(quivers):
     if not quivers:
         raise QuiverError("tensor model needs at least one factor")
 

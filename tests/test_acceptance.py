@@ -130,7 +130,7 @@ def test_criterion_2_family_equivalences(tmp_path, capsys):
 def test_criterion_3_tensor_factorization():
     factor_total = {}
     for name in ("A2", "D4t"):
-        factor_total[name] = one_period_end_total(generator_E(parse_model(name)))
+        factor_total[name] = one_period_end_total(generator_E(parse_model(name)), periods=4)
     assert factor_total == {"A2": 6, "D4t": 24}
 
     for name, parts in (("A2+A2", ("A2", "A2")), ("A2+D4t", ("A2", "D4t"))):
@@ -145,7 +145,7 @@ def test_criterion_3_tensor_factorization():
                     assert tab.dims.get((i, j, k), 0) == model.dims.get((i, j, k), 0), (
                         f"{name}: entry ({i},{j},{k}) differs"
                     )
-        total = one_period_end_total(generator_E(p))
+        total = one_period_end_total(generator_E(p), periods=4)
         want = factor_total[parts[0]] * factor_total[parts[1]]
         assert total == want, f"{name}: total {total} != {want}"
         assert time.perf_counter() - started < 300, f"{name}: over five minutes"
@@ -158,7 +158,7 @@ def test_criterion_4_factorization_identities():
     atoms += [f"D{n}t" for n in range(3, 7)]
     for name in atoms:
         p = build(atom_from_name(name).template())
-        koszul_mf(p).validate()
+        koszul_mf(p, p.ctx).validate()
         if name.startswith("A"):
             m = int(name[1:])
             x = Poly.variable(1, 0)
@@ -179,7 +179,7 @@ def test_criterion_4_factorization_identities():
         for exps, _coeff in sorted(p.poly.terms.items()):
             divisors = [i for i, e in enumerate(exps) if e > 0]
             choice[exps] = rng.choice(divisors)
-        k = koszul_mf(p, gamma_choice=choice)
+        k = koszul_mf(p, p.ctx, gamma_choice=choice)
         k.validate()
         assert k.rank0 == k.rank1 == 2 ** (p.nvars - 1)
 

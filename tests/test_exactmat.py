@@ -271,20 +271,20 @@ def _to_rows(a):
 @given(mat_strategy())
 def test_int_rank_matches_rat_rank(a):
     rows = _to_rows(a)
-    assert int_rank(rows) == rat_rank(a)
+    assert int_rank(rows, []) == rat_rank(a)
 
 
 def test_int_rank_empty_and_huge_entries():
-    assert int_rank([]) == 0
-    assert int_rank([{}]) == 0
+    assert int_rank([], []) == 0
+    assert int_rank([{}], []) == 0
     big = 10**40
-    assert int_rank([{0: big, 1: big}, {0: big, 1: -big}]) == 2
+    assert int_rank([{0: big, 1: big}, {0: big, 1: -big}], []) == 2
 
 
 def test_int_rank_input_not_mutated():
     rows = [{0: 2, 1: 4}, {0: 1, 1: 3}]
     snapshot = [dict(r) for r in rows]
-    int_rank(rows)
+    int_rank(rows, [])
     assert rows == snapshot
 
 
@@ -306,7 +306,7 @@ def sparse_mat_strategy(max_dim=25):
 def test_int_rank_sparse_matches_rat_rank(a):
     rows = _to_rows(a)
     snapshot = [dict(r) for r in rows]
-    assert int_rank(rows) == rat_rank(a)
+    assert int_rank(rows, []) == rat_rank(a)
     assert rows == snapshot
 
 
@@ -385,14 +385,14 @@ def test_int_rank_pivot_paths_agree():
     for i in range(100, 120):
         p, q = rng.sample(range(100), 2)
         a[i] = [x + rng.choice((1, -1)) * y for x, y in zip(a[p], a[q])]
-    rank = int_rank(_to_rows(a))
+    rank = int_rank(_to_rows(a), [])
     assert rank == rat_rank(a)
     assert rank <= 100
     at = [list(col) for col in zip(*a)]
-    assert int_rank(_to_rows(at)) == rank
+    assert int_rank(_to_rows(at), []) == rank
     perm = list(range(120))
     rng.shuffle(perm)
-    assert int_rank(_to_rows([a[i] for i in perm])) == rank
+    assert int_rank(_to_rows([a[i] for i in perm]), []) == rank
 
 
 def test_int_rank_non_unit_entries():
@@ -407,9 +407,9 @@ def test_int_rank_non_unit_entries():
     ]
     rows = _to_rows(a)
     snapshot = [dict(r) for r in rows]
-    assert int_rank(rows) == rat_rank(a) == 4
-    assert int_rank(rows + [{c: 6 for c in range(5)}]) == 5
-    assert int_rank(_to_rows([[6, 6], [6, 6], [2, 2], [3, 3]])) == 1
+    assert int_rank(rows, []) == rat_rank(a) == 4
+    assert int_rank(rows + [{c: 6 for c in range(5)}], []) == 5
+    assert int_rank(_to_rows([[6, 6], [6, 6], [2, 2], [3, 3]]), []) == 1
     assert rows == snapshot
 
 
@@ -422,7 +422,7 @@ def test_poly_basics():
     assert x * x == Poly.monomial(2, (2, 0))
     sq = (x + y) * (x + y)
     assert sq == Poly(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-    assert Poly.zero(2).is_zero()
+    assert not Poly.zero(2)
     assert not (x + -x)
 
 
@@ -521,7 +521,7 @@ def test_gaussian_poly_format_and_parse():
 
 
 def _realified_rank(cols):
-    return int_rank(integer_columns(cols))
+    return int_rank(integer_columns(cols), [])
 
 
 def test_gaussian_rank_by_realification():

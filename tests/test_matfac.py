@@ -33,6 +33,7 @@ from hmskit.factorization import (
     translate_mf,
 )
 from hmskit.matfac import (
+    _hom_memo,
     ext_table,
     generator_collection,
     generator_E,
@@ -98,7 +99,8 @@ def test_gaussian_factorization_validates():
     y = Poly.variable(2, 1)
     a = x + I * y
     k = mf_from_pair(ctx, w, a, x * (x - I * y))
-    assert k.validate() and k.field == "Q(i)"
+    k.validate()
+    assert k.field == "Q(i)"
     assert mf_to_json(k)["d0"] == [["x + i*y"]]
     assert mf_to_json(k)["d1"] == [["x^2 - i*x*y"]]
     with pytest.raises(MFError, match="W times the identity"):
@@ -159,7 +161,7 @@ def test_validate_rejects_each_broken_condition(case):
 
 def test_unbroken_factorization_of_the_rejection_cases_validates():
     args, _ = _broken(None)
-    assert MatrixFactorization(*args).validate()
+    MatrixFactorization(*args).validate()
 
 
 def test_labels_of_another_grading_still_reach_validate():
@@ -188,7 +190,7 @@ def test_koszul_of_chain_atom_is_a_shifted_pair():
     # the (x, x^m) pair placed so that both label solutions agree
     for name, m in (("A1", 1), ("A2", 2), ("A4", 4)):
         p = _model(name)
-        k = koszul_mf(p)
+        k = koszul_mf(p, p.ctx)
         x = Poly.variable(1, 0)
         pair = mf_from_pair(p.ctx, p.poly, x, Poly.monomial(1, (m,)))
         assert k.same_data(shift_mf(pair, _twist(p.ctx, -1)))
@@ -196,7 +198,7 @@ def test_koszul_of_chain_atom_is_a_shifted_pair():
 
 def test_koszul_canonical_splitting():
     p = _model("D4t")
-    k = koszul_mf(p)
+    k = koszul_mf(p, p.ctx)
     # gamma is the first column of d1
     assert [row[0].format() for row in k.d1] == ["x^2*y", "y"]
     assert [e.key() for e in k.p0] == [((-1,), ()), ((-3,), ())]
@@ -207,23 +209,23 @@ def test_koszul_canonical_splitting():
 
 def test_koszul_splitting_can_be_steered():
     p = _model("D4t")
-    k = koszul_mf(p, gamma_choice={(3, 1): 1})
+    k = koszul_mf(p, p.ctx, gamma_choice={(3, 1): 1})
     # gamma is the first column of d1
-    assert k.d1[0][0].is_zero()
+    assert not k.d1[0][0]
     assert k.d1[1][0] == parse_poly_string("x^3 + y", 2)
     k.validate()
 
     with pytest.raises(MFError, match="not in W"):
-        koszul_mf(p, gamma_choice={(1, 1): 0})
+        koszul_mf(p, p.ctx, gamma_choice={(1, 1): 0})
     with pytest.raises(MFError, match="does not divide"):
-        koszul_mf(p, gamma_choice={(0, 2): 0})
+        koszul_mf(p, p.ctx, gamma_choice={(0, 2): 0})
 
 
 def test_koszul_agrees_with_residue_family_up_to_signed_swap():
     # same object, different basis: reversing the odd summands and negating
     # both differentials carries one presentation to the other
     p = _model("D4t")
-    k = koszul_mf(p)
+    k = koszul_mf(p, p.ctx)
     t = translate_mf(residue_mf_D(4, ctx=p.ctx))
     assert list(k.p0) == list(t.p0)
     assert [k.p1[1], k.p1[0]] == list(t.p1)
@@ -263,7 +265,7 @@ def test_shift_and_translate_algebra():
 @settings(max_examples=25, deadline=None)
 def test_shifts_compose_additively(a, b):
     p = _model("A2")
-    k = koszul_mf(p)
+    k = koszul_mf(p, p.ctx)
     one = shift_mf(shift_mf(k, _twist(p.ctx, a)), _twist(p.ctx, b))
     both = shift_mf(k, _twist(p.ctx, a + b))
     assert one.same_data(both)
@@ -281,9 +283,9 @@ def _unit_mf():
 def test_unit_object_is_a_tensor_identity():
     u = _unit_mf()
     p = _model("A2")
-    k = koszul_mf(p)
-    right = tensor_mf(k, u)
-    left = tensor_mf(u, k)
+    k = koszul_mf(p, p.ctx)
+    right = tensor_mf(k, u, sum_grading_maps(k.ctx, u.ctx))
+    left = tensor_mf(u, k, sum_grading_maps(u.ctx, k.ctx))
     assert right.ctx == k.ctx and left.ctx == k.ctx
     assert right.same_data(k)
     assert left.same_data(k)
@@ -294,16 +296,16 @@ def test_tensor_of_rank_one_factors():
     a1 = _model("A1")
     x = Poly.variable(1, 0)
     f = mf_from_pair(a1.ctx, a1.poly, x, x)
-    prod = tensor_mf(f, f)
+    prod = tensor_mf(f, f, sum_grading_maps(f.ctx, f.ctx))
     assert prod.rank0 == 2 and prod.rank1 == 2
     prod.validate()
     assert prod.ctx.torsion == (2,)
     # same folded endomorphism count as the direct two-variable model
     gens = [shift_mf(prod, r) for r in lbar_representatives(prod.ctx)]
-    assert one_period_end_total(gens) == 16
-    k = koszul_mf(p)
+    assert one_period_end_total(gens, periods=4) == 16
+    k = koszul_mf(p, p.ctx)
     alt = [shift_mf(k, r) for r in lbar_representatives(k.ctx)]
-    assert one_period_end_total(alt) == 16
+    assert one_period_end_total(alt, periods=4) == 16
 
 
 def test_tensor_block_layout_and_sign():
@@ -311,7 +313,7 @@ def test_tensor_block_layout_and_sign():
     a2 = _model("A2")
     x = Poly.variable(1, 0)
     k = mf_from_pair(a2.ctx, a2.poly, x, x * x)
-    t = tensor_mf(k, k)
+    t = tensor_mf(k, k, sum_grading_maps(k.ctx, k.ctx))
     got = mf_to_json(t)
     assert got["w"] == "x^3 + y^3"
     assert got["d0"] == [["y", "x^2"], ["x", "-y^2"]]
@@ -531,8 +533,7 @@ def test_pivot_rows_cross_walks(monkeypatch):
 
 
 def test_hom_rejects_mismatched_potentials():
-    d = koszul_mf(_model("D4t"))
-    a = koszul_mf(_model("A2"))
+    d, a = (koszul_mf(p, p.ctx) for p in (_model("D4t"), _model("A2")))
     with pytest.raises(MFError, match="different gradings"):
         hom_at(d, a, 0)
 
@@ -659,7 +660,7 @@ def test_reduced_boundary_ranks_equal_full_ranks(name, monkeypatch):
                 cols = reference_boundary_columns(k, h, *b)
                 ndst = matfac._cell_offsets(k.ctx, memo, target)[1][-1]
                 rows = matfac._int_columns(cols) if gauss else cols
-                full = int_rank(rows) // (2 if gauss else 1)
+                full = int_rank(rows, []) // (2 if gauss else 1)
                 assert matfac._boundary_rank(k, h, memo, key, target, src, dst) == full
                 if cols and ndst:
                     full_rows[key] = len(rows)
@@ -727,7 +728,7 @@ def test_gaussian_source_column_is_skipped_only_when_both_halves_drop(monkeypatc
                 if not drop:
                     continue
                 cols = reference_boundary_columns(k, h, *out)
-                full = int_rank(matfac._int_columns(cols)) // 2
+                full = int_rank(matfac._int_columns(cols), []) // 2
                 memo.pivots[key] = array("l", drop)
                 assert matfac._boundary_rank(k, h, memo, key, target, src, dst) == full
                 assert skips.pop() == {s for s in range(len(cols)) if 2 * s in drop and 2 * s + 1 in drop}
@@ -761,7 +762,7 @@ def test_finished_table_leaves_no_reference_cycle():
 
 def test_monomials_by_degree():
     p = _model("D4t")
-    got = [monomials_of_degree(p.ctx, _twist(p.ctx, d)) for d in range(7)]
+    got = [monomials_of_degree(p.ctx, _hom_memo(p.ctx).code(_twist(p.ctx, d))) for d in range(7)]
     assert got == [
         ((0, 0),),
         ((1, 0),),
@@ -776,10 +777,11 @@ def test_monomials_by_degree():
 def test_monomials_see_torsion_classes():
     s = _model("A1+A1")
     ctx = s.ctx
-    assert monomials_of_degree(ctx, ctx.element(1, (0,))) == ((1, 0),)
-    assert monomials_of_degree(ctx, ctx.element(1, (1,))) == ((0, 1),)
-    assert monomials_of_degree(ctx, ctx.element(2, (0,))) == ((0, 2), (2, 0))
-    assert monomials_of_degree(ctx, ctx.element(2, (1,))) == ((1, 1),)
+    code = _hom_memo(ctx).code
+    assert monomials_of_degree(ctx, code(ctx.element(1, (0,)))) == ((1, 0),)
+    assert monomials_of_degree(ctx, code(ctx.element(1, (1,)))) == ((0, 1),)
+    assert monomials_of_degree(ctx, code(ctx.element(2, (0,)))) == ((0, 2), (2, 0))
+    assert monomials_of_degree(ctx, code(ctx.element(2, (1,)))) == ((1, 1),)
 
 
 # each context with its torsion moduli: T = 1, Z/2, Z/4, (Z/3)^2, Z/3 with
@@ -818,9 +820,10 @@ def test_monomials_match_a_brute_force_filter(rnd):
         asks = [ctx.element(f, t) for f in range(-1, top + 1) for t in itertools.product(*map(range, torsion))]
         rnd.shuffle(asks)
         for delta in asks:
-            got = monomials_of_degree(ctx, delta)
+            code = _hom_memo(ctx).code(delta)
+            got = monomials_of_degree(ctx, code)
             assert got == tuple(sorted(by_degree.get(delta, [])))
-            assert monomials_of_degree(ctx, delta) is got
+            assert monomials_of_degree(ctx, code) is got
             assert monomials_of_degree(ctx, ctx._hom_memo.code(delta)) is got
 
 
@@ -829,9 +832,25 @@ def test_one_miss_fills_every_torsion_class_of_its_free_degree(name):
     ctx = _fresh_context(name)
     T = math.prod(ctx.torsion)
     for f in (5, -1):
-        monomials_of_degree(ctx, ctx.element(f, tuple(m - 1 for m in ctx.torsion)))
+        monomials_of_degree(ctx, _hom_memo(ctx).code(ctx.element(f, tuple(m - 1 for m in ctx.torsion))))
         assert len(ctx._mono_cache) == T * (1 + (f < 0))
         assert {code for code in ctx._mono_cache if code // T == f} == set(range(f * T, (f + 1) * T))
+
+
+@pytest.mark.parametrize("weight", [0, -1])
+def test_hom_refuses_a_non_positive_variable_degree_before_enumerating(weight, monkeypatch):
+    # monomials_of_degree trusts the weights to be positive: _hom_precheck
+    # refuses the other gradings before the first enumeration
+    calls = []
+    monomials = matfac.monomials_of_degree
+    monkeypatch.setattr(matfac, "monomials_of_degree", lambda *args: calls.append(args) or monomials(*args))
+    ctx = GradingContext([[1, weight]], [], [], [(1, 0), (0, 1)], (2, 0))
+    x = Poly.variable(2, 0)
+    k = mf_from_pair(ctx, x * x + Poly.monomial(2, (2 - weight, 1)), x, x + Poly.monomial(2, (1 - weight, 1)))
+    assert ctx.deg_x[1].free == (weight,)
+    with pytest.raises(MFError, match="variable degrees must be positive"):
+        hom_dim(k, k, range(-2, 3))
+    assert calls == []
 
 
 def test_each_free_degree_is_enumerated_once(monkeypatch):
@@ -883,7 +902,7 @@ def test_monomials_match_a_brute_force_oracle_on_random_gradings(data):
         by_degree.setdefault((f, t), []).append(exps)
     for f in range(-1, top + 1):
         for t in itertools.product(*map(range, moduli)):
-            assert monomials_of_degree(ctx, ctx.element(f, t)) == tuple(by_degree.get((f, t), ()))
+            assert monomials_of_degree(ctx, _hom_memo(ctx).code(ctx.element(f, t))) == tuple(by_degree.get((f, t), ()))
 
 
 def test_multiplication_maps_place_each_product(monkeypatch):
@@ -909,7 +928,7 @@ def test_multiplication_maps_place_each_product(monkeypatch):
         target = ctx.zero()
         for a, dx in zip(map(sum, zip(src[0], e)), ctx.deg_x):
             target = target + a * dx
-        dst = monomials_of_degree(ctx, target)
+        dst = monomials_of_degree(ctx, memo.code(target))
         for a, m in enumerate(src):
             assert dst[pos[a]] == tuple(u + v for u, v in zip(m, e))
         code = memo.code(target)
@@ -1137,8 +1156,7 @@ def test_objects_without_coordinates_are_tabled_pair_by_pair(monkeypatch):
 
 
 def test_ext_table_rejects_mixed_potentials():
-    a = koszul_mf(_model("A2"))
-    b = koszul_mf(_model("A3"))
+    a, b = (koszul_mf(p, p.ctx) for p in (_model("A2"), _model("A3")))
     with pytest.raises(MFError):
         ext_table(_labelled([a, b]), 1)
 
@@ -1371,9 +1389,9 @@ def test_generator_orbit_for_sums():
 def test_one_period_totals_multiply_over_sums():
     singles = {"A1": 4, "A2": 6, "A3": 8, "D4t": 24}
     for name, want in singles.items():
-        assert one_period_end_total(generator_E(_model(name))) == want
-    assert one_period_end_total(generator_E(_model("A1+A1"))) == 16
-    assert one_period_end_total(generator_E(_model("A2+A2"))) == 36
+        assert one_period_end_total(generator_E(_model(name)), periods=4) == want
+    assert one_period_end_total(generator_E(_model("A1+A1")), periods=4) == 16
+    assert one_period_end_total(generator_E(_model("A2+A2")), periods=4) == 36
 
 
 def _direct_period_total(gens, periods):
@@ -1417,7 +1435,7 @@ def test_orbit_folded_period_total_of_swapped_residue_objects(monkeypatch):
 def test_one_period_total_needs_a_twist_orbit():
     _, col, _ = _rank_one_objects("D4t")
     with pytest.raises(MFError, match="not twists of a single object"):
-        one_period_end_total([m for _, m in col[:2]])
+        one_period_end_total([m for _, m in col[:2]], periods=4)
     with pytest.raises(MFError, match="edge of the folding window"):
         one_period_end_total(generator_E(_model("A2")), periods=0)
 
@@ -1455,7 +1473,7 @@ def test_every_koszul_splitting_factorizes(data):
     for exps, coeff in sorted(p.poly.terms.items()):
         divisors = [i for i, e in enumerate(exps) if e > 0]
         choice[exps] = data.draw(st.sampled_from(divisors))
-    k = koszul_mf(p, gamma_choice=choice)
+    k = koszul_mf(p, p.ctx, gamma_choice=choice)
     k.validate()
     assert k.rank0 == k.rank1 == 2 ** (p.poly.nvars - 1)
 
@@ -1485,7 +1503,7 @@ def _random_atom_object(data, name):
     if kind == "residue":
         return residue_mf_D(p.atoms[0].param, ctx=p.ctx)
     choice = {exps: data.draw(st.sampled_from([i for i, e in enumerate(exps) if e])) for exps, _ in sorted(p.poly.terms.items())}
-    return koszul_mf(p, gamma_choice=choice)
+    return koszul_mf(p, p.ctx, gamma_choice=choice)
 
 
 def _twisted(data, k):
@@ -1592,7 +1610,7 @@ def test_planned_assembly_equals_the_reference_column_by_column(data):
         assert [list(c.items()) for c in cols] == [list(c.items()) for c in ref]
 
 
-def _rank_over_q(cols, gauss, pivots=None):
+def _rank_over_q(cols, gauss, pivots):
     """Rank over Q of exact columns; columns over Q(i) are realified first,
     so the rank is twice theirs and pivots are realified rows."""
     return int_rank(matfac._int_columns(cols) if gauss else cols, pivots)
@@ -1614,17 +1632,17 @@ def test_one_target_block_has_the_rank_of_the_whole_boundary(data):
     nsrc = _cell_dim(k, h, q, parity)
     skip = data.draw(st.sets(st.integers(0, nsrc - 1))) if nsrc else set()
     whole = reference_boundary_columns(k, h, q, parity, skip)
-    rank = _rank_over_q(whole, gauss)
+    rank = _rank_over_q(whole, gauss, [])
     n = first_block_rows(k, h, q, parity)
     for first in (True, False):
-        assert _rank_over_q([{r: v for r, v in c.items() if (r < n) == first} for c in whole], gauss) == rank
+        assert _rank_over_q([{r: v for r, v in c.items() if (r < n) == first} for c in whole], gauss, []) == rank
     # the assembled boundary is the first block's projection
     pivots = []
     assert _rank_over_q(_columns(k, h, q, parity, skip), gauss, pivots) == rank
     nxt = reference_boundary_columns(k, h, q + parity, 1 - parity)
     nxt = matfac._int_columns(nxt) if gauss else nxt
     drop = set(pivots)
-    assert int_rank([c for s, c in enumerate(nxt) if s not in drop]) == int_rank(nxt)
+    assert int_rank([c for s, c in enumerate(nxt) if s not in drop], []) == int_rank(nxt, [])
 
 
 @pytest.mark.parametrize("name", ["A2+A2+A2", "A2+D4t"])

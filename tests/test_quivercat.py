@@ -151,9 +151,13 @@ def test_simple_hom_dims_basics():
 # ---------------------------------------------------------------- tensor
 
 
+def _tensor(*names):
+    return tensor_model([dynkin_quiver(name) for name in names])
+
+
 def test_tensor_single_factor_reduces():
     q = dynkin_quiver("D4")
-    t = tensor_model(["D4"])
+    t = _tensor("D4")
     for i in range(4):
         for j in range(4):
             for k in range(-1, 3):
@@ -161,13 +165,13 @@ def test_tensor_single_factor_reduces():
 
 
 def test_tensor_a1_a1():
-    t = tensor_model(["A1", "A1"])
+    t = _tensor("A1", "A1")
     assert len(t.objects) == 1
     assert t.dims == {(0, 0, 0): 1}
 
 
 def test_tensor_a2_a2():
-    t = tensor_model(["A2", "A2"])
+    t = _tensor("A2", "A2")
     assert len(t.objects) == 4
     assert t.objects[0] == ("v1", "v1")
     idx = {obj: n for n, obj in enumerate(t.objects)}
@@ -183,7 +187,7 @@ def test_tensor_a2_a2():
 
 def test_tensor_total_is_product_of_factor_totals():
     def factor_total(name):
-        return sum(tensor_model([name]).dims.values())
+        return sum(_tensor(name).dims.values())
 
     assert factor_total("A2") == 3
     assert factor_total("D4") == 7
@@ -191,12 +195,12 @@ def test_tensor_total_is_product_of_factor_totals():
         expect = 1
         for name in combo:
             expect *= factor_total(name)
-        assert sum(tensor_model(combo).dims.values()) == expect
+        assert sum(_tensor(*combo).dims.values()) == expect
 
 
 def test_tensor_factor_order_is_relabeling():
-    t1 = tensor_model(["A2", "D4"])
-    t2 = tensor_model(["D4", "A2"])
+    t1 = _tensor("A2", "D4")
+    t2 = _tensor("D4", "A2")
     assert sum(t1.dims.values()) == sum(t2.dims.values())
     swap = {}
     for n, obj in enumerate(t1.objects):
@@ -227,14 +231,14 @@ def test_tensor_model_tests_only_the_entries_that_can_be_nonzero(monkeypatch):
     calls = []
     hom = quivercat.simple_hom_dims
     monkeypatch.setattr(quivercat, "simple_hom_dims", lambda *args: calls.append(args) or hom(*args))
-    model = tensor_model(["A128"])
+    model = _tensor("A128")
     assert len(model.objects) == 128 and sum(model.dims.values()) == 2 * 128 - 1
     # at most the diagonal and one pair per arrow, each at k = 0 and k = 1
     assert len(calls) <= 2 * (2 * 128 - 1)
 
 
 def test_table_without_dims_gets_a_fresh_dict():
-    a, b = BigradedTable(["x"]), BigradedTable(["x"])
+    a, b = BigradedTable(["x"], {}), BigradedTable(["x"], {})
     assert a.dims == {} and a.dims is not b.dims
     a.dims[(0, 0, 0)] = 1
     assert b.dims == {} and a != b
@@ -242,7 +246,7 @@ def test_table_without_dims_gets_a_fresh_dict():
 
 
 def test_table_window_and_entries():
-    t = tensor_model(["A2", "A2"])
+    t = _tensor("A2", "A2")
     w = t.restrict_window(1)
     assert all(abs(k) <= 1 for (_, _, k) in w.dims)
     assert sum(w.dims.values()) < sum(t.dims.values())
