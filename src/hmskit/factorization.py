@@ -47,7 +47,7 @@ def _as_element(ctx, a):
     if isinstance(a, int):
         if ctx.free_rank != 1:
             raise MFError("integer shifts need a rank-one grading")
-        return ctx.element(a, (0,) * len(ctx.torsion))
+        return ctx.element(a)
     raise MFError(f"cannot interpret shift {a!r}")
 
 
@@ -438,7 +438,7 @@ def quotient_graded_collection(matrix, group):
         stab = None if even else translate_mf(koszul_mf(p, ctx))
         out = []
         for name, a, b, t in entries:
-            twist = ctx.element(t, (0,) * len(ctx.torsion))
+            twist = ctx.element(t)
             out.append((name, shift_mf(stab, twist) if a is None else mf_from_pair(ctx, p.poly, a, b, twist)))
         return out
 

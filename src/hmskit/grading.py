@@ -7,6 +7,8 @@ polynomial.  Elements are kept in normal-form coordinates, so equality,
 hashing and sorting are structural.
 """
 
+from itertools import product
+
 from .exactmat import (
     hermite,
     identity_matrix,
@@ -169,7 +171,11 @@ class GradingContext:
         return key
 
     def element(self, free, tors=()):
-        return LElement((free,), tuple(tors), self.torsion)
+        """The element of free part `free`; an omitted torsion part is zero."""
+        tors = tuple(tors) or (0,) * len(self.torsion)
+        if len(tors) != len(self.torsion):
+            raise GradingError("torsion part has wrong length")
+        return LElement((free,), tors, self.torsion)
 
     def __eq__(self, other):
         if not isinstance(other, GradingContext):
@@ -231,20 +237,7 @@ def lbar_representatives(ctx):
     c0 = ctx.deg_c.free[0]
     if c0 == 0:
         raise GradingError("generator set would be infinite: degenerate c")
-    reps = []
-
-    def torsion_tuples(moduli):
-        if not moduli:
-            yield ()
-            return
-        for head in range(moduli[0]):
-            for tail in torsion_tuples(moduli[1:]):
-                yield (head,) + tail
-
-    for f in range(abs(c0)):
-        for t in torsion_tuples(ctx.torsion):
-            reps.append(LElement((f,), t, ctx.torsion))
-    return sorted(reps)
+    return [LElement((f,), t, ctx.torsion) for f in range(abs(c0)) for t in product(*map(range, ctx.torsion))]
 
 
 def sum_grading_maps(ctx1, ctx2):

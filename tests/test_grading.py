@@ -219,6 +219,15 @@ def test_element_arithmetic():
     assert (e + ctx.element(0, (1,))).tors == ((2 + 1) % 3,)
 
 
+def test_element_with_the_torsion_part_omitted_has_zero_torsion():
+    ctx = sum_grading_maps(grading_group(A2), grading_group(A2))[0]
+    assert ctx.torsion == (3,)
+    assert ctx.element(1) == ctx.element(1, (0,))
+    assert (ctx.element(1) + ctx.element(0, (1,))).tors == (1,)
+    with pytest.raises(GradingError, match="torsion part"):
+        ctx.element(1, (0, 0))
+
+
 def test_element_torsion_reduction():
     e = LElement((1,), (7,), (3,))
     assert e.tors == (1,)

@@ -55,7 +55,7 @@ def _model(name):
 
 
 def _twist(ctx, t):
-    return ctx.element(t, (0,) * len(ctx.torsion))
+    return ctx.element(t)
 
 
 def _rank_one_objects(name):

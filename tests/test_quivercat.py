@@ -237,7 +237,7 @@ def test_tensor_model_tests_only_the_entries_that_can_be_nonzero(monkeypatch):
     assert len(calls) <= 2 * (2 * 128 - 1)
 
 
-def test_table_without_dims_gets_a_fresh_dict():
+def test_two_tables_never_share_a_dims_dict():
     a, b = BigradedTable(["x"], {}), BigradedTable(["x"], {})
     assert a.dims == {} and a.dims is not b.dims
     a.dims[(0, 0, 0)] = 1

@@ -10,7 +10,9 @@ only relatively, so each copy runs on its own code.  Then it runs pairs of
 cold passes, one of each side, until `--seconds` are spent, with A first in
 even pairs and B first in odd ones.  A pass is a cold `verify` of each
 model (a fresh cache directory each), or the period total of `--workload
-period`; both sides' outputs must agree, pass by pass.  Prints the median of
+period`; both sides' outputs must agree, pass by pass.  The workloads'
+models and the period total are read from `perfbench/run.py` of the
+checkout that holds this tool.  Prints the median of
 the pairs' B/A wall-time ratios with its quartiles, the pair count, each
 side's median pass time in ms, nproc and the Python version.
 
@@ -22,7 +24,7 @@ benchmark runs of one tree can differ by 30%.
 import argparse
 import contextlib
 import gc
-import importlib
+import importlib.util
 import io
 import os
 import platform
@@ -33,12 +35,19 @@ import tempfile
 import time
 from pathlib import Path
 
-# the models of the benchmark's verify workloads, and its period total
-WORKLOADS = {
-    "atoms": ["D4t", "D5t", "D6t", "A1", "A2", "A3", "A4", "A5", "A2+A2", "A3+A3"],
-    "sums": ["A2+D4t", "A2+A2+A2", "A3+D4t"],
-}
-PERIOD = ("A2+A2+A2", 3, 216)
+
+def load_bench():
+    """perfbench/run.py of this checkout, whose model lists the passes time."""
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_run", Path(__file__).resolve().parent.parent / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+BENCH = load_bench()
+WORKLOADS = {"atoms": BENCH.ATOMS, "sums": BENCH.SUMS}
+PERIOD = (BENCH.PERIOD_MODEL, BENCH.PERIOD_PERIODS, BENCH.PERIOD_TOTAL)
 
 
 def load(root, name, tmp):
